@@ -136,6 +136,13 @@ def _apply_train_flags(args, config: RunConfigFile) -> RunConfigFile:
     return config
 
 
+def _coordinate_name(flat_index: int, contexts_shape) -> str:
+    """' (class c, token t, dim k)' for a flat index into prompt contexts. In
+    shared mode the class is always 0: one block serves every class."""
+    c, t, k = np.unravel_index(flat_index, contexts_shape)
+    return f" (class {c}, token {t}, dim {k})"
+
+
 def _pretrain_gradcheck(dataset, config: RunConfigFile) -> int:
     """Certify the gradient on a sampled batch of the exact training state."""
     tc = config.train
@@ -149,7 +156,8 @@ def _pretrain_gradcheck(dataset, config: RunConfigFile) -> int:
     if not report.passed:
         print(
             "gradcheck failed before training: "
-            f"max rel error {report.max_rel_error:.3e} at coordinate {report.worst_index}",
+            f"max rel error {report.max_rel_error:.3e} at coordinate {report.worst_index}"
+            f"{_coordinate_name(report.worst_index, prompts.contexts.shape)}",
             file=sys.stderr,
         )
         return EXIT_GRADCHECK
@@ -237,7 +245,8 @@ def cmd_gradcheck(args) -> int:
     for case, report in failures:
         print(
             f"FAIL {case.description}: max rel error {report.max_rel_error:.3e} "
-            f"at coordinate {report.worst_index}",
+            f"at coordinate {report.worst_index}"
+            f"{_coordinate_name(report.worst_index, case.prompts.contexts.shape)}",
             file=sys.stderr,
         )
     print(

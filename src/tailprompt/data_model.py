@@ -8,7 +8,7 @@ and one pooled unit-norm caption embedding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -140,11 +140,12 @@ class MultiLabelDataset:
             raise ConfigError("invalid label: entries must be 0 or 1")
         object.__setattr__(self, "labels", labels.astype(np.int64))
 
+        # written so that a NaN norm fails the check instead of passing it
         norms = np.linalg.norm(images, axis=1)
-        if np.abs(norms - 1.0).max() > NORM_TOL:
+        if not (np.abs(norms - 1.0) <= NORM_TOL).all():
             raise ConfigError("image embeddings must have unit L2 norm")
         norms = np.linalg.norm(captions, axis=1)
-        if np.abs(norms - 1.0).max() > NORM_TOL:
+        if not (np.abs(norms - 1.0) <= NORM_TOL).all():
             raise ConfigError("caption embeddings must have unit L2 norm")
         if (self.labels.sum(axis=1) < 1).any():
             raise ConfigError("invalid label: every sample must have at least one positive class")
@@ -235,6 +236,7 @@ class ClassStats:
     counts: np.ndarray
     group: tuple[str, ...]
     num_samples: int
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -246,6 +248,18 @@ class ClassStats:
     @property
     def num_classes(self) -> int:
         return self.counts.shape[0]
+
+    def derived(self, key, build):
+        """build(), computed on the first call for a hashable key and kept
+        on this object. Every field is frozen, so anything derived from the
+        stats and the key alone stays valid for the object's lifetime. A
+        build that raises stores nothing and raises again on the next call.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
 
     @staticmethod
     def from_dataset(
@@ -273,16 +287,35 @@ def dataset_to_dict(dataset: MultiLabelDataset) -> dict:
     }
 
 
+def _stack_field(rows, key: str, dtype=None) -> np.ndarray:
+    try:
+        column = [row[key] for row in rows]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(
+            f"dataset snapshot samples must be objects with {key!r}: {exc!r}"
+        ) from exc
+    try:
+        return np.asarray(column, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"dataset snapshot field {key!r} is ragged or not numeric: {exc}"
+        ) from exc
+
+
 def dataset_from_dict(doc: dict) -> MultiLabelDataset:
+    """Rebuild a dataset from its snapshot. Rows are stacked into arrays
+    once; MultiLabelDataset validates every row invariant on the arrays."""
     try:
         names = doc["class_names"]
         rows = doc["samples"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"dataset snapshot missing field: {exc}") from exc
-    samples = [
-        Sample(row["image_embedding"], row["labels"], row["caption_embedding"]) for row in rows
-    ]
-    dataset = MultiLabelDataset.from_samples(samples, names)
+    dataset = MultiLabelDataset(
+        _stack_field(rows, "image_embedding", np.float64),
+        _stack_field(rows, "labels"),
+        _stack_field(rows, "caption_embedding", np.float64),
+        names,
+    )
     if dataset.dim != doc.get("dim") or dataset.num_classes != doc.get("num_classes"):
         raise ConfigError("dataset snapshot header disagrees with its samples")
     return dataset

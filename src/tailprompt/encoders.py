@@ -170,7 +170,8 @@ def encode_all(encoder: FrozenTextEncoder, prompts: PromptSet) -> PromptEncoding
     m = prompts.num_context_tokens
     pooled = (prompts.contexts.sum(axis=1) + prompts.class_tokens) / (m + 1.0)
     pre = pooled @ encoder.projection  # (C, d)
-    norms = np.linalg.norm(pre, axis=1)
+    # the sum np.linalg.norm(pre, axis=1) computes, without its Python overhead
+    norms = np.sqrt(np.add.reduce(pre * pre, axis=1))
     if norms.min() < 1e-12:
         raise NumericsError("degenerate prompt embedding: zero vector before normalization")
     return PromptEncoding(pre / norms[:, None], pre, norms)

@@ -39,23 +39,28 @@ class GradCheckReport:
 def finite_diff_grad(loss_fn, params: np.ndarray, step: float) -> np.ndarray:
     """Central differences (f(p + h e_j) - f(p - h e_j)) / 2h per coordinate.
 
-    loss_fn must be deterministic; non-finite values flow into the estimate
-    and surface as a failed check rather than an exception.
+    Every call gets the same probe array, a copy of params: coordinate j is
+    moved for its two evaluations and then restored from params, which this
+    function never changes. loss_fn must therefore not keep a reference to
+    its argument, and must be deterministic; non-finite values flow into the
+    estimate and surface as a failed check rather than an exception.
     """
     if step <= 0:
         raise ConfigError("step must be > 0")
     params = np.asarray(params, dtype=np.float64)
-    grad = np.zeros_like(params)
-    it = np.nditer(params, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        probe = params.copy()
-        probe[idx] = params[idx] + step
+    probe = params.copy()
+    flat_probe = probe.reshape(-1)  # a view: writes land in probe
+    flat_params = params.reshape(-1)
+    grad = np.empty(params.size)
+    for j in range(params.size):
+        value = flat_params[j]
+        flat_probe[j] = value + step
         up = loss_fn(probe)
-        probe[idx] = params[idx] - step
+        flat_probe[j] = value - step
         down = loss_fn(probe)
-        grad[idx] = (up - down) / (2.0 * step)
-    return grad
+        flat_probe[j] = value
+        grad[j] = (up - down) / (2.0 * step)
+    return grad.reshape(params.shape)
 
 
 def check(
@@ -114,14 +119,15 @@ def check_total_loss(
 ) -> GradCheckReport:
     """Certify the blended objective's gradient w.r.t. the prompt contexts."""
     work = PromptSet(
-        contexts=prompts.contexts.copy(),
+        contexts=prompts.contexts,
         class_tokens=prompts.class_tokens,
         mode=prompts.mode,
         encoder_seed=prompts.encoder_seed,
     )
 
     def loss_fn(p: np.ndarray) -> float:
-        work.contexts[...] = p
+        # work holds finite_diff_grad's probe itself: no copy per evaluation
+        work.contexts = p
         return total_loss(batch, work, encoder, stats, config, tau, need_grad=False).total
 
     analytic = total_loss(batch, prompts, encoder, stats, config, tau, need_grad=True).gradient

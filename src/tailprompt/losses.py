@@ -7,14 +7,15 @@ classification loss (distribution-balanced, BCE, or focal). Gradients flow
 only into prompt contexts; everything else is frozen.
 
 All class statistics (weights, margins, rebalance factors, logit biases) are
-computed from full-training-split counts, never from batch counts. Reductions
-sum over classes first, then average over samples in index order, so values
-are bit-stable.
+computed from full-training-split counts, never from batch counts, once per
+(ClassStats, LossConfig) pair (see LossConstants). Reductions sum over classes
+first, then average over samples in index order, so values are bit-stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,15 +142,18 @@ def cse_term(delta_value: float, signed_label: int, weight: float, margin: float
     raise ConfigError("signed_label must be -1 or +1")
 
 
-def _cse_stats(counts, config: LossConfig, num_classes: int):
+def _cse_constants(counts, config: LossConfig):
+    """(weights, margins) of the embedding loss. When re-weighting or the
+    class-aware margin is off, a float stands for the same value in every
+    class; it broadcasts to the same numbers a full vector would."""
     if config.use_reweighting:
         weights = class_weights(counts, config.gamma_rw)
     else:
-        weights = np.ones(num_classes)
+        weights = 1.0
     if config.use_class_aware_margin:
         margins = class_margins(counts, config.eta)
     else:
-        margins = np.full(num_classes, config.mu_base)
+        margins = config.mu_base
     return weights, margins
 
 
@@ -157,17 +161,16 @@ def _cse_parts(
     captions: np.ndarray,
     labels: np.ndarray,
     embeddings: np.ndarray,
-    counts,
-    config: LossConfig,
+    weights,
+    margins,
     need_grad: bool,
 ):
     """Value and gradient w.r.t. the unit prompt embeddings."""
-    weights, margins = _cse_stats(counts, config, embeddings.shape[0])
     dl = 1.0 - captions @ embeddings.T  # (B, C)
     positive = labels == 1
     hinge = weights * (margins - dl)
     terms = np.where(positive, weights * dl, np.maximum(0.0, hinge))
-    value = float(terms.sum(axis=1).mean())
+    value = float(terms.sum(axis=1).sum() / dl.shape[0])
     if not need_grad:
         return value, None
     # d(term)/d(delta): +w for positives, -w on the active hinge side, 0 at
@@ -192,8 +195,9 @@ def cse_loss(
     if batch.num_classes != prompts.num_classes:
         raise ConfigError("batch and prompts disagree on the number of classes")
     encoding = encode_all(encoder, prompts)
+    weights, margins = _cse_constants(counts, config)
     value, grad_embeddings = _cse_parts(
-        batch.captions, batch.labels, encoding.embeddings, counts, config, need_grad
+        batch.captions, batch.labels, encoding.embeddings, weights, margins, need_grad
     )
     gradient = None
     if need_grad:
@@ -224,11 +228,20 @@ def db_bias(counts, num_samples: int, kappa: float) -> np.ndarray:
     return kappa * np.log(num_samples / arr.astype(np.float64) - 1.0)
 
 
-def _db_parts(
-    z: np.ndarray, labels: np.ndarray, counts, num_samples: int, config: LossConfig, need_grad: bool
-):
+def _db_constants(counts, num_samples: int, config: LossConfig):
+    """(rebalance, bias) of the distribution-balanced loss."""
     rebal = db_rebalance(counts, config.db_alpha, config.db_beta, config.db_theta)
-    bias = db_bias(counts, num_samples, config.db_kappa)
+    return rebal, db_bias(counts, num_samples, config.db_kappa)
+
+
+def _db_parts(
+    z: np.ndarray,
+    labels: np.ndarray,
+    rebal: np.ndarray,
+    bias: np.ndarray,
+    config: LossConfig,
+    need_grad: bool,
+):
     g = config.gamma_focal
     zeta = config.db_zeta
     x = z - bias
@@ -244,7 +257,7 @@ def _db_parts(
     neg_terms = (rebal / zeta) * np.power(q_neg, g) * sp_zx
 
     terms = np.where(positive, pos_terms, neg_terms)
-    value = float(terms.sum(axis=1).mean())
+    value = float(terms.sum(axis=1).sum() / z.shape[0])
     if not need_grad:
         return value, None
     log_q = -sp_neg_x
@@ -271,14 +284,17 @@ def db_loss(
 
     Class terms are summed and the batch mean returned.
     """
-    value, grad_z = _db_parts(np.asarray(z, dtype=np.float64), labels, counts, num_samples, config, need_grad)
+    rebal, bias = _db_constants(counts, num_samples, config)
+    value, grad_z = _db_parts(
+        np.asarray(z, dtype=np.float64), labels, rebal, bias, config, need_grad
+    )
     return LossReport(total=value, cls_part=value, cse_part=0.0, gradient=grad_z)
 
 
 def _bce_parts(z: np.ndarray, labels: np.ndarray, need_grad: bool):
     positive = labels == 1
     terms = np.where(positive, _softplus(-z), _softplus(z))
-    value = float(terms.mean())
+    value = float(terms.sum() / terms.size)
     if not need_grad:
         return value, None
     q = _sigmoid(z)
@@ -301,7 +317,7 @@ def _focal_parts(z: np.ndarray, labels: np.ndarray, gamma_focal: float, need_gra
     sp_pos = _softplus(z)
     q = _sigmoid(z)
     terms = np.where(positive, np.power(1.0 - q, g) * sp_neg, np.power(q, g) * sp_pos)
-    value = float(terms.mean())
+    value = float(terms.sum() / terms.size)
     if not need_grad:
         return value, None
     log_q = -sp_neg
@@ -320,11 +336,44 @@ def focal_loss(
     return LossReport(total=value, cls_part=value, cse_part=0.0, gradient=grad_z)
 
 
+class LossConstants:
+    """The per-class terms of the objective for one (ClassStats, LossConfig)
+    pair. They depend only on the full-split counts and the config, both
+    frozen, so each part is computed (and the counts validated) on first use
+    and then reused for the whole run; see loss_constants.
+    """
+
+    def __init__(self, counts: np.ndarray, num_samples: int, config: LossConfig):
+        self._counts = counts
+        self._num_samples = num_samples
+        self._config = config
+
+    @cached_property
+    def cse(self):
+        """(weights, margins) of the embedding loss."""
+        return _cse_constants(self._counts, self._config)
+
+    @cached_property
+    def db(self):
+        """(rebalance, bias) of the distribution-balanced loss."""
+        return _db_constants(self._counts, self._num_samples, self._config)
+
+
+def loss_constants(stats: ClassStats, config: LossConfig) -> LossConstants:
+    """The LossConstants of (stats, config), kept on stats and keyed by config."""
+    return stats.derived(config, lambda: LossConstants(stats.counts, stats.num_samples, config))
+
+
 def _cls_parts(
-    z: np.ndarray, labels: np.ndarray, stats: ClassStats, config: LossConfig, need_grad: bool
+    z: np.ndarray,
+    labels: np.ndarray,
+    constants: LossConstants,
+    config: LossConfig,
+    need_grad: bool,
 ):
     if config.cls_loss_kind == "db":
-        return _db_parts(z, labels, stats.counts, stats.num_samples, config, need_grad)
+        rebal, bias = constants.db
+        return _db_parts(z, labels, rebal, bias, config, need_grad)
     if config.cls_loss_kind == "bce":
         return _bce_parts(z, labels, need_grad)
     return _focal_parts(z, labels, config.gamma_focal, need_grad)
@@ -339,7 +388,9 @@ def cls_loss_on_logits(
 ) -> LossReport:
     """The configured classification loss applied to raw logits; used by
     heads that are not prompts (e.g. the linear probe)."""
-    value, grad_z = _cls_parts(np.asarray(z, dtype=np.float64), labels, stats, config, need_grad)
+    value, grad_z = _cls_parts(
+        np.asarray(z, dtype=np.float64), labels, loss_constants(stats, config), config, need_grad
+    )
     return LossReport(total=value, cls_part=value, cse_part=0.0, gradient=grad_z)
 
 
@@ -364,6 +415,7 @@ def total_loss(
     compute_cls = lam > 0.0
     compute_cse = config.use_embedding_loss and lam < 1.0
 
+    constants = loss_constants(stats, config)
     encoding = encode_all(encoder, prompts)
     cls_value = 0.0
     cse_value = 0.0
@@ -371,10 +423,11 @@ def total_loss(
     grad_embeddings_cse = None
     if compute_cls:
         z = batch.images @ encoding.embeddings.T / tau
-        cls_value, grad_z = _cls_parts(z, batch.labels, stats, config, need_grad)
+        cls_value, grad_z = _cls_parts(z, batch.labels, constants, config, need_grad)
     if compute_cse:
+        weights, margins = constants.cse
         cse_value, grad_embeddings_cse = _cse_parts(
-            batch.captions, batch.labels, encoding.embeddings, stats.counts, config, need_grad
+            batch.captions, batch.labels, encoding.embeddings, weights, margins, need_grad
         )
 
     total = lam * cls_value + (1.0 - lam) * cse_value
@@ -409,7 +462,7 @@ def hinge_kink_mask(
     if not config.use_embedding_loss or config.cls_loss_weight >= 1.0:
         return mask
     encoding = encode_all(encoder, prompts)
-    weights, margins = _cse_stats(stats.counts, config, prompts.num_classes)
+    weights, margins = loss_constants(stats, config).cse
     dl = 1.0 - batch.captions @ encoding.embeddings.T
     hinge = weights * (margins - dl)
     near = (np.abs(hinge) < guard) & (batch.labels == 0)

@@ -40,9 +40,9 @@ from .seeding import DOMAIN_TRAIN, substream
 
 BASELINES = ("none", "linear_probe")
 
-# PRNG stream ids under the training domain
+# PRNG stream ids under the training domain; stream 1 draws the CLI's
+# pre-training gradcheck batch (cli._GRADCHECK_BATCH_STREAM)
 _STREAM_SHUFFLE = 0
-_STREAM_GRADCHECK_BATCH = 1
 
 
 @dataclass(frozen=True)

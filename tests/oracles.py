@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def dot(a, b) -> float:
     return math.fsum(float(x) * float(y) for x, y in zip(a, b, strict=True))
@@ -145,3 +147,17 @@ def average_precision_scalar(scores, labels) -> float:
             hits += 1
             precisions.append(hits / rank)
     return math.fsum(precisions) / len(precisions)
+
+
+def finite_diff_grad_copying(loss_fn, params, step: float):
+    """Central differences that hand loss_fn a fresh copy of params, with one
+    coordinate moved, for every evaluation."""
+    params = np.asarray(params, dtype=np.float64)
+    grad = np.zeros(params.shape)
+    for idx in np.ndindex(params.shape):
+        up = params.copy()
+        up[idx] = params[idx] + step
+        down = params.copy()
+        down[idx] = params[idx] - step
+        grad[idx] = (loss_fn(up) - loss_fn(down)) / (2.0 * step)
+    return grad

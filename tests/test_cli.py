@@ -230,6 +230,44 @@ class TestGradcheckCommand:
         assert "cases passed" in captured.out
 
 
+def _corrupt_analytic_gradient(monkeypatch, flat_index):
+    """Make check_total_loss's analytic gradient wrong by 1 at flat_index."""
+    import tailprompt.gradcheck as gradcheck
+
+    real = gradcheck.total_loss
+
+    def wrong(*args, need_grad=True, **kwargs):
+        report = real(*args, need_grad=need_grad, **kwargs)
+        if need_grad:
+            report.gradient.reshape(-1)[flat_index] += 1.0
+        return report
+
+    monkeypatch.setattr(gradcheck, "total_loss", wrong)
+
+
+class TestGradcheckFailureNamesTheCoordinate:
+    def test_pretrain_gradcheck(self, monkeypatch, tmp_path, config_path, dataset_path, capsys):
+        # contexts are (4 classes, 4 tokens, 16 dims): 181 = 2*64 + 3*16 + 5
+        _corrupt_analytic_gradient(monkeypatch, 181)
+        out = tmp_path / "run"
+        code = main(["train", "--config", config_path, "--data", dataset_path, "--out", str(out)])
+        assert code == EXIT_GRADCHECK
+        assert "at coordinate 181 (class 2, token 3, dim 5)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep(self, monkeypatch, capsys):
+        from tailprompt.gradcheck import sweep_cases
+
+        _corrupt_analytic_gradient(monkeypatch, 5)
+        assert main(["gradcheck", "--cases", "3"]) == EXIT_GRADCHECK
+        err = capsys.readouterr().err
+        for case in sweep_cases(3):
+            _, m, dt = case.prompts.contexts.shape
+            name = f"(class {5 // (m * dt)}, token {5 // dt % m}, dim {5 % dt})"
+            assert f"FAIL {case.description}: " in err
+            assert f"at coordinate 5 {name}" in err
+
+
 class TestSweep:
     def test_single_variant_aggregates(self, tmp_path, config_path, dataset_path, capsys):
         out = tmp_path / "sweep"

@@ -156,6 +156,37 @@ class TestSerialization:
         save_dataset(load_dataset(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda rows: rows[2].pop("labels"),  # missing key
+            lambda rows: rows[1]["image_embedding"].pop(),  # ragged row
+            lambda rows: rows[3]["labels"].append(0),  # ragged labels
+            lambda rows: rows[0]["caption_embedding"].__setitem__(4, "x"),  # not a number
+            lambda rows: rows[0]["image_embedding"].__setitem__(1, None),  # a null
+            lambda rows: rows[4]["labels"].__setitem__(0, "1"),
+            lambda rows: rows.__setitem__(5, [0.1, 0.2]),  # a row that is not an object
+        ],
+        ids=[
+            "missing-key",
+            "ragged-image",
+            "ragged-labels",
+            "non-numeric-entry",
+            "null-entry",
+            "string-label",
+            "row-not-object",
+        ],
+    )
+    def test_malformed_rows_raise_config_error(self, tmp_path, corrupt):
+        doc = dataset_to_dict(_tiny_dataset())
+        corrupt(doc["samples"])
+        with pytest.raises(ConfigError):
+            dataset_from_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            load_dataset(path)
+
     def test_corrupt_header_rejected(self, tmp_path):
         ds = _tiny_dataset()
         doc = dataset_to_dict(ds)

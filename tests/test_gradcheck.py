@@ -15,6 +15,8 @@ from tailprompt.gradcheck import (
 )
 from tailprompt.losses import LossConfig, total_loss
 
+from oracles import finite_diff_grad_copying
+
 
 class TestFiniteDiff:
     def test_quadratic_exact(self):
@@ -35,6 +37,33 @@ class TestFiniteDiff:
     def test_bad_step(self):
         with pytest.raises(ConfigError):
             finite_diff_grad(lambda x: 0.0, np.ones(2), step=0.0)
+
+    def test_matches_copying_oracle_bit_for_bit_and_leaves_params_alone(self):
+        case = sweep_cases(4)[3]
+
+        def loss_fn(p):
+            prompts = PromptSet(p, case.prompts.class_tokens, case.prompts.mode)
+            return total_loss(
+                case.batch, prompts, case.encoder, case.stats, case.config, case.tau,
+                need_grad=False,
+            ).total
+
+        params = case.prompts.contexts.copy()
+        params.flags.writeable = False  # any write into params raises
+        before = params.copy()
+        fd = finite_diff_grad(loss_fn, params, step=1e-5)
+        assert np.array_equal(params, before)
+        assert np.array_equal(fd, finite_diff_grad_copying(loss_fn, params, 1e-5))
+
+    def test_non_contiguous_params(self):
+        params = np.asfortranarray(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+        weights = np.arange(1.0, 13.0).reshape(3, 4)
+
+        def loss_fn(x):
+            return float((np.sin(x) * weights).sum())
+
+        fd = finite_diff_grad(loss_fn, params, step=1e-4)
+        assert np.array_equal(fd, finite_diff_grad_copying(loss_fn, params, 1e-4))
 
 
 class TestCheck:

@@ -437,6 +437,52 @@ class TestTotalLoss:
             total_loss(batch, prompts, enc, stats, LossConfig(), tau=0.0)
 
 
+class TestLossConstants:
+    """The per-class constants are kept on ClassStats across calls; a stats
+    object shared by several configs must give what a fresh one gives."""
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            # the CLI's "full" and "plain-cse" variants
+            (LossConfig(), LossConfig(use_class_aware_margin=False, use_reweighting=False)),
+            (LossConfig(cls_loss_kind="db"), LossConfig(cls_loss_kind="bce")),
+        ],
+        ids=["full-vs-plain-cse", "db-vs-bce"],
+    )
+    def test_shared_stats_match_fresh_stats_bit_for_bit(self, first, second):
+        batch, prompts, enc, stats = _random_instance(61)
+        seen = []
+        for cfg in (first, second, first):
+            for need_grad in (False, True):
+                fresh = ClassStats(stats.counts.copy(), stats.group, stats.num_samples)
+                got = total_loss(batch, prompts, enc, stats, cfg, tau=0.7, need_grad=need_grad)
+                want = total_loss(batch, prompts, enc, fresh, cfg, tau=0.7, need_grad=need_grad)
+                assert (got.total, got.cls_part, got.cse_part) == (
+                    want.total,
+                    want.cls_part,
+                    want.cse_part,
+                )
+                if need_grad:
+                    assert np.array_equal(got.gradient, want.gradient)
+            seen.append(got.total)
+        assert seen[0] != seen[1]  # the two configs really differ
+
+    def test_invalid_counts_raise_on_every_call(self):
+        batch, prompts, enc, _ = _random_instance(62)
+        group = ("tail",) * 4
+        bad = ClassStats(np.array([3, 0, 5, 2]), group, 20)
+        saturated = ClassStats(np.array([3, 20, 5, 2]), group, 20)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="invalid count"):
+                total_loss(batch, prompts, enc, bad, LossConfig(), need_grad=False)
+            with pytest.raises(NumericsError, match="infinite bias"):
+                total_loss(batch, prompts, enc, saturated, LossConfig())
+        # configs that never use the bias still evaluate on the saturated counts
+        for cfg in (LossConfig(cls_loss_kind="bce"), LossConfig(cls_loss_weight=0.0)):
+            assert np.isfinite(total_loss(batch, prompts, enc, saturated, cfg).total)
+
+
 class TestKinkMask:
     def test_flags_engineered_kink(self):
         # caption orthogonal to every prompt embedding makes each negative
