@@ -10,7 +10,6 @@ from .data_model import (
     Batch,
     ClassStats,
     MultiLabelDataset,
-    Sample,
     class_counts,
     group_classes,
     load_dataset,
@@ -18,7 +17,6 @@ from .data_model import (
 )
 from .encoders import (
     FrozenTextEncoder,
-    LogitHead,
     PromptSet,
     encode_all,
     encode_prompt,
@@ -40,7 +38,6 @@ __all__ = [
     "ConfigError",
     "EvalResult",
     "FrozenTextEncoder",
-    "LogitHead",
     "LossConfig",
     "LossReport",
     "MultiLabelDataset",
@@ -48,7 +45,6 @@ __all__ = [
     "PromptSet",
     "PromptSpec",
     "RunRecord",
-    "Sample",
     "SynthConfig",
     "TailPromptError",
     "TrainConfig",

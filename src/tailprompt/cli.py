@@ -26,18 +26,11 @@ from .config import (
     with_train,
 )
 from .data_model import class_counts, group_classes, load_dataset, save_dataset
-from .encoders import FrozenTextEncoder, prompts_from_dict
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, read_json
 from .gradcheck import check_total_loss, run_sweep
-from .metrics import evaluate, evaluate_scores
 from .seeding import DOMAIN_TRAIN, substream
 from .synth import generate
-from .train import (
-    ClassStats,
-    build_training_state,
-    train,
-    write_run_dir,
-)
+from .train import build_training_state, checkpoint_from_dict, train, write_run_dir
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -196,25 +189,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config = _load_or_default_config(args.config)
     dataset = _resolve_dataset(args, config)
-    stats = ClassStats.from_dataset(dataset, config.train.head_min, config.train.tail_max)
-
-    doc = json.loads(Path(args.ckpt).read_text())
-    kind = doc.pop("kind", "prompts")
-    if kind == "prompts":
-        prompts = prompts_from_dict(doc)
-        encoder = FrozenTextEncoder.create(
-            prompts.encoder_seed if prompts.encoder_seed is not None else config.train.encoder_seed,
-            prompts.token_dim,
-            dataset.dim,
-        )
-        result = evaluate(dataset, prompts, encoder, config.train.tau, stats)
-    elif kind == "linear_probe":
-        weights = np.asarray(doc["weights"], dtype=np.float64)
-        bias = np.asarray(doc["bias"], dtype=np.float64)
-        scores = dataset.images @ weights.T / config.train.tau + bias
-        result = evaluate_scores(scores, dataset.labels, stats)
-    else:
-        raise ConfigError(f"unknown checkpoint kind {kind!r}")
+    head = checkpoint_from_dict(read_json(args.ckpt, "checkpoint"), dataset, config.train)
+    result = head.evaluate(dataset)
 
     lines = {
         "map_total": result.map_total,

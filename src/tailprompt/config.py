@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .losses import LossConfig
 from .synth import SynthConfig
 from .train import PromptSpec, TrainConfig
@@ -92,12 +92,7 @@ def config_to_dict(config: RunConfigFile) -> dict:
 
 
 def load_config(path) -> RunConfigFile:
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
-    return parse_config(doc)
+    return parse_config(read_json(path, "config file"))
 
 
 def save_config(config: RunConfigFile, path) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 
 NORM_TOL = 1e-9
 
@@ -21,49 +21,6 @@ GROUPS = ("head", "medium", "tail")
 
 HEAD_MIN_DEFAULT = 100
 TAIL_MAX_DEFAULT = 20
-
-
-def _as_unit_vector(vec, name: str) -> np.ndarray:
-    arr = np.asarray(vec, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ConfigError(f"{name} must be a 1-d vector, got shape {arr.shape}")
-    norm = np.linalg.norm(arr)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ConfigError(f"{name} must have unit L2 norm, got {norm!r}")
-    return arr
-
-
-def _as_binary_labels(labels) -> np.ndarray:
-    arr = np.asarray(labels)
-    if arr.ndim != 1:
-        raise ConfigError(f"labels must be a 1-d vector, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
-        raise ConfigError("invalid label: entries must be 0 or 1")
-    return arr.astype(np.int64)
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One training instance: unit image embedding, {0,1} labels, unit caption embedding."""
-
-    image_embedding: np.ndarray
-    labels: np.ndarray
-    caption_embedding: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "image_embedding", _as_unit_vector(self.image_embedding, "image_embedding")
-        )
-        object.__setattr__(
-            self, "caption_embedding", _as_unit_vector(self.caption_embedding, "caption_embedding")
-        )
-        object.__setattr__(self, "labels", _as_binary_labels(self.labels))
-        if self.caption_embedding.shape != self.image_embedding.shape:
-            raise ConfigError("image and caption embeddings must share dimension d")
-        if self.labels.sum() < 1:
-            raise ConfigError("invalid label: every sample must have at least one positive class")
-        for arr in (self.image_embedding, self.labels, self.caption_embedding):
-            arr.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -93,17 +50,6 @@ class Batch:
     @property
     def num_classes(self) -> int:
         return self.labels.shape[1]
-
-    @staticmethod
-    def from_samples(samples) -> "Batch":
-        samples = list(samples)
-        if not samples:
-            raise ConfigError("empty dataset: cannot build a batch from zero samples")
-        return Batch(
-            images=np.stack([s.image_embedding for s in samples]),
-            labels=np.stack([s.labels for s in samples]),
-            captions=np.stack([s.caption_embedding for s in samples]),
-        )
 
 
 @dataclass(frozen=True)
@@ -168,32 +114,12 @@ class MultiLabelDataset:
     def dim(self) -> int:
         return self.images.shape[1]
 
-    @property
-    def samples(self) -> list[Sample]:
-        return [self.sample(k) for k in range(self.num_samples)]
-
-    def sample(self, k: int) -> Sample:
-        return Sample(self.images[k], self.labels[k], self.captions[k])
-
     def batch(self, indices) -> Batch:
         idx = np.asarray(indices, dtype=np.int64)
         return Batch(self.images[idx], self.labels[idx], self.captions[idx])
 
     def full_batch(self) -> Batch:
         return Batch(self.images, self.labels, self.captions)
-
-    @staticmethod
-    def from_samples(samples, class_names) -> "MultiLabelDataset":
-        batch = Batch.from_samples(samples)
-        return MultiLabelDataset(batch.images, batch.labels, batch.captions, tuple(class_names))
-
-
-def signed_labels(y) -> np.ndarray:
-    """Map {0,1} labels to {-1,+1}: out[i] = 2*y[i] - 1."""
-    arr = np.asarray(y)
-    if not np.isin(arr, (0, 1)).all():
-        raise ConfigError("invalid label: entries must be 0 or 1")
-    return 2 * arr.astype(np.int64) - 1
 
 
 def class_counts(dataset: MultiLabelDataset) -> np.ndarray:
@@ -310,6 +236,8 @@ def dataset_from_dict(doc: dict) -> MultiLabelDataset:
         rows = doc["samples"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"dataset snapshot missing field: {exc}") from exc
+    if not isinstance(names, list):
+        raise ConfigError("dataset snapshot class_names must be a list")
     dataset = MultiLabelDataset(
         _stack_field(rows, "image_embedding", np.float64),
         _stack_field(rows, "labels"),
@@ -329,8 +257,4 @@ def save_dataset(dataset: MultiLabelDataset, path) -> None:
 
 
 def load_dataset(path) -> MultiLabelDataset:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"dataset snapshot is not valid JSON: {exc}") from exc
-    return dataset_from_dict(doc)
+    return dataset_from_dict(read_json(path, "dataset snapshot"))

@@ -1,4 +1,4 @@
-"""Frozen synthetic text encoder, trainable prompts, and the logit head.
+"""Frozen synthetic text encoder and trainable prompts.
 
 The encoder is the simplest frozen differentiable stand-in that preserves the
 "frozen encoder, trainable tokens" contract: mean-pool the context tokens and
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, read_json
 from .seeding import DOMAIN_ENCODER, DOMAIN_PROMPT, substream, unit_rows
 
 MODE_CLASS_SPECIFIC = "class_specific"
@@ -207,37 +207,6 @@ def encode_backward(
     return np.repeat(per_token[:, None, :], m, axis=1)
 
 
-@dataclass(frozen=True)
-class LogitHead:
-    """Cosine-similarity logits with a fixed temperature."""
-
-    temperature: float = 1.0
-
-    def __post_init__(self):
-        if not self.temperature > 0:
-            raise ConfigError("temperature must be > 0")
-
-    def logits(self, image_embeddings: np.ndarray, prompt_embeddings: np.ndarray) -> np.ndarray:
-        return logits(image_embeddings, prompt_embeddings, self.temperature)
-
-
-def logits(image_embeddings: np.ndarray, prompt_embeddings: np.ndarray, tau: float) -> np.ndarray:
-    """z_i = cos(prompt_i, image)/tau. Accepts one (d,) image or a (B, d) stack."""
-    if tau <= 0:
-        raise ConfigError("temperature must be > 0")
-    return np.asarray(image_embeddings) @ np.asarray(prompt_embeddings).T / tau
-
-
-def predict_softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over classes with max-subtraction for stability."""
-    z = np.asarray(z, dtype=np.float64)
-    if not np.isfinite(z).all():
-        raise NumericsError("softmax input must be finite")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    expz = np.exp(shifted)
-    return expz / expz.sum(axis=-1, keepdims=True)
-
-
 def prompts_to_dict(prompts: PromptSet) -> dict:
     return {
         "mode": prompts.mode,
@@ -251,14 +220,16 @@ def prompts_to_dict(prompts: PromptSet) -> dict:
 
 def prompts_from_dict(doc: dict) -> PromptSet:
     try:
-        prompts = PromptSet(
-            np.asarray(doc["contexts"], dtype=np.float64),
-            np.asarray(doc["class_tokens"], dtype=np.float64),
-            mode=doc["mode"],
-            encoder_seed=doc["encoder_seed"],
-        )
-    except (KeyError, TypeError) as exc:
+        contexts = np.asarray(doc["contexts"], dtype=np.float64)
+        class_tokens = np.asarray(doc["class_tokens"], dtype=np.float64)
+        mode, encoder_seed = doc["mode"], doc["encoder_seed"]
+    except KeyError as exc:
         raise ConfigError(f"prompt checkpoint missing field: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"prompt checkpoint is malformed: {exc}") from exc
+    if encoder_seed is not None and not (type(encoder_seed) is int and encoder_seed >= 0):
+        raise ConfigError(f"prompt checkpoint encoder_seed {encoder_seed!r} is not a seed")
+    prompts = PromptSet(contexts, class_tokens, mode=mode, encoder_seed=encoder_seed)
     if prompts.num_context_tokens != doc.get("num_context_tokens"):
         raise ConfigError("prompt checkpoint header disagrees with its contexts")
     if prompts.token_dim != doc.get("token_dim"):
@@ -271,8 +242,4 @@ def save_prompts(prompts: PromptSet, path) -> None:
 
 
 def load_prompts(path) -> PromptSet:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"prompt checkpoint is not valid JSON: {exc}") from exc
-    return prompts_from_dict(doc)
+    return prompts_from_dict(read_json(path, "prompt checkpoint"))

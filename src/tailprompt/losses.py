@@ -102,16 +102,8 @@ def _checked_counts(counts) -> np.ndarray:
     return arr
 
 
-def class_margin(n_i: int, eta: float) -> float:
-    """Per-class soft margin eta / n_i^(1/4): rarer classes get a larger margin."""
-    if n_i < 1:
-        raise ConfigError("invalid count: n_i must be >= 1")
-    if eta < 0:
-        raise ConfigError("eta must be >= 0")
-    return eta / float(n_i) ** 0.25
-
-
 def class_margins(counts, eta: float) -> np.ndarray:
+    """Per-class soft margins eta / n_i^(1/4): rarer classes get a larger margin."""
     arr = _checked_counts(counts)
     if eta < 0:
         raise ConfigError("eta must be >= 0")
@@ -125,21 +117,6 @@ def class_weights(counts, gamma_rw: float) -> np.ndarray:
         raise ConfigError("gamma_rw must be >= 0")
     raw = np.power(1.0 / arr.astype(np.float64), gamma_rw)
     return raw / raw.sum()
-
-
-def delta(caption_embedding: np.ndarray, prompt_embedding: np.ndarray) -> float:
-    """Cosine distance 1 - cos between unit vectors."""
-    return 1.0 - float(np.dot(caption_embedding, prompt_embedding))
-
-
-def cse_term(delta_value: float, signed_label: int, weight: float, margin: float) -> float:
-    """One class's contribution: positives pay weight*delta, negatives the
-    hinge max(0, weight*(margin - delta))."""
-    if signed_label == 1:
-        return weight * delta_value
-    if signed_label == -1:
-        return max(0.0, weight * (margin - delta_value))
-    raise ConfigError("signed_label must be -1 or +1")
 
 
 def _cse_constants(counts, config: LossConfig):

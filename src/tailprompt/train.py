@@ -1,10 +1,11 @@
 """Deterministic SGD prompt-tuning loop with cosine-annealed learning rate.
 
-Only the prompt contexts receive updates; the text projection, class tokens,
-and all dataset embeddings are frozen bit-for-bit. Class statistics are
-computed once from the full split before epoch 1 and reused everywhere. Every
-random choice flows from explicit seeds, so a (dataset, config) pair fully
-determines every logged number.
+One loop trains either head: the prompt contexts, or the weights and bias of
+the linear-probe reference. Only those receive updates; the text projection,
+class tokens, and all dataset embeddings are frozen bit-for-bit. Class
+statistics are computed once from the full split before epoch 1 and reused
+everywhere. Every random choice flows from explicit seeds, so a (dataset,
+config) pair fully determines every logged number.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .encoders import (
     MODE_SHARED,
     PromptSet,
     init_prompt_set,
+    prompts_from_dict,
     prompts_to_dict,
 )
 from .errors import ConfigError, NumericsError
@@ -195,35 +197,99 @@ def build_training_state(
     return stats, encoder, prompts
 
 
+class _PromptHead:
+    """Prompt contexts scored through the frozen text encoder under the
+    blended objective."""
+
+    def __init__(
+        self, prompts: PromptSet, encoder: FrozenTextEncoder, stats: ClassStats, config: TrainConfig
+    ):
+        self.prompts = prompts
+        self.encoder = encoder
+        self.stats = stats
+        self.config = config
+        self.params = (prompts.contexts,)
+        self.record_fields = {"prompts": prompts, "encoder": encoder}
+
+    def loss(self, batch: Batch, need_grad: bool):
+        """(LossReport, one gradient per array of params)."""
+        report = total_loss(
+            batch,
+            self.prompts,
+            self.encoder,
+            self.stats,
+            self.config.loss,
+            self.config.tau,
+            need_grad=need_grad,
+        )
+        return report, (report.gradient,)
+
+    def evaluate(self, dataset: MultiLabelDataset) -> EvalResult:
+        return evaluate(dataset, self.prompts, self.encoder, self.config.tau, self.stats)
+
+    def measure(self, dataset: MultiLabelDataset, full: Batch):
+        """(mean positive delta, EvalResult) for an epoch record."""
+        return mean_positive_delta(full, self.prompts, self.encoder), self.evaluate(dataset)
+
+
+class _ProbeHead:
+    """The linear-probe reference: a C x d linear head (plus bias) on the
+    frozen image embeddings, trained with the configured classification loss
+    alone. No prompts, no embedding loss."""
+
+    def __init__(
+        self, weights: np.ndarray, bias: np.ndarray, stats: ClassStats, config: TrainConfig
+    ):
+        self.weights = weights
+        self.bias = bias
+        self.stats = stats
+        self.config = config
+        self.params = (weights, bias)
+        self.record_fields = {"probe_weights": weights, "probe_bias": bias}
+
+    def scores(self, images: np.ndarray) -> np.ndarray:
+        return images @ self.weights.T / self.config.tau + self.bias
+
+    def loss(self, batch: Batch, need_grad: bool):
+        """(LossReport, one gradient per array of params)."""
+        z = self.scores(batch.images)
+        report = cls_loss_on_logits(z, batch.labels, self.stats, self.config.loss, need_grad=need_grad)
+        if not need_grad:
+            return report, (None, None)
+        grad_z = report.gradient
+        return report, (grad_z.T @ batch.images / self.config.tau, grad_z.sum(axis=0))
+
+    def evaluate(self, dataset: MultiLabelDataset) -> EvalResult:
+        return evaluate_scores(self.scores(dataset.images), dataset.labels, self.stats)
+
+    def measure(self, dataset: MultiLabelDataset, full: Batch):
+        """(mean positive delta, EvalResult); a probe has no prompts to align."""
+        return None, self.evaluate(dataset)
+
+
 def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
     """Run the prompt-tuning loop (or the configured baseline) to completion.
 
-    A non-finite loss or gradient aborts the run; the partial record comes
-    back with failed=True instead of an exception so sweeps can continue.
+    Prompts and the linear probe share the schedule, shuffle, abort rule and
+    metrics. A non-finite loss or gradient aborts the run; the partial record
+    comes back with failed=True instead of an exception so sweeps can continue.
     """
-    if config.baseline == "linear_probe":
-        return linear_probe_baseline(dataset, config)
-
     started = time.perf_counter()
-    stats, encoder, prompts = build_training_state(dataset, config)
+    if config.baseline == "linear_probe":
+        stats = ClassStats.from_dataset(dataset, config.head_min, config.tail_max)
+        weights = np.zeros((dataset.num_classes, dataset.dim))
+        head = _ProbeHead(weights, np.zeros(dataset.num_classes), stats, config)
+    else:
+        stats, encoder, prompts = build_training_state(dataset, config)
+        head = _PromptHead(prompts, encoder, stats, config)
     full = dataset.full_batch()
 
-    def snapshot(epoch: int, lr: float) -> EpochRecord:
-        report = total_loss(full, prompts, encoder, stats, config.loss, config.tau, need_grad=False)
-        return EpochRecord(
-            epoch=epoch,
-            lr=lr,
-            loss_total=report.total,
-            loss_cls=report.cls_part,
-            loss_cse=report.cse_part,
-            mean_pos_delta=mean_positive_delta(full, prompts, encoder),
-            eval=evaluate(dataset, prompts, encoder, config.tau, stats),
-        )
-
-    initial = snapshot(0, config.lr0)
+    report, _ = head.loss(full, need_grad=False)
+    initial = EpochRecord(
+        0, config.lr0, report.total, report.cls_part, report.cse_part, *head.measure(dataset, full)
+    )
     shuffle_rng = substream(config.seed, DOMAIN_TRAIN, _STREAM_SHUFFLE)
     history: list[EpochRecord] = []
-    failed = False
     abort_reason = None
 
     for epoch in range(1, config.epochs + 1):
@@ -234,140 +300,43 @@ def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
         sum_cse = 0.0
         try:
             for indices in _epoch_batches(permutation, config.batch_size):
-                batch = dataset.batch(indices)
-                report = total_loss(
-                    batch, prompts, encoder, stats, config.loss, config.tau, need_grad=True
-                )
+                report, gradients = head.loss(dataset.batch(indices), need_grad=True)
                 if not math.isfinite(report.total):
                     raise NumericsError(f"abort run: non-finite loss at epoch {epoch}")
-                sgd_step(prompts.contexts, report.gradient, lr)
+                for params, gradient in zip(head.params, gradients, strict=True):
+                    sgd_step(params, gradient, lr)
                 sum_total += report.total * indices.size
                 sum_cls += report.cls_part * indices.size
                 sum_cse += report.cse_part * indices.size
         except NumericsError as err:
-            failed = True
             abort_reason = str(err)
             break
 
         eval_now = epoch % config.eval_every == 0 or epoch == config.epochs
         history.append(
             EpochRecord(
-                epoch=epoch,
-                lr=lr,
-                loss_total=sum_total / dataset.num_samples,
-                loss_cls=sum_cls / dataset.num_samples,
-                loss_cse=sum_cse / dataset.num_samples,
-                mean_pos_delta=mean_positive_delta(full, prompts, encoder) if eval_now else None,
-                eval=evaluate(dataset, prompts, encoder, config.tau, stats) if eval_now else None,
+                epoch,
+                lr,
+                sum_total / dataset.num_samples,
+                sum_cls / dataset.num_samples,
+                sum_cse / dataset.num_samples,
+                *(head.measure(dataset, full) if eval_now else (None, None)),
             )
         )
 
-    final_eval = None
-    for record in reversed([initial, *history]):
-        if record.eval is not None:
-            final_eval = record.eval
-            break
+    final_eval = next(
+        (record.eval for record in reversed([initial, *history]) if record.eval is not None), None
+    )
     return RunRecord(
         initial=initial,
         history=tuple(history),
         final_eval=final_eval,
         wall_seconds=time.perf_counter() - started,
-        failed=failed,
+        failed=abort_reason is not None,
         abort_reason=abort_reason,
-        stats=stats,
-        prompts=prompts,
-        encoder=encoder,
+        stats=head.stats,
+        **head.record_fields,
     )
-
-
-def linear_probe_baseline(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
-    """Reference run: a C x d linear head (plus bias) on the frozen image
-    embeddings, trained with the configured classification loss alone. No
-    prompts, no embedding loss; same schedule, shuffle, and metrics pipeline.
-    """
-    started = time.perf_counter()
-    stats = ClassStats.from_dataset(dataset, config.head_min, config.tail_max)
-    weights = np.zeros((dataset.num_classes, dataset.dim))
-    bias = np.zeros(dataset.num_classes)
-
-    def head_scores(images: np.ndarray) -> np.ndarray:
-        return images @ weights.T / config.tau + bias
-
-    def snapshot(epoch: int, lr: float) -> EpochRecord:
-        report = cls_loss_on_logits(
-            head_scores(dataset.images), dataset.labels, stats, config.loss, need_grad=False
-        )
-        return EpochRecord(
-            epoch=epoch,
-            lr=lr,
-            loss_total=report.total,
-            loss_cls=report.cls_part,
-            loss_cse=0.0,
-            mean_pos_delta=None,
-            eval=evaluate_scores(head_scores(dataset.images), dataset.labels, stats),
-        )
-
-    initial = snapshot(0, config.lr0)
-    shuffle_rng = substream(config.seed, DOMAIN_TRAIN, _STREAM_SHUFFLE)
-    history: list[EpochRecord] = []
-    failed = False
-    abort_reason = None
-
-    for epoch in range(1, config.epochs + 1):
-        lr = cosine_lr(epoch - 1, config.epochs, config.lr0)
-        permutation = shuffle_rng.permutation(dataset.num_samples)
-        sum_value = 0.0
-        try:
-            for indices in _epoch_batches(permutation, config.batch_size):
-                images = dataset.images[indices]
-                labels = dataset.labels[indices]
-                report = cls_loss_on_logits(
-                    head_scores(images), labels, stats, config.loss, need_grad=True
-                )
-                if not math.isfinite(report.total):
-                    raise NumericsError(f"abort run: non-finite loss at epoch {epoch}")
-                grad_z = report.gradient
-                sgd_step(weights, grad_z.T @ images / config.tau, lr)
-                sgd_step(bias, grad_z.sum(axis=0), lr)
-                sum_value += report.total * indices.size
-        except NumericsError as err:
-            failed = True
-            abort_reason = str(err)
-            break
-
-        eval_now = epoch % config.eval_every == 0 or epoch == config.epochs
-        mean_value = sum_value / dataset.num_samples
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                lr=lr,
-                loss_total=mean_value,
-                loss_cls=mean_value,
-                loss_cse=0.0,
-                mean_pos_delta=None,
-                eval=evaluate_scores(head_scores(dataset.images), dataset.labels, stats)
-                if eval_now
-                else None,
-            )
-        )
-
-    final_eval = None
-    for record in reversed([initial, *history]):
-        if record.eval is not None:
-            final_eval = record.eval
-            break
-    return RunRecord(
-        initial=initial,
-        history=tuple(history),
-        final_eval=final_eval,
-        wall_seconds=time.perf_counter() - started,
-        failed=failed,
-        abort_reason=abort_reason,
-        stats=stats,
-        probe_weights=weights,
-        probe_bias=bias,
-    )
-
 
 METRICS_COLUMNS = (
     "epoch",
@@ -459,6 +428,37 @@ def checkpoint_to_dict(record: RunRecord) -> dict:
             "bias": record.probe_bias.tolist(),
         }
     raise ConfigError("run record holds no trained parameters")
+
+
+def checkpoint_from_dict(doc, dataset: MultiLabelDataset, config: TrainConfig):
+    """Inverse of checkpoint_to_dict: the trained head a checkpoint holds, set
+    up to score dataset the way training did. config supplies tau, the group
+    thresholds, and the encoder seed when the checkpoint records none."""
+    if not isinstance(doc, dict):
+        raise ConfigError("checkpoint must be a JSON object")
+    stats = ClassStats.from_dataset(dataset, config.head_min, config.tail_max)
+    kind = doc.get("kind", "prompts")
+    if kind == "prompts":
+        prompts = prompts_from_dict(doc)
+        seed = prompts.encoder_seed if prompts.encoder_seed is not None else config.encoder_seed
+        encoder = FrozenTextEncoder.create(seed, prompts.token_dim, dataset.dim)
+        return _PromptHead(prompts, encoder, stats, config)
+    if kind == "linear_probe":
+        try:
+            weights = np.asarray(doc["weights"], dtype=np.float64)
+            bias = np.asarray(doc["bias"], dtype=np.float64)
+        except KeyError as exc:
+            raise ConfigError(f"linear_probe checkpoint missing field: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"linear_probe checkpoint is malformed: {exc}") from exc
+        shape = (dataset.num_classes, dataset.dim)
+        if weights.shape != shape or bias.shape != shape[:1]:
+            raise ConfigError(
+                f"linear_probe checkpoint holds weights {weights.shape} and bias {bias.shape}; "
+                f"the dataset needs {shape} and {shape[:1]}"
+            )
+        return _ProbeHead(weights, bias, stats, config)
+    raise ConfigError(f"unknown checkpoint kind {kind!r}")
 
 
 def write_run_dir(out_dir, record: RunRecord, config_doc: dict, force: bool = False) -> Path:

@@ -215,6 +215,50 @@ class TestEval:
         assert code == EXIT_CONFIG
         assert "unknown checkpoint kind" in capsys.readouterr().err
 
+    # (flag whose file is bad, its text or None for a missing file, expected in the error)
+    BAD_INPUTS = {
+        "ckpt-invalid-json": ("--ckpt", "{not json", "not valid JSON"),
+        "ckpt-not-an-object": ("--ckpt", "[1, 2]", "JSON object"),
+        "probe-without-weights": (
+            "--ckpt",
+            json.dumps({"kind": "linear_probe", "bias": [0.0] * 4}),
+            "missing field",
+        ),
+        "probe-wrong-shape": (
+            "--ckpt",
+            json.dumps({"kind": "linear_probe", "weights": [[0.0] * 16] * 3, "bias": [0.0] * 4}),
+            "the dataset needs (4, 16)",
+        ),
+        "prompts-ragged-contexts": (
+            "--ckpt",
+            json.dumps({"contexts": [[[0.0]], [[0.0, 1.0]]], "class_tokens": [], "mode": "x"}),
+            "malformed",
+        ),
+        "prompts-bad-encoder-seed": (
+            "--ckpt",
+            json.dumps({"contexts": [], "class_tokens": [], "mode": "x", "encoder_seed": "7"}),
+            "is not a seed",
+        ),
+        "missing-ckpt": ("--ckpt", None, "cannot read checkpoint"),
+        "missing-data": ("--data", None, "cannot read dataset snapshot"),
+        "missing-config": ("--config", None, "cannot read config file"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_bad_input_file_exits_1(self, tmp_path, config_path, dataset_path, capsys, case):
+        flag, text, message = self.BAD_INPUTS[case]
+        bad = tmp_path / "bad-input.json"
+        if text is not None:
+            bad.write_text(text)
+        paths = {"--config": config_path, "--data": dataset_path, "--ckpt": str(tmp_path / "x")}
+        paths[flag] = str(bad)
+        argv = ["eval"] + [item for pair in paths.items() for item in pair]
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+
 
 class TestGradcheckCommand:
     def test_small_sweep_passes(self, capsys):

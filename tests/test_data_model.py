@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from tailprompt.data_model import (
-    Batch,
     ClassStats,
     MultiLabelDataset,
-    Sample,
     class_counts,
     dataset_from_dict,
     dataset_to_dict,
     group_classes,
     load_dataset,
     save_dataset,
-    signed_labels,
 )
 from tailprompt.errors import ConfigError
 from tailprompt.seeding import unit_rows
@@ -33,38 +30,45 @@ def _tiny_dataset(n=6, c=3, d=8, seed=0):
 
 
 class TestSample:
+    """Per-sample row invariants, which MultiLabelDataset checks on every row."""
+
+    def _rows(self, images=None, labels=None, captions=None):
+        ds = _tiny_dataset()
+        return (
+            ds.images if images is None else images,
+            ds.labels if labels is None else labels,
+            ds.captions if captions is None else captions,
+            ds.class_names,
+        )
+
     def test_valid_sample(self):
-        rng = np.random.default_rng(1)
-        s = Sample(unit_rows(rng, 1, 5)[0], np.array([1, 0]), unit_rows(rng, 1, 5)[0])
-        assert s.labels.tolist() == [1, 0]
+        ds = MultiLabelDataset(*self._rows())
+        assert ds.labels[0].tolist() == [1, 1, 0]
+        assert ds.labels.dtype == np.int64
 
     def test_rejects_non_unit_image(self):
-        with pytest.raises(ConfigError):
-            Sample(np.array([1.0, 1.0]), np.array([1]), np.array([1.0, 0.0]))
+        images = _tiny_dataset().images.copy()
+        images[2] *= 1.5
+        with pytest.raises(ConfigError, match="image embeddings must have unit"):
+            MultiLabelDataset(*self._rows(images=images))
 
-    def test_rejects_no_positive(self):
-        with pytest.raises(ConfigError):
-            Sample(np.array([1.0, 0.0]), np.array([0, 0]), np.array([0.0, 1.0]))
+    def test_rejects_non_unit_caption(self):
+        captions = _tiny_dataset().captions.copy()
+        captions[4] *= 0.5
+        with pytest.raises(ConfigError, match="caption embeddings must have unit"):
+            MultiLabelDataset(*self._rows(captions=captions))
 
     def test_rejects_nonbinary_labels(self):
-        with pytest.raises(ConfigError):
-            Sample(np.array([1.0, 0.0]), np.array([2, 0]), np.array([0.0, 1.0]))
+        labels = _tiny_dataset().labels.copy()
+        labels[1, 0] = 2
+        with pytest.raises(ConfigError, match="invalid label"):
+            MultiLabelDataset(*self._rows(labels=labels))
 
     def test_arrays_read_only(self):
-        rng = np.random.default_rng(2)
-        s = Sample(unit_rows(rng, 1, 4)[0], np.array([0, 1]), unit_rows(rng, 1, 4)[0])
-        with pytest.raises(ValueError):
-            s.image_embedding[0] = 0.0
-
-
-class TestSignedLabels:
-    def test_mapping(self):
-        y = np.array([[0, 1], [1, 0]])
-        assert signed_labels(y).tolist() == [[-1, 1], [1, -1]]
-
-    def test_involution_on_binary(self):
-        y = np.array([[1, 0, 1]])
-        assert ((signed_labels(y) + 1) // 2 == y).all()
+        ds = MultiLabelDataset(*self._rows())
+        for arr in (ds.images, ds.labels, ds.captions):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
 
 
 class TestDataset:
@@ -103,12 +107,6 @@ class TestDataset:
         full = ds.full_batch()
         assert full.num_samples == ds.num_samples
         assert np.array_equal(full.labels, ds.labels)
-
-    def test_from_samples_roundtrip(self):
-        ds = _tiny_dataset()
-        rebuilt = MultiLabelDataset.from_samples(ds.samples, ds.class_names)
-        assert np.array_equal(rebuilt.images, ds.images)
-        assert np.array_equal(rebuilt.labels, ds.labels)
 
 
 class TestGroups:
@@ -186,6 +184,13 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             load_dataset(path)
+
+    @pytest.mark.parametrize("names", [5, None, "abc"], ids=["int", "null", "string"])
+    def test_class_names_must_be_a_list(self, names):
+        doc = dataset_to_dict(_tiny_dataset())
+        doc["class_names"] = names
+        with pytest.raises(ConfigError, match="class_names"):
+            dataset_from_dict(doc)
 
     def test_corrupt_header_rejected(self, tmp_path):
         ds = _tiny_dataset()

@@ -11,8 +11,6 @@ from tailprompt.encoders import (
     encode_prompt,
     init_prompt_set,
     load_prompts,
-    logits,
-    predict_softmax,
     prompts_from_dict,
     prompts_to_dict,
     save_prompts,
@@ -174,30 +172,6 @@ class TestInit:
             p.class_tokens[0, 0] = 1.0
         # contexts stay writable: they are the trainable parameters
         p.contexts[0, 0, 0] = 1.0
-
-
-class TestHead:
-    def test_logits_scaling(self):
-        img = np.eye(3)
-        emb = np.eye(3)
-        z = logits(img, emb, tau=0.5)
-        assert np.allclose(z, np.eye(3) / 0.5)
-        with pytest.raises(ConfigError):
-            logits(img, emb, tau=0.0)
-
-    def test_softmax_known_value(self):
-        p = predict_softmax(np.array([[np.log(2.0), 0.0]]))
-        assert np.allclose(p, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
-
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        p = predict_softmax(rng.standard_normal((5, 7)) * 30)
-        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
-        assert (p >= 0).all()
-
-    def test_softmax_rejects_non_finite(self):
-        with pytest.raises(NumericsError):
-            predict_softmax(np.array([[1.0, np.nan]]))
 
 
 class TestSerialization:

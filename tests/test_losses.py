@@ -9,16 +9,13 @@ from tailprompt.errors import ConfigError, NumericsError
 from tailprompt.losses import (
     LossConfig,
     bce_loss,
-    class_margin,
     class_margins,
     class_weights,
     cls_loss_on_logits,
     cse_loss,
-    cse_term,
     db_bias,
     db_loss,
     db_rebalance,
-    delta,
     focal_loss,
     hinge_kink_mask,
     mean_positive_delta,
@@ -55,9 +52,8 @@ def _random_instance(seed, b=6, c=4, d=12, dt=5, m=2, mode="class_specific"):
 
 class TestMargins:
     def test_known_values(self):
-        assert class_margin(16, 1.0) == pytest.approx(0.5, abs=1e-15)
-        assert class_margin(625, 1.0) == pytest.approx(0.2, abs=1e-15)
-        assert class_margin(7, 0.0) == 0.0
+        assert class_margins([1, 16, 81], 2.0).tolist() == [2.0, 1.0, pytest.approx(2.0 / 3.0)]
+        assert class_margins([7, 3], 0.0).tolist() == [0.0, 0.0]
 
     def test_vector_form(self):
         assert np.allclose(class_margins([16, 625], 1.0), [0.5, 0.2], atol=1e-15)
@@ -68,7 +64,7 @@ class TestMargins:
 
     def test_zero_count_rejected(self):
         with pytest.raises(ConfigError, match="count"):
-            class_margin(0, 1.0)
+            class_margins([5, 0], 1.0)
 
 
 class TestWeights:
@@ -100,37 +96,41 @@ class TestWeights:
             class_weights([3, 0], 1.0)
 
 
-class TestDelta:
-    def test_endpoints(self):
-        e = np.zeros(4)
-        e[0] = 1.0
-        f = np.zeros(4)
-        f[1] = 1.0
-        assert delta(e, e) == pytest.approx(0.0, abs=1e-15)
-        assert delta(e, f) == pytest.approx(1.0, abs=1e-15)
-        assert delta(e, -e) == pytest.approx(2.0, abs=1e-15)
-
-
 class TestCseTerm:
+    """One class's term of the embedding loss: a one-sample, one-class batch
+    through cse_loss with unit weight and the flat margin 0.5. Positives pay
+    delta, negatives the hinge max(0, margin - delta)."""
+
+    def _term(self, delta_value, label):
+        d = 4
+        enc = FrozenTextEncoder.identity(d)
+        contexts = np.zeros((1, 1, d))
+        token = np.zeros((1, d))
+        token[0, 0] = 1.0  # the prompt embedding is e_0
+        prompts = type(init_prompt_set(1, d))(contexts, token)
+        cos = 1.0 - delta_value
+        cap = np.zeros(d)
+        cap[0], cap[1] = cos, math.sqrt(1.0 - cos * cos)
+        batch = Batch(cap[None, :], np.array([[label]]), cap[None, :])
+        cfg = LossConfig(use_reweighting=False, use_class_aware_margin=False, mu_base=0.5)
+        return cse_loss(batch, prompts, enc, [5], cfg, need_grad=False).cse_part
+
     def test_positive(self):
-        assert cse_term(0.2, 1, 0.5, 0.5) == pytest.approx(0.1, abs=1e-15)
+        assert self._term(0.2, 1) == pytest.approx(0.2, abs=1e-15)
 
     def test_hinge_active(self):
-        assert cse_term(0.2, -1, 0.5, 0.5) == pytest.approx(0.15, abs=1e-15)
+        assert self._term(0.2, 0) == pytest.approx(0.3, abs=1e-15)
 
     def test_hinge_satisfied(self):
-        assert cse_term(0.7, -1, 0.5, 0.5) == 0.0
+        assert self._term(0.7, 0) == 0.0
 
     def test_never_negative(self):
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            d = rng.uniform(0, 2)
-            s = 1 if rng.random() < 0.5 else -1
-            assert cse_term(d, s, rng.uniform(0, 1), rng.uniform(0, 1)) >= 0.0
-
-    def test_bad_signed_label(self):
-        with pytest.raises(ConfigError):
-            cse_term(0.2, 0, 0.5, 0.5)
+        for seed in range(100):
+            batch, prompts, enc, stats = _random_instance(seed)
+            for margin_on in (True, False):
+                cfg = LossConfig(use_class_aware_margin=margin_on, mu_base=0.6)
+                rep = cse_loss(batch, prompts, enc, stats.counts, cfg, need_grad=False)
+                assert rep.cse_part >= 0.0
 
 
 class TestCseLoss:

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import inspect
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from tailprompt.errors import ConfigError, NumericsError
 from tailprompt.losses import LossConfig, LossReport, total_loss
 from tailprompt.synth import SynthConfig, generate, make_prototypes
 from tailprompt.train import (
+    BASELINES,
     METRICS_COLUMNS,
     PromptSpec,
     RunRecord,
@@ -37,6 +39,22 @@ def _config(**overrides):
     base = dict(epochs=3, lr0=0.05, batch_size=16, seed=1, head_min=15, tail_max=8)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def _patch_head_loss(monkeypatch, baseline, corrupt):
+    """Pass every loss the head's training evaluates through
+    corrupt(report, need_grad): total_loss for prompts, cls_loss_on_logits for
+    the linear probe, both looked up in the train module."""
+    name = "total_loss" if baseline == "none" else "cls_loss_on_logits"
+    real = getattr(train_mod, name)
+    signature = inspect.signature(real)
+
+    def wrapped(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return corrupt(real(*args, **kwargs), bound.arguments["need_grad"])
+
+    monkeypatch.setattr(train_mod, name, wrapped)
 
 
 def _sha(arr: np.ndarray) -> str:
@@ -228,39 +246,37 @@ class TestTrainLoop:
         assert _sha(record.encoder.projection) == proj_before
         assert _sha(record.prompts.class_tokens) == tokens_before
 
-    def test_abort_on_non_finite_loss(self, monkeypatch):
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_abort_on_non_finite_loss(self, monkeypatch, baseline):
         ds = _dataset()
         calls = {"n": 0}
-        real = total_loss
 
-        def wrapped(batch, prompts, encoder, stats, config, tau=1.0, need_grad=True):
-            calls["n"] += 1
-            report = real(batch, prompts, encoder, stats, config, tau, need_grad)
-            if calls["n"] == 3 and need_grad:
+        def corrupt(report, need_grad):
+            calls["n"] += need_grad
+            if calls["n"] == 2 and need_grad:
                 return LossReport(float("nan"), report.cls_part, report.cse_part, report.gradient)
             return report
 
-        monkeypatch.setattr(train_mod, "total_loss", wrapped)
-        record = train(ds, _config(epochs=4))
+        _patch_head_loss(monkeypatch, baseline, corrupt)
+        record = train(ds, _config(epochs=4, baseline=baseline))
         assert record.failed
         assert "non-finite loss" in record.abort_reason
         assert record.epochs_completed < 4
         assert record.final_eval is not None  # epoch-0 eval survives
 
-    def test_abort_on_non_finite_gradient(self, monkeypatch):
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_abort_on_non_finite_gradient(self, monkeypatch, baseline):
         ds = _dataset()
-        real = total_loss
 
-        def wrapped(batch, prompts, encoder, stats, config, tau=1.0, need_grad=True):
-            report = real(batch, prompts, encoder, stats, config, tau, need_grad)
+        def corrupt(report, need_grad):
             if need_grad:
                 bad = report.gradient.copy()
                 bad[0] = np.inf
                 return LossReport(report.total, report.cls_part, report.cse_part, bad)
             return report
 
-        monkeypatch.setattr(train_mod, "total_loss", wrapped)
-        record = train(ds, _config(epochs=2))
+        _patch_head_loss(monkeypatch, baseline, corrupt)
+        record = train(ds, _config(epochs=2, baseline=baseline))
         assert record.failed
         assert "non-finite gradient" in record.abort_reason
         assert record.epochs_completed == 0
