@@ -58,6 +58,12 @@ class TestSample:
         with pytest.raises(ConfigError, match="caption embeddings must have unit"):
             MultiLabelDataset(*self._rows(captions=captions))
 
+    def test_rejects_no_positive(self):
+        labels = _tiny_dataset().labels.copy()
+        labels[3] = 0  # every class keeps a positive elsewhere
+        with pytest.raises(ConfigError, match="at least one positive"):
+            MultiLabelDataset(*self._rows(labels=labels))
+
     def test_rejects_nonbinary_labels(self):
         labels = _tiny_dataset().labels.copy()
         labels[1, 0] = 2
