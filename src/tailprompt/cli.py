@@ -30,7 +30,13 @@ from .errors import ConfigError, NumericsError, read_json
 from .gradcheck import check_total_loss, run_sweep
 from .seeding import DOMAIN_TRAIN, substream
 from .synth import generate
-from .train import build_training_state, checkpoint_from_dict, train, write_run_dir
+from .train import (
+    build_training_state,
+    checkpoint_from_dict,
+    refuse_nonempty_dir,
+    train,
+    write_run_dir,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -105,9 +111,9 @@ def cmd_synth(args) -> int:
     if overrides:
         config = with_synth(config, **overrides)
 
-    dataset = generate(config.synth)
     out = Path(args.out)
     _refuse_existing_file(out, args.force)
+    dataset = generate(config.synth)
     save_dataset(dataset, out)
 
     counts = class_counts(dataset)
@@ -164,6 +170,7 @@ def _pretrain_gradcheck(dataset, config: RunConfigFile) -> int:
 
 def cmd_train(args) -> int:
     config = _apply_train_flags(args, _load_or_default_config(args.config))
+    refuse_nonempty_dir(args.out, args.force)
     dataset = _resolve_dataset(args, config)
 
     if not args.skip_gradcheck and config.train.baseline == "none":
@@ -188,6 +195,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _load_or_default_config(args.config)
+    if args.out is not None:
+        _refuse_existing_file(Path(args.out), args.force)
     dataset = _resolve_dataset(args, config)
     head = checkpoint_from_dict(read_json(args.ckpt, "checkpoint"), dataset, config.train)
     result = head.evaluate(dataset)
@@ -201,9 +210,7 @@ def cmd_eval(args) -> int:
     for key, value in lines.items():
         print(f"{key} {_fmt(value)}")
     if args.out is not None:
-        out = Path(args.out)
-        _refuse_existing_file(out, args.force)
-        out.write_text(json.dumps(lines, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(lines, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -267,10 +274,15 @@ def cmd_sweep(args) -> int:
     else:
         seeds = [config.train.seed]
 
-    dataset = _resolve_dataset(args, config)
     out_root = Path(args.out)
+    if out_root.exists() and not out_root.is_dir():
+        raise ConfigError(f"sweep root {out_root} is not a directory")
     summary_path = out_root / "sweep.csv"
     _refuse_existing_file(summary_path, args.force)
+    for name in variants:
+        for seed in seeds:
+            refuse_nonempty_dir(out_root / name / f"seed-{seed}", args.force)
+    dataset = _resolve_dataset(args, config)
 
     metric_names = ("map_total", "map_head", "map_medium", "map_tail")
     rows = []

@@ -2,9 +2,15 @@
 
 AP here is the plain mean of precision-at-rank over the positive ranks, no
 interpolation. Ranking is by descending score with ties broken by ascending
-sample index, so results are reproducible across runs and platforms. Final
-sums use math.fsum (exactly rounded), which makes the value independent of
-summation order.
+sample index, so results are reproducible across runs and platforms.
+
+No sample is ordered by a stable sort. The scores are sorted by value with
+numpy's default (unstable) sort, and each positive's rank is counted from that
+sorted copy: 1 + the number of larger scores + the number of equal scores at a
+lower index. The second count is only taken when a positive's score is tied,
+and only over the samples holding a tied value. Each precision is an exact
+integer over an exact integer rank, and the sum uses math.fsum (exactly
+rounded), so the value is independent of sort algorithm and summation order.
 """
 
 from __future__ import annotations
@@ -23,24 +29,49 @@ from .errors import ConfigError
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     """AP of one class: mean over positives of precision at each positive rank.
 
-    scores: (N,) real; labels: (N,) binary. Raises ConfigError when the class
-    has no positives (callers exclude such classes instead).
+    scores: (N,) real; labels: (N,) in {0, 1} (bool accepted). Raises
+    ConfigError when the class has no positives (callers exclude such classes
+    instead).
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.ndim != 1 or scores.shape != labels.shape:
         raise ConfigError("scores and labels must be 1-d and the same length")
-    if not np.isfinite(scores).all():
+    n = scores.size
+    ascending = np.sort(scores)
+    # the sort puts -inf first and +inf, then NaN, last
+    if n and not np.isfinite(ascending[[0, -1]]).all():
         raise ConfigError("scores must be finite")
-    npos = int((labels == 1).sum())
+    # one read of a strided column, then contiguous passes
+    labels = np.ascontiguousarray(labels)
+    positive = labels == 1
+    npos = int(np.count_nonzero(positive))
+    if npos + int(np.count_nonzero(labels == 0)) != n:
+        raise ConfigError("labels must be 0 or 1")
     if npos == 0:
         raise ConfigError("average precision is undefined without positives")
-    # stable sort on negated scores = descending score, ties by ascending index
-    order = np.argsort(-scores, kind="stable")
-    hits = (labels[order] == 1).astype(np.float64)
-    ranks = np.arange(1, scores.size + 1, dtype=np.float64)
-    precisions = np.cumsum(hits) / ranks
-    return math.fsum(precisions[hits == 1.0]) / npos
+    # positives in score order, so the searches walk the sorted copy in order
+    pos = np.flatnonzero(positive)
+    pos = pos[np.argsort(scores[pos])]
+    pos_scores = scores[pos]
+    # rank = 1 + count of larger scores + count of equal scores at a lower index
+    at_most = np.searchsorted(ascending, pos_scores, side="right")
+    ranks = n + 1 - at_most
+    tied = at_most - np.searchsorted(ascending, pos_scores, side="left") > 1
+    if tied.any():
+        # key every sample holding a tied value by (value, index); the keys are
+        # distinct, so the unstable sort orders them exactly
+        values = np.unique(pos_scores[tied])
+        members = np.flatnonzero(np.isin(scores, values))
+        member_keys = np.sort(np.searchsorted(values, scores[members]) * n + members)
+        group = np.searchsorted(values, pos_scores[tied]) * n
+        ranks[tied] += np.searchsorted(member_keys, group + pos[tied]) - np.searchsorted(
+            member_keys, group
+        )
+    ranks.sort()
+    # the k-th best-ranked positive has precision k / rank
+    precisions = np.arange(1, npos + 1) / ranks
+    return math.fsum(precisions.tolist()) / npos
 
 
 def brute_force_ap(scores, labels) -> float:
@@ -109,8 +140,9 @@ def evaluate_scores(scores: np.ndarray, labels: np.ndarray, stats: ClassStats) -
         raise ConfigError("stats cover a different number of classes")
     per_class = np.full(num_classes, np.nan)
     excluded = []
+    has_positive = (labels == 1).any(axis=0)
     for i in range(num_classes):
-        if (labels[:, i] == 1).any():
+        if has_positive[i]:
             per_class[i] = average_precision(scores[:, i], labels[:, i])
         else:
             excluded.append(i)

@@ -461,6 +461,17 @@ def checkpoint_from_dict(doc, dataset: MultiLabelDataset, config: TrainConfig):
     raise ConfigError(f"unknown checkpoint kind {kind!r}")
 
 
+def refuse_nonempty_dir(out_dir, force: bool) -> Path:
+    """Raise ConfigError when out_dir is a file, or when it is a non-empty
+    directory and force is not set."""
+    out = Path(out_dir)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output directory {out} is not a directory")
+    if not force and out.is_dir() and any(out.iterdir()):
+        raise ConfigError(f"output directory {out} is not empty (use force to overwrite)")
+    return out
+
+
 def write_run_dir(out_dir, record: RunRecord, config_doc: dict, force: bool = False) -> Path:
     """Persist a run: config.json (echo), metrics.csv, prompts.ckpt.json, run.json.
 
@@ -468,9 +479,7 @@ def write_run_dir(out_dir, record: RunRecord, config_doc: dict, force: bool = Fa
     carries the epoch-0 row followed by one row per completed epoch; absent
     values (off-cadence evals, empty groups) are empty cells.
     """
-    out = Path(out_dir)
-    if out.exists() and any(out.iterdir()) and not force:
-        raise ConfigError(f"output directory {out} is not empty (use force to overwrite)")
+    out = refuse_nonempty_dir(out_dir, force)
     out.mkdir(parents=True, exist_ok=True)
 
     (out / "config.json").write_text(json.dumps(config_doc, indent=2) + "\n")

@@ -149,6 +149,19 @@ def average_precision_scalar(scores, labels) -> float:
     return math.fsum(precisions) / len(precisions)
 
 
+def average_precision_stable_argsort(scores, labels) -> float:
+    """AP by one stable argsort of the negated scores: descending score, ties
+    by ascending index. Vectorized, so it serves as the reference at sizes
+    where the per-rank loop above is too slow."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    order = np.argsort(-scores, kind="stable")
+    hits = (labels[order] == 1).astype(np.float64)
+    ranks = np.arange(1, scores.size + 1, dtype=np.float64)
+    precisions = np.cumsum(hits) / ranks
+    return math.fsum(precisions[hits == 1.0]) / int(hits.sum())
+
+
 def finite_diff_grad_copying(loss_fn, params, step: float):
     """Central differences that hand loss_fn a fresh copy of params, with one
     coordinate moved, for every evaluation."""

@@ -429,6 +429,100 @@ class TestSweep:
         assert "duplicate seed" in capsys.readouterr().err
 
 
+class TestExistingOutputRefusedFirst:
+    """An existing --out is refused before the dataset is made and before any
+    gradcheck, training or evaluation runs."""
+
+    @staticmethod
+    def _forbid(monkeypatch, *names):
+        from tailprompt import cli
+
+        for name in names:
+
+            def fail(*args, _name=name, **kwargs):
+                raise AssertionError(f"cli.{_name} ran before the output check")
+
+            monkeypatch.setattr(cli, name, fail)
+
+    def test_synth(self, monkeypatch, tmp_path, config_path, capsys):
+        out = tmp_path / "ds.json"
+        out.write_text("{}")
+        self._forbid(monkeypatch, "generate")
+        assert main(["synth", "--config", config_path, "--out", str(out)]) == EXIT_CONFIG
+        assert "already exists" in capsys.readouterr().err
+
+    def test_train(self, monkeypatch, tmp_path, config_path, dataset_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep")
+        self._forbid(monkeypatch, "load_dataset", "generate", "train")
+        for data in ([], ["--data", dataset_path]):
+            code = main(["train", "--config", config_path, "--out", str(out), *data])
+            assert code == EXIT_CONFIG
+            assert f"output directory {out} is not empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_train_out_is_a_file(self, monkeypatch, tmp_path, config_path, capsys, force):
+        out = tmp_path / "run"
+        out.write_text("keep")
+        self._forbid(monkeypatch, "load_dataset", "generate", "train")
+        assert main(["train", "--config", config_path, "--out", str(out), *force]) == EXIT_CONFIG
+        assert f"output directory {out} is not a directory" in capsys.readouterr().err
+        assert out.read_text() == "keep"
+
+    def test_eval(self, monkeypatch, tmp_path, config_path, dataset_path, capsys):
+        out = tmp_path / "eval.json"
+        out.write_text("{}")
+        self._forbid(monkeypatch, "load_dataset", "generate", "checkpoint_from_dict")
+        code = main(
+            [
+                "eval",
+                "--config",
+                config_path,
+                "--data",
+                dataset_path,
+                "--ckpt",
+                str(tmp_path / "missing.json"),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "already exists" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("existing", ["sweep.csv", "bce/seed-6/metrics.csv"])
+    def test_sweep(self, monkeypatch, tmp_path, config_path, capsys, existing):
+        out = tmp_path / "sweep"
+        (out / existing).parent.mkdir(parents=True, exist_ok=True)
+        (out / existing).write_text("keep")
+        self._forbid(monkeypatch, "load_dataset", "generate", "train")
+        code = main(
+            [
+                "sweep",
+                "--config",
+                config_path,
+                "--out",
+                str(out),
+                "--variant",
+                "full",
+                "--variant",
+                "bce",
+                "--seeds",
+                "5,6",
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert str(out / existing.split("/metrics.csv")[0]) in capsys.readouterr().err
+
+    def test_sweep_root_is_a_file(self, monkeypatch, tmp_path, config_path, capsys):
+        out = tmp_path / "sweep"
+        out.write_text("keep")
+        self._forbid(monkeypatch, "load_dataset", "generate", "train")
+        code = main(["sweep", "--config", config_path, "--out", str(out), "--variant", "full"])
+        assert code == EXIT_CONFIG
+        assert f"sweep root {out} is not a directory" in capsys.readouterr().err
+
+
 class TestTopLevel:
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == EXIT_CONFIG

@@ -14,7 +14,7 @@ from tailprompt.metrics import (
     evaluate_scores,
 )
 
-from oracles import average_precision_scalar
+from oracles import average_precision_scalar, average_precision_stable_argsort
 
 
 class TestAveragePrecision:
@@ -59,6 +59,14 @@ class TestAveragePrecision:
         with pytest.raises(ConfigError):
             average_precision([0.4, 0.2], [1])
 
+    @pytest.mark.parametrize("label", [2, -1, 0.5])
+    def test_non_binary_label_rejected(self, label):
+        with pytest.raises(ConfigError, match="0 or 1"):
+            average_precision([0.9, 0.1], [label, 1])
+
+    def test_boolean_labels_accepted(self):
+        assert average_precision([0.9, 0.1], [False, True]) == 0.5
+
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -82,6 +90,77 @@ class TestAveragePrecision:
             got = average_precision(scores, labels)
             want = average_precision_scalar(scores.tolist(), labels.tolist())
             assert got == want
+
+
+def _some_positive(rng, n, rate):
+    labels = (rng.random(n) < rate).astype(np.int64)
+    labels[rng.integers(0, n)] = 1
+    return labels
+
+
+class TestMatchesStableArgsort:
+    """Bit-exact agreement with the stable-argsort reference, at sizes that
+    cross the sort's internal size thresholds, with and without ties."""
+
+    @pytest.mark.parametrize("n", [10_000, 50_000])
+    def test_random_scores(self, n):
+        rng = np.random.default_rng(n)
+        for rate in (0.001, 0.05, 0.5):
+            scores = rng.standard_normal(n)
+            labels = _some_positive(rng, n, rate)
+            assert average_precision(scores, labels) == average_precision_stable_argsort(
+                scores, labels
+            )
+
+    @pytest.mark.parametrize("decimals", [1, 2])
+    @pytest.mark.parametrize("n", [17, 257, 1025, 10_000])
+    def test_rounded_scores(self, n, decimals):
+        rng = np.random.default_rng(10 * n + decimals)
+        for rate in (0.05, 0.3, 0.9):
+            scores = np.round(rng.standard_normal(n), decimals)
+            labels = _some_positive(rng, n, rate)
+            assert average_precision(scores, labels) == average_precision_stable_argsort(
+                scores, labels
+            )
+
+    def test_all_tied_every_sample_positive(self):
+        scores = np.full(50_000, 0.25)
+        labels = np.ones(50_000, dtype=np.int64)
+        assert average_precision(scores, labels) == average_precision_stable_argsort(
+            scores, labels
+        )
+
+    def test_all_tied_mixed_labels(self):
+        rng = np.random.default_rng(13)
+        scores = np.full(50_000, -1.5)
+        labels = _some_positive(rng, 50_000, 0.3)
+        assert average_precision(scores, labels) == average_precision_stable_argsort(
+            scores, labels
+        )
+
+    @pytest.mark.parametrize("n", [10, 1000, 50_000])
+    def test_signed_zeros_tie(self, n):
+        # +0.0 == -0.0, so they form one tied group ordered by index
+        rng = np.random.default_rng(n + 1)
+        scores = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        scores[rng.random(n) < 0.2] = 1.0
+        labels = _some_positive(rng, n, 0.3)
+        assert average_precision(scores, labels) == average_precision_stable_argsort(
+            scores, labels
+        )
+
+    def test_strided_column_views(self):
+        # evaluate_scores passes column views of a row-major score matrix
+        rng = np.random.default_rng(14)
+        scores = np.round(rng.standard_normal((3000, 7)), 1)
+        labels = (rng.random((3000, 7)) < 0.2).astype(np.int64)
+        labels[0] = 1
+        for i in range(7):
+            column, column_labels = scores[:, i], labels[:, i]
+            assert not column.flags.c_contiguous
+            assert average_precision(column, column_labels) == average_precision_stable_argsort(
+                column, column_labels
+            )
 
 
 class TestBruteForce:
@@ -169,6 +248,22 @@ class TestEvaluateScores:
             evaluate_scores(np.zeros((3, 2)), np.zeros((3, 3), dtype=np.int64), _stats([5, 4]))
         with pytest.raises(ConfigError):
             evaluate_scores(np.zeros((3, 2)), np.zeros((3, 2), dtype=np.int64), _stats([5, 4, 3]))
+
+    def test_large_matrix_matches_per_class_oracle(self):
+        rng = np.random.default_rng(15)
+        n, c = 10_000, 200
+        scores = rng.standard_normal((n, c))
+        scores[:, ::2] = np.round(scores[:, ::2], 2)  # ties in every other class
+        labels = (rng.random((n, c)) < 0.3 / np.arange(1, c + 1)).astype(np.int64)
+        labels[rng.integers(0, n, size=c), np.arange(c)] = 1
+        labels[:, 7] = 0
+        result = evaluate_scores(scores, labels, _stats(np.maximum(labels.sum(axis=0), 1)))
+        want = [
+            average_precision_stable_argsort(scores[:, i], labels[:, i]) if i != 7 else np.nan
+            for i in range(c)
+        ]
+        assert np.array_equal(result.per_class_ap, want, equal_nan=True)
+        assert result.excluded == (7,)
 
     def test_chance_level_tracks_prevalence(self):
         # random scores: AP concentrates near the positive rate
