@@ -82,7 +82,7 @@ class MultiLabelDataset:
             )
         if captions.shape != images.shape:
             raise ConfigError("caption embeddings must match image embeddings in shape")
-        if not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise ConfigError("invalid label: entries must be 0 or 1")
         object.__setattr__(self, "labels", labels.astype(np.int64))
 

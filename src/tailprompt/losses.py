@@ -211,6 +211,29 @@ def _db_constants(counts, num_samples: int, config: LossConfig):
     return rebal, db_bias(counts, num_samples, config.db_kappa)
 
 
+def _column_major(a: np.ndarray) -> bool:
+    """Whether a ufunc result over the 2-d array a (order K) is column-major."""
+    rows, cols = (abs(s) for s in a.strides)
+    return 0 < rows < cols
+
+
+def _by_label(positive: np.ndarray, negative: np.ndarray, z: np.ndarray, pos_values, neg_values):
+    """np.where(positive, ., .) over z-shaped arrays, assembled from values
+    computed on the positive and the negative entries only (row-major mask
+    order, as z[positive] gathers them).
+
+    The result is laid out as np.where lays out its own: column-major only
+    when both the label mask and z's ufunc results are. Row and whole-array
+    sums add in memory order, so the layout fixes the bits of every value
+    reduced from it.
+    """
+    fortran = _column_major(positive) and _column_major(z)
+    out = np.empty(z.shape, order="F" if fortran else "C")
+    out[positive] = pos_values
+    out[negative] = neg_values
+    return out
+
+
 def _db_parts(
     z: np.ndarray,
     labels: np.ndarray,
@@ -223,29 +246,34 @@ def _db_parts(
     zeta = config.db_zeta
     x = z - bias
     positive = labels == 1
+    negative = ~positive
+    rebal = np.broadcast_to(rebal, x.shape)
+    r_pos = rebal[positive]
+    r_neg = rebal[negative]
 
     # positives: -r (1-q)^g log q, q = sigmoid(x); log q = -softplus(-x)
-    sp_neg_x = _softplus(-x)
-    q_pos = _sigmoid(x)
-    pos_terms = rebal * np.power(1.0 - q_pos, g) * sp_neg_x
+    x_pos = x[positive]
+    sp_neg_x = _softplus(-x_pos)
+    q_pos = _sigmoid(x_pos)
+    one_minus_q = 1.0 - q_pos
+    mod_pos = np.power(one_minus_q, g)
     # negatives: -(r/zeta) q^g log(1-q), q = sigmoid(zeta x); log(1-q) = -softplus(zeta x)
-    sp_zx = _softplus(zeta * x)
-    q_neg = _sigmoid(zeta * x)
-    neg_terms = (rebal / zeta) * np.power(q_neg, g) * sp_zx
+    zx = zeta * x[negative]
+    sp_zx = _softplus(zx)
+    q_neg = _sigmoid(zx)
+    mod_neg = np.power(q_neg, g)
 
-    terms = np.where(positive, pos_terms, neg_terms)
+    terms = _by_label(
+        positive, negative, x, r_pos * mod_pos * sp_neg_x, (r_neg / zeta) * mod_neg * sp_zx
+    )
     value = float(terms.sum(axis=1).sum() / z.shape[0])
     if not need_grad:
         return value, None
     log_q = -sp_neg_x
     log_1mq = -sp_zx
-    grad_pos = rebal * g * q_pos * np.power(1.0 - q_pos, g) * log_q - rebal * np.power(
-        1.0 - q_pos, g + 1.0
-    )
-    grad_neg = rebal * np.power(q_neg, g + 1.0) - rebal * g * np.power(q_neg, g) * (
-        1.0 - q_neg
-    ) * log_1mq
-    grad_z = np.where(positive, grad_pos, grad_neg) / z.shape[0]
+    grad_pos = r_pos * g * q_pos * mod_pos * log_q - r_pos * np.power(one_minus_q, g + 1.0)
+    grad_neg = r_neg * np.power(q_neg, g + 1.0) - r_neg * g * mod_neg * (1.0 - q_neg) * log_1mq
+    grad_z = _by_label(positive, negative, x, grad_pos / z.shape[0], grad_neg / z.shape[0])
     return value, grad_z
 
 
@@ -270,12 +298,20 @@ def db_loss(
 
 def _bce_parts(z: np.ndarray, labels: np.ndarray, need_grad: bool):
     positive = labels == 1
-    terms = np.where(positive, _softplus(-z), _softplus(z))
+    negative = ~positive
+    z_pos = z[positive]
+    z_neg = z[negative]
+    terms = _by_label(positive, negative, z, _softplus(-z_pos), _softplus(z_neg))
     value = float(terms.sum() / terms.size)
     if not need_grad:
         return value, None
-    q = _sigmoid(z)
-    grad_z = np.where(positive, q - 1.0, q) / terms.size
+    grad_z = _by_label(
+        positive,
+        negative,
+        z,
+        (_sigmoid(z_pos) - 1.0) / terms.size,
+        _sigmoid(z_neg) / terms.size,
+    )
     return value, grad_z
 
 
@@ -289,19 +325,26 @@ def _focal_parts(z: np.ndarray, labels: np.ndarray, gamma_focal: float, need_gra
     if gamma_focal < 0:
         raise ConfigError("gamma_focal must be >= 0")
     positive = labels == 1
+    negative = ~positive
     g = gamma_focal
-    sp_neg = _softplus(-z)
-    sp_pos = _softplus(z)
-    q = _sigmoid(z)
-    terms = np.where(positive, np.power(1.0 - q, g) * sp_neg, np.power(q, g) * sp_pos)
+    z_pos = z[positive]
+    z_neg = z[negative]
+    sp_neg = _softplus(-z_pos)
+    q_pos = _sigmoid(z_pos)
+    one_minus_q = 1.0 - q_pos
+    mod_pos = np.power(one_minus_q, g)
+    sp_pos = _softplus(z_neg)
+    q_neg = _sigmoid(z_neg)
+    mod_neg = np.power(q_neg, g)
+    terms = _by_label(positive, negative, z, mod_pos * sp_neg, mod_neg * sp_pos)
     value = float(terms.sum() / terms.size)
     if not need_grad:
         return value, None
     log_q = -sp_neg
     log_1mq = -sp_pos
-    grad_pos = g * q * np.power(1.0 - q, g) * log_q - np.power(1.0 - q, g + 1.0)
-    grad_neg = np.power(q, g + 1.0) - g * np.power(q, g) * (1.0 - q) * log_1mq
-    grad_z = np.where(positive, grad_pos, grad_neg) / terms.size
+    grad_pos = g * q_pos * mod_pos * log_q - np.power(one_minus_q, g + 1.0)
+    grad_neg = np.power(q_neg, g + 1.0) - g * mod_neg * (1.0 - q_neg) * log_1mq
+    grad_z = _by_label(positive, negative, z, grad_pos / terms.size, grad_neg / terms.size)
     return value, grad_z
 
 

@@ -108,20 +108,45 @@ def make_prototypes(config: SynthConfig) -> ClassPrototypes:
     return ClassPrototypes(unit_rows(rng, c, d))
 
 
-def sample_label_set(
+def sample_label_sets(
     config: SynthConfig, probs: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """One binary label vector: a primary class plus optional co-occurring extras.
+    """(num_samples, C) binary labels: per sample, a primary class plus
+    optional co-occurring extras.
 
     Each of the max_extra_labels slots independently adds, with probability
     cooccur_prob, one class drawn from the same distribution; a draw that hits
     an already-positive class is a no-op, keeping the positives distinct.
+
+    The uniforms come from rng in one block, read in sample order: the
+    primary class draw, then per slot one test draw and, when the test hits,
+    one class draw. A class draw maps u to the class index as
+    Generator.choice(C, p=probs) does, so the labels are the ones that
+    per-sample choice/random calls on rng would give. The block is sized for
+    every slot hitting; its unread tail is never observed, because nothing
+    else reads the labels stream.
     """
-    labels = np.zeros(config.num_classes, dtype=np.int64)
-    labels[rng.choice(config.num_classes, p=probs)] = 1
-    for _ in range(config.max_extra_labels):
-        if rng.random() < config.cooccur_prob:
-            labels[rng.choice(config.num_classes, p=probs)] = 1
+    n, k = config.num_samples, config.max_extra_labels
+    uniforms = rng.random(n * (1 + 2 * k))
+    hits = (uniforms < config.cooccur_prob).tolist()
+    owners = []  # sample of each class draw
+    draws = []  # stream position of each class draw
+    at = 0  # stream position of the next draw
+    for i in range(n):
+        owners.append(i)
+        draws.append(at)
+        at += 1
+        for _ in range(k):
+            hit = hits[at]
+            at += 1
+            if hit:
+                owners.append(i)
+                draws.append(at)
+                at += 1
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    labels = np.zeros((n, config.num_classes), dtype=np.int64)
+    labels[owners, cdf.searchsorted(uniforms[draws], side="right")] = 1
     return labels
 
 
@@ -151,12 +176,12 @@ def generate_with_prototypes(config: SynthConfig) -> tuple[MultiLabelDataset, Cl
     sampling and repair, label columns and prototype rows are permuted by a
     stable descending-count sort, so class 0 is always the most frequent.
     """
-    c, n, d = config.num_classes, config.num_samples, config.dim
+    c = config.num_classes
     protos = make_prototypes(config).vectors
     probs = class_probs(config)
 
     label_rng = substream(config.seed, DOMAIN_SYNTH, _STREAM_LABELS)
-    labels = np.stack([sample_label_set(config, probs, label_rng) for _ in range(n)])
+    labels = sample_label_sets(config, probs, label_rng)
     _repair_zero_counts(labels, substream(config.seed, DOMAIN_SYNTH, _STREAM_REPAIR))
 
     order = np.argsort(-labels.sum(axis=0), kind="stable")

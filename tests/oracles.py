@@ -1,8 +1,10 @@
-"""Independent scalar reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles.
 
-Everything here is deliberately written with plain Python loops, math.*, and
-math.fsum (exactly rounded sums), sharing no code with the vectorized package
-paths it certifies. Keep it slow and obvious.
+The scalar references are deliberately written with plain Python loops,
+math.*, and math.fsum (exactly rounded sums), sharing no code with the
+vectorized package paths they certify. Keep them slow and obvious. The others
+are earlier, simpler implementations of package paths that were since made
+faster; the tests require the fast paths to match them bit for bit.
 """
 
 from __future__ import annotations
@@ -174,3 +176,81 @@ def finite_diff_grad_copying(loss_fn, params, step: float):
         down[idx] = params[idx] - step
         grad[idx] = (loss_fn(up) - loss_fn(down)) / (2.0 * step)
     return grad
+
+
+def sample_label_set(num_classes, probs, cooccur_prob, max_extra_labels, rng):
+    """One binary label vector, one Generator call per draw: a primary class
+    from rng.choice, then per extra slot a test rng.random() < cooccur_prob
+    and, when it hits, one more rng.choice class."""
+    labels = np.zeros(num_classes, dtype=np.int64)
+    labels[rng.choice(num_classes, p=probs)] = 1
+    for _ in range(max_extra_labels):
+        if rng.random() < cooccur_prob:
+            labels[rng.choice(num_classes, p=probs)] = 1
+    return labels
+
+
+# The classification-loss parts as they were before each branch's formula was
+# restricted to its own label entries: both formulas on every entry, one kept
+# by np.where. Values and gradients must match them bit for bit, including
+# the summation order that np.where's output layout sets.
+
+
+def _softplus(x):
+    return np.logaddexp(0.0, x)
+
+
+def _sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def db_parts_where(z, labels, rebal, bias, gamma_focal, zeta, need_grad):
+    g = gamma_focal
+    x = z - bias
+    positive = labels == 1
+    sp_neg_x = _softplus(-x)
+    q_pos = _sigmoid(x)
+    pos_terms = rebal * np.power(1.0 - q_pos, g) * sp_neg_x
+    sp_zx = _softplus(zeta * x)
+    q_neg = _sigmoid(zeta * x)
+    neg_terms = (rebal / zeta) * np.power(q_neg, g) * sp_zx
+    terms = np.where(positive, pos_terms, neg_terms)
+    value = float(terms.sum(axis=1).sum() / z.shape[0])
+    if not need_grad:
+        return value, None
+    log_q = -sp_neg_x
+    log_1mq = -sp_zx
+    grad_pos = rebal * g * q_pos * np.power(1.0 - q_pos, g) * log_q - rebal * np.power(
+        1.0 - q_pos, g + 1.0
+    )
+    grad_neg = rebal * np.power(q_neg, g + 1.0) - rebal * g * np.power(q_neg, g) * (
+        1.0 - q_neg
+    ) * log_1mq
+    return value, np.where(positive, grad_pos, grad_neg) / z.shape[0]
+
+
+def bce_parts_where(z, labels, need_grad):
+    positive = labels == 1
+    terms = np.where(positive, _softplus(-z), _softplus(z))
+    value = float(terms.sum() / terms.size)
+    if not need_grad:
+        return value, None
+    q = _sigmoid(z)
+    return value, np.where(positive, q - 1.0, q) / terms.size
+
+
+def focal_parts_where(z, labels, gamma_focal, need_grad):
+    positive = labels == 1
+    g = gamma_focal
+    sp_neg = _softplus(-z)
+    sp_pos = _softplus(z)
+    q = _sigmoid(z)
+    terms = np.where(positive, np.power(1.0 - q, g) * sp_neg, np.power(q, g) * sp_pos)
+    value = float(terms.sum() / terms.size)
+    if not need_grad:
+        return value, None
+    log_q = -sp_neg
+    log_1mq = -sp_pos
+    grad_pos = g * q * np.power(1.0 - q, g) * log_q - np.power(1.0 - q, g + 1.0)
+    grad_neg = np.power(q, g + 1.0) - g * np.power(q, g) * (1.0 - q) * log_1mq
+    return value, np.where(positive, grad_pos, grad_neg) / terms.size

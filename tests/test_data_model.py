@@ -64,10 +64,13 @@ class TestSample:
         with pytest.raises(ConfigError, match="at least one positive"):
             MultiLabelDataset(*self._rows(labels=labels))
 
-    def test_rejects_nonbinary_labels(self):
-        labels = _tiny_dataset().labels.copy()
-        labels[1, 0] = 2
-        with pytest.raises(ConfigError, match="invalid label"):
+    @pytest.mark.parametrize("value", [2, 0.5, np.nan, -1])
+    def test_rejects_nonbinary_labels(self, value):
+        labels = _tiny_dataset().labels.astype(np.float64)
+        # row 0 and column 2 keep a positive sum with -1 here, so only the
+        # entry check can raise this message
+        labels[0, 2] = value
+        with pytest.raises(ConfigError, match="invalid label: entries must be 0 or 1"):
             MultiLabelDataset(*self._rows(labels=labels))
 
     def test_arrays_read_only(self):

@@ -22,7 +22,14 @@ from tailprompt.losses import (
     total_loss,
 )
 
-from oracles import bce_loss_scalar, cse_loss_scalar, db_loss_scalar
+from oracles import (
+    bce_loss_scalar,
+    bce_parts_where,
+    cse_loss_scalar,
+    db_loss_scalar,
+    db_parts_where,
+    focal_parts_where,
+)
 
 
 def _stats(counts, num_samples=None):
@@ -359,6 +366,93 @@ class TestBceFocal:
         z = np.array([[3.0]])
         y = np.array([[1]])
         assert focal_loss(z, y, 2.0, need_grad=False).cls_part < bce_loss(z, y, need_grad=False).cls_part
+
+
+_BRANCH_CASES = (
+    "random",
+    "all_negative",
+    "all_positive_column",
+    "extreme_logits",
+    "bool_labels",
+    "fortran",
+    "fortran_logits_only",
+    "fortran_labels_only",
+)
+
+
+def _branch_case(case):
+    """(z, labels, counts, num_samples) for one layout or value pattern. 17
+    classes is past numpy's 8-way unrolled row sum, so a row summed in another
+    order than the reference's changes bits."""
+    rng = np.random.default_rng(31)
+    b, c = 13, 17
+    z = rng.uniform(-6.0, 6.0, size=(b, c))
+    labels = (rng.random((b, c)) < 0.2).astype(np.int64)
+    if case == "all_negative":
+        labels[:] = 0
+    elif case == "all_positive_column":
+        labels[:, 3] = 1
+    elif case == "extreme_logits":
+        z[:, :4] = [40.0, -40.0, np.inf, -np.inf]
+        labels[::2, :4] = 1
+        labels[1::2, :4] = 0
+    elif case == "bool_labels":
+        labels = labels.astype(bool)
+    if case in ("fortran", "fortran_logits_only"):
+        z = np.asfortranarray(z)
+    if case in ("fortran", "fortran_labels_only"):
+        labels = np.asfortranarray(labels)
+    counts = rng.integers(1, 30, size=c)
+    return z, labels, counts, int(counts.max() + 5)
+
+
+def _assert_matches_where(report, value_only, want):
+    value, grad = want
+    assert report.cls_part == value
+    assert value_only.cls_part == value
+    assert np.array_equal(report.gradient, grad, equal_nan=True)
+    layout = (grad.flags.c_contiguous, grad.flags.f_contiguous)
+    assert (report.gradient.flags.c_contiguous, report.gradient.flags.f_contiguous) == layout
+
+
+class TestBranchOnlyMatchesWhere:
+    """Each classification loss evaluates a label branch's formula only on
+    that branch's entries; values, gradients and gradient layout equal the
+    reference that computes both formulas everywhere and keeps one by
+    np.where."""
+
+    @pytest.mark.parametrize("case", _BRANCH_CASES)
+    def test_db(self, case):
+        z, labels, counts, n = _branch_case(case)
+        for gamma in (0.0, 1.0, 2.0):
+            for zeta in (1.0, 5.0):
+                cfg = LossConfig(gamma_focal=gamma, db_zeta=zeta)
+                rebal = db_rebalance(counts, cfg.db_alpha, cfg.db_beta, cfg.db_theta)
+                bias = db_bias(counts, n, cfg.db_kappa)
+                with np.errstate(all="ignore"):
+                    want = db_parts_where(z, labels, rebal, bias, gamma, zeta, need_grad=True)
+                    report = db_loss(z, labels, counts, n, cfg)
+                    value_only = db_loss(z, labels, counts, n, cfg, need_grad=False)
+                _assert_matches_where(report, value_only, want)
+
+    @pytest.mark.parametrize("case", _BRANCH_CASES)
+    def test_bce(self, case):
+        z, labels, _, _ = _branch_case(case)
+        with np.errstate(all="ignore"):
+            want = bce_parts_where(z, labels, need_grad=True)
+            report = bce_loss(z, labels)
+            value_only = bce_loss(z, labels, need_grad=False)
+        _assert_matches_where(report, value_only, want)
+
+    @pytest.mark.parametrize("case", _BRANCH_CASES)
+    def test_focal(self, case):
+        z, labels, _, _ = _branch_case(case)
+        for gamma in (0.0, 1.0, 2.0):
+            with np.errstate(all="ignore"):
+                want = focal_parts_where(z, labels, gamma, need_grad=True)
+                report = focal_loss(z, labels, gamma)
+                value_only = focal_loss(z, labels, gamma, need_grad=False)
+            _assert_matches_where(report, value_only, want)
 
 
 class TestClsDispatch:

@@ -10,9 +10,12 @@ from tailprompt.synth import (
     generate,
     generate_with_prototypes,
     make_prototypes,
-    sample_label_set,
+    sample_label_sets,
 )
+from tailprompt import synth
 from tailprompt.seeding import DOMAIN_SYNTH, substream
+
+from oracles import sample_label_set
 
 
 def _spearman(a, b) -> float:
@@ -95,22 +98,65 @@ class TestPrototypes:
         assert np.array_equal(make_prototypes(cfg).vectors, make_prototypes(cfg).vectors)
 
 
+def _reference_label_sets(config, probs, rng):
+    return np.stack(
+        [
+            sample_label_set(
+                config.num_classes, probs, config.cooccur_prob, config.max_extra_labels, rng
+            )
+            for _ in range(config.num_samples)
+        ]
+    )
+
+
 class TestLabelSampling:
     def test_cooccur_off_single_label(self):
-        cfg = SynthConfig(num_classes=5, num_samples=10, cooccur_prob=0.0)
-        probs = class_probs(cfg)
-        rng = substream(3, DOMAIN_SYNTH, 1)
-        for _ in range(200):
-            labels = sample_label_set(cfg, probs, rng)
-            assert labels.sum() == 1
+        cfg = SynthConfig(num_classes=5, num_samples=200, cooccur_prob=0.0)
+        labels = sample_label_sets(cfg, class_probs(cfg), substream(3, DOMAIN_SYNTH, 1))
+        assert (labels.sum(axis=1) == 1).all()
 
     def test_label_budget(self):
-        cfg = SynthConfig(num_classes=6, num_samples=10, cooccur_prob=1.0, max_extra_labels=2)
+        cfg = SynthConfig(num_classes=6, num_samples=200, cooccur_prob=1.0, max_extra_labels=2)
+        labels = sample_label_sets(cfg, class_probs(cfg), substream(4, DOMAIN_SYNTH, 1))
+        assert ((labels.sum(axis=1) >= 1) & (labels.sum(axis=1) <= 3)).all()
+
+    @pytest.mark.parametrize("cooccur_prob", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("max_extra_labels", [0, 2, 5])
+    @pytest.mark.parametrize(
+        "num_classes, num_samples", [(1, 50), (7, 400)], ids=["C1", "C7"]
+    )
+    def test_block_draw_matches_per_sample_draws(
+        self, cooccur_prob, max_extra_labels, num_classes, num_samples
+    ):
+        cfg = SynthConfig(
+            num_classes=num_classes,
+            num_samples=num_samples,
+            cooccur_prob=cooccur_prob,
+            max_extra_labels=max_extra_labels,
+            seed=12,
+        )
         probs = class_probs(cfg)
-        rng = substream(4, DOMAIN_SYNTH, 1)
-        for _ in range(200):
-            labels = sample_label_set(cfg, probs, rng)
-            assert 1 <= labels.sum() <= 3
+        got = sample_label_sets(cfg, probs, substream(cfg.seed, DOMAIN_SYNTH, 1))
+        want = _reference_label_sets(cfg, probs, substream(cfg.seed, DOMAIN_SYNTH, 1))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_block_draw_matches_per_sample_draws_at_stress_shape(self):
+        cfg = SynthConfig(num_classes=200, num_samples=10_000, dim=256, seed=901)
+        probs = class_probs(cfg)
+        got = sample_label_sets(cfg, probs, substream(cfg.seed, DOMAIN_SYNTH, 1))
+        want = _reference_label_sets(cfg, probs, substream(cfg.seed, DOMAIN_SYNTH, 1))
+        assert np.array_equal(got, want)
+
+    def test_generate_matches_per_sample_reference(self, monkeypatch):
+        cfg = SynthConfig()
+        got = generate(cfg)
+        monkeypatch.setattr(synth, "sample_label_sets", _reference_label_sets)
+        want = generate(cfg)
+        assert got.class_names == want.class_names
+        for name in ("images", "labels", "captions"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestGenerate:
