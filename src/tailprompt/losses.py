@@ -213,8 +213,21 @@ def _db_constants(counts, num_samples: int, config: LossConfig):
 
 def _column_major(a: np.ndarray) -> bool:
     """Whether a ufunc result over the 2-d array a (order K) is column-major."""
-    rows, cols = (abs(s) for s in a.strides)
-    return 0 < rows < cols
+    rows, cols = a.strides
+    return 0 < abs(rows) < abs(cols)
+
+
+def _per_entry(row: np.ndarray, shape: tuple) -> np.ndarray:
+    """row[c] at every (b, c) of shape, as a zero-copy view. It is what
+    np.broadcast_to(row, shape) returns, without that call's iterator set-up,
+    which costs more than the gathers from it at small batch sizes."""
+    row = np.ascontiguousarray(row)
+    return np.ndarray(shape, row.dtype, row, 0, (0, row.itemsize))
+
+
+def _split(a: np.ndarray, positive: np.ndarray, negative: np.ndarray):
+    """a's entries at the positive and at the negative labels, row-major."""
+    return a[positive], a[negative]
 
 
 def _by_label(positive: np.ndarray, negative: np.ndarray, z: np.ndarray, pos_values, neg_values):
@@ -244,27 +257,25 @@ def _db_parts(
 ):
     g = config.gamma_focal
     zeta = config.db_zeta
-    x = z - bias
     positive = labels == 1
     negative = ~positive
-    rebal = np.broadcast_to(rebal, x.shape)
-    r_pos = rebal[positive]
-    r_neg = rebal[negative]
+    r_pos, r_neg = _split(_per_entry(rebal, z.shape), positive, negative)
+    # x = z - bias; the (B, C) x itself is not kept
+    x_pos, zx = _split(z - bias, positive, negative)
 
     # positives: -r (1-q)^g log q, q = sigmoid(x); log q = -softplus(-x)
-    x_pos = x[positive]
     sp_neg_x = _softplus(-x_pos)
     q_pos = _sigmoid(x_pos)
     one_minus_q = 1.0 - q_pos
     mod_pos = np.power(one_minus_q, g)
     # negatives: -(r/zeta) q^g log(1-q), q = sigmoid(zeta x); log(1-q) = -softplus(zeta x)
-    zx = zeta * x[negative]
+    zx *= zeta
     sp_zx = _softplus(zx)
     q_neg = _sigmoid(zx)
     mod_neg = np.power(q_neg, g)
 
     terms = _by_label(
-        positive, negative, x, r_pos * mod_pos * sp_neg_x, (r_neg / zeta) * mod_neg * sp_zx
+        positive, negative, z, r_pos * mod_pos * sp_neg_x, (r_neg / zeta) * mod_neg * sp_zx
     )
     value = float(terms.sum(axis=1).sum() / z.shape[0])
     if not need_grad:
@@ -273,7 +284,7 @@ def _db_parts(
     log_1mq = -sp_zx
     grad_pos = r_pos * g * q_pos * mod_pos * log_q - r_pos * np.power(one_minus_q, g + 1.0)
     grad_neg = r_neg * np.power(q_neg, g + 1.0) - r_neg * g * mod_neg * (1.0 - q_neg) * log_1mq
-    grad_z = _by_label(positive, negative, x, grad_pos / z.shape[0], grad_neg / z.shape[0])
+    grad_z = _by_label(positive, negative, z, grad_pos / z.shape[0], grad_neg / z.shape[0])
     return value, grad_z
 
 
@@ -299,8 +310,7 @@ def db_loss(
 def _bce_parts(z: np.ndarray, labels: np.ndarray, need_grad: bool):
     positive = labels == 1
     negative = ~positive
-    z_pos = z[positive]
-    z_neg = z[negative]
+    z_pos, z_neg = _split(z, positive, negative)
     terms = _by_label(positive, negative, z, _softplus(-z_pos), _softplus(z_neg))
     value = float(terms.sum() / terms.size)
     if not need_grad:
@@ -327,8 +337,7 @@ def _focal_parts(z: np.ndarray, labels: np.ndarray, gamma_focal: float, need_gra
     positive = labels == 1
     negative = ~positive
     g = gamma_focal
-    z_pos = z[positive]
-    z_neg = z[negative]
+    z_pos, z_neg = _split(z, positive, negative)
     sp_neg = _softplus(-z_pos)
     q_pos = _sigmoid(z_pos)
     one_minus_q = 1.0 - q_pos
