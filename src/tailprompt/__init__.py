@@ -15,17 +15,9 @@ from .data_model import (
     load_dataset,
     save_dataset,
 )
-from .encoders import (
-    FrozenTextEncoder,
-    PromptSet,
-    encode_all,
-    encode_prompt,
-    init_prompt_set,
-    load_prompts,
-    save_prompts,
-)
+from .encoders import FrozenTextEncoder, PromptSet, encode_all, init_prompt_set
 from .errors import ConfigError, NumericsError, TailPromptError
-from .losses import LossConfig, LossReport, bce_loss, cse_loss, db_loss, focal_loss, total_loss
+from .losses import LossConfig, LossReport, total_loss
 from .metrics import EvalResult, average_precision, evaluate
 from .synth import SynthConfig, generate
 from .train import PromptSpec, RunRecord, TrainConfig, train
@@ -49,21 +41,14 @@ __all__ = [
     "TailPromptError",
     "TrainConfig",
     "average_precision",
-    "bce_loss",
     "class_counts",
-    "cse_loss",
-    "db_loss",
     "encode_all",
-    "encode_prompt",
     "evaluate",
-    "focal_loss",
     "generate",
     "group_classes",
     "init_prompt_set",
     "load_dataset",
-    "load_prompts",
     "save_dataset",
-    "save_prompts",
     "total_loss",
     "train",
     "__version__",

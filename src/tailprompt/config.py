@@ -10,9 +10,7 @@ reparses to an equal config.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 from .errors import ConfigError, read_json
 from .losses import LossConfig
@@ -93,10 +91,6 @@ def config_to_dict(config: RunConfigFile) -> dict:
 
 def load_config(path) -> RunConfigFile:
     return parse_config(read_json(path, "config file"))
-
-
-def save_config(config: RunConfigFile, path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2) + "\n")
 
 
 def with_train(config: RunConfigFile, **changes) -> RunConfigFile:

@@ -124,8 +124,6 @@ class MultiLabelDataset:
 
 def class_counts(dataset: MultiLabelDataset) -> np.ndarray:
     """n_i = number of samples whose label vector includes class i."""
-    if dataset.num_samples == 0:
-        raise ConfigError("empty dataset")
     return dataset.labels.sum(axis=0)
 
 

@@ -4,17 +4,21 @@ The encoder is the simplest frozen differentiable stand-in that preserves the
 "frozen encoder, trainable tokens" contract: mean-pool the context tokens and
 the class token, apply a fixed linear projection, L2-normalize. Prompt
 contexts are the complete trainable parameter set of the artifact.
+
+Mean pooling makes a class's M contexts enter only through their sum, so M
+adds no capacity. It changes only the initial spread (sigma*sqrt(M) for the
+sum) and the effective step: SGD at rate lr moves the pooled vector by
+lr*M/(M+1)^2 times its gradient. CoOp's context tokens matter because CLIP's
+text transformer mixes them (arXiv 2109.01134); this encoder does not.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError, read_json
+from .errors import ConfigError, NumericsError
 from .seeding import DOMAIN_ENCODER, DOMAIN_PROMPT, substream, unit_rows
 
 MODE_CLASS_SPECIFIC = "class_specific"
@@ -60,10 +64,6 @@ class FrozenTextEncoder:
         rng = substream(seed, DOMAIN_ENCODER, _STREAM_PROJECTION)
         proj = rng.standard_normal((token_dim, dim)) / np.sqrt(token_dim)
         return FrozenTextEncoder(proj, seed=seed)
-
-    @staticmethod
-    def identity(dim: int) -> "FrozenTextEncoder":
-        return FrozenTextEncoder(np.eye(dim), seed=None)
 
 
 def make_class_tokens(encoder_seed: int, num_classes: int, token_dim: int) -> np.ndarray:
@@ -177,12 +177,6 @@ def encode_all(encoder: FrozenTextEncoder, prompts: PromptSet) -> PromptEncoding
     return PromptEncoding(pre / norms[:, None], pre, norms)
 
 
-def encode_prompt(encoder: FrozenTextEncoder, prompts: PromptSet, class_index: int) -> np.ndarray:
-    if not 0 <= class_index < prompts.num_classes:
-        raise ConfigError(f"class index {class_index} out of range")
-    return encode_all(encoder, prompts).embeddings[class_index]
-
-
 def encode_backward(
     encoder: FrozenTextEncoder,
     prompts: PromptSet,
@@ -235,11 +229,3 @@ def prompts_from_dict(doc: dict) -> PromptSet:
     if prompts.token_dim != doc.get("token_dim"):
         raise ConfigError("prompt checkpoint header disagrees with its token_dim")
     return prompts
-
-
-def save_prompts(prompts: PromptSet, path) -> None:
-    Path(path).write_text(json.dumps(prompts_to_dict(prompts), separators=(",", ":")) + "\n")
-
-
-def load_prompts(path) -> PromptSet:
-    return prompts_from_dict(read_json(path, "prompt checkpoint"))

@@ -72,10 +72,10 @@ class LossReport:
     """Value breakdown plus the gradient of the reported objective.
 
     total = cls_loss_weight * cls_part + (1 - cls_loss_weight) * cse_part for
-    total_loss; single-objective operations report their value as total with
-    the other part zero. gradient is shaped like PromptSet.contexts for
-    total_loss/cse_loss and like the logits for the classification-only
-    losses (for chaining); None when gradients were not requested.
+    total_loss, whose gradient is shaped like PromptSet.contexts.
+    cls_loss_on_logits reports its value as total and cls_part, with cse_part
+    zero and the gradient shaped like the logits (for chaining). gradient is
+    None when it was not requested.
     """
 
     total: float
@@ -119,21 +119,6 @@ def class_weights(counts, gamma_rw: float) -> np.ndarray:
     return raw / raw.sum()
 
 
-def _cse_constants(counts, config: LossConfig):
-    """(weights, margins) of the embedding loss. When re-weighting or the
-    class-aware margin is off, a float stands for the same value in every
-    class; it broadcasts to the same numbers a full vector would."""
-    if config.use_reweighting:
-        weights = class_weights(counts, config.gamma_rw)
-    else:
-        weights = 1.0
-    if config.use_class_aware_margin:
-        margins = class_margins(counts, config.eta)
-    else:
-        margins = config.mu_base
-    return weights, margins
-
-
 def _cse_parts(
     captions: np.ndarray,
     labels: np.ndarray,
@@ -157,31 +142,6 @@ def _cse_parts(
     return value, grad_embeddings
 
 
-def cse_loss(
-    batch: Batch,
-    prompts: PromptSet,
-    encoder: FrozenTextEncoder,
-    counts,
-    config: LossConfig,
-    need_grad: bool = True,
-) -> LossReport:
-    """Class-specific embedding loss over a batch, gradient w.r.t. contexts.
-
-    counts must come from the full training split, not the batch.
-    """
-    if batch.num_classes != prompts.num_classes:
-        raise ConfigError("batch and prompts disagree on the number of classes")
-    encoding = encode_all(encoder, prompts)
-    weights, margins = _cse_constants(counts, config)
-    value, grad_embeddings = _cse_parts(
-        batch.captions, batch.labels, encoding.embeddings, weights, margins, need_grad
-    )
-    gradient = None
-    if need_grad:
-        gradient = encode_backward(encoder, prompts, encoding, grad_embeddings)
-    return LossReport(total=value, cls_part=0.0, cse_part=value, gradient=gradient)
-
-
 def db_rebalance(counts, alpha: float, beta: float, theta: float) -> np.ndarray:
     """Per-class rebalance factor r = alpha + sigmoid(beta * (share - theta)),
     where share is the class's normalized inverse frequency. r lies in
@@ -203,12 +163,6 @@ def db_bias(counts, num_samples: int, kappa: float) -> np.ndarray:
             "infinite bias: some class is positive in every sample (n_i = N)"
         )
     return kappa * np.log(num_samples / arr.astype(np.float64) - 1.0)
-
-
-def _db_constants(counts, num_samples: int, config: LossConfig):
-    """(rebalance, bias) of the distribution-balanced loss."""
-    rebal = db_rebalance(counts, config.db_alpha, config.db_beta, config.db_theta)
-    return rebal, db_bias(counts, num_samples, config.db_kappa)
 
 
 def _column_major(a: np.ndarray) -> bool:
@@ -288,25 +242,6 @@ def _db_parts(
     return value, grad_z
 
 
-def db_loss(
-    z: np.ndarray,
-    labels: np.ndarray,
-    counts,
-    num_samples: int,
-    config: LossConfig,
-    need_grad: bool = True,
-) -> LossReport:
-    """Distribution-balanced classification loss; gradient w.r.t. the logits.
-
-    Class terms are summed and the batch mean returned.
-    """
-    rebal, bias = _db_constants(counts, num_samples, config)
-    value, grad_z = _db_parts(
-        np.asarray(z, dtype=np.float64), labels, rebal, bias, config, need_grad
-    )
-    return LossReport(total=value, cls_part=value, cse_part=0.0, gradient=grad_z)
-
-
 def _bce_parts(z: np.ndarray, labels: np.ndarray, need_grad: bool):
     positive = labels == 1
     negative = ~positive
@@ -325,15 +260,7 @@ def _bce_parts(z: np.ndarray, labels: np.ndarray, need_grad: bool):
     return value, grad_z
 
 
-def bce_loss(z: np.ndarray, labels: np.ndarray, need_grad: bool = True) -> LossReport:
-    """Per-class sigmoid cross-entropy, mean over samples and classes."""
-    value, grad_z = _bce_parts(np.asarray(z, dtype=np.float64), labels, need_grad)
-    return LossReport(total=value, cls_part=value, cse_part=0.0, gradient=grad_z)
-
-
 def _focal_parts(z: np.ndarray, labels: np.ndarray, gamma_focal: float, need_grad: bool):
-    if gamma_focal < 0:
-        raise ConfigError("gamma_focal must be >= 0")
     positive = labels == 1
     negative = ~positive
     g = gamma_focal
@@ -357,14 +284,6 @@ def _focal_parts(z: np.ndarray, labels: np.ndarray, gamma_focal: float, need_gra
     return value, grad_z
 
 
-def focal_loss(
-    z: np.ndarray, labels: np.ndarray, gamma_focal: float, need_grad: bool = True
-) -> LossReport:
-    """Focal-modulated sigmoid cross-entropy; gamma_focal = 0 recovers bce_loss."""
-    value, grad_z = _focal_parts(np.asarray(z, dtype=np.float64), labels, gamma_focal, need_grad)
-    return LossReport(total=value, cls_part=value, cse_part=0.0, gradient=grad_z)
-
-
 class LossConstants:
     """The per-class terms of the objective for one (ClassStats, LossConfig)
     pair. They depend only on the full-split counts and the config, both
@@ -379,13 +298,20 @@ class LossConstants:
 
     @cached_property
     def cse(self):
-        """(weights, margins) of the embedding loss."""
-        return _cse_constants(self._counts, self._config)
+        """(weights, margins) of the embedding loss. When re-weighting or the
+        class-aware margin is off, a float stands for the same value in every
+        class; it broadcasts to the same numbers a full vector would."""
+        cfg, counts = self._config, self._counts
+        weights = class_weights(counts, cfg.gamma_rw) if cfg.use_reweighting else 1.0
+        margins = class_margins(counts, cfg.eta) if cfg.use_class_aware_margin else cfg.mu_base
+        return weights, margins
 
     @cached_property
     def db(self):
         """(rebalance, bias) of the distribution-balanced loss."""
-        return _db_constants(self._counts, self._num_samples, self._config)
+        cfg, counts = self._config, self._counts
+        rebal = db_rebalance(counts, cfg.db_alpha, cfg.db_beta, cfg.db_theta)
+        return rebal, db_bias(counts, self._num_samples, cfg.db_kappa)
 
 
 def loss_constants(stats: ClassStats, config: LossConfig) -> LossConstants:
@@ -423,6 +349,14 @@ def cls_loss_on_logits(
     return LossReport(total=value, cls_part=value, cse_part=0.0, gradient=grad_z)
 
 
+def _check_classes(batch: Batch, prompts: PromptSet, stats: ClassStats | None = None) -> None:
+    sizes = {"batch": batch.num_classes, "prompts": prompts.num_classes}
+    if stats is not None:
+        sizes["stats"] = stats.num_classes
+    if len(set(sizes.values())) > 1:
+        raise ConfigError(f"class counts disagree: {sizes}")
+
+
 def total_loss(
     batch: Batch,
     prompts: PromptSet,
@@ -440,6 +374,7 @@ def total_loss(
     """
     if tau <= 0:
         raise ConfigError("temperature must be > 0")
+    _check_classes(batch, prompts, stats)
     lam = config.cls_loss_weight
     compute_cls = lam > 0.0
     compute_cse = config.use_embedding_loss and lam < 1.0
@@ -487,6 +422,7 @@ def hinge_kink_mask(
     hinge argument w_i*(margin_i - delta) of that class lies within guard of
     zero; in shared mode every coordinate feeds every class.
     """
+    _check_classes(batch, prompts, stats)
     mask = np.zeros(prompts.contexts.shape, dtype=bool)
     if not config.use_embedding_loss or config.cls_loss_weight >= 1.0:
         return mask
@@ -506,6 +442,7 @@ def hinge_kink_mask(
 def mean_positive_delta(batch: Batch, prompts: PromptSet, encoder: FrozenTextEncoder) -> float:
     """Mean cosine distance between captions and the prompt embeddings of
     their positive classes; the caption-alignment diagnostic."""
+    _check_classes(batch, prompts)
     encoding = encode_all(encoder, prompts)
     dl = 1.0 - batch.captions @ encoding.embeddings.T
     positive = batch.labels == 1

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -74,39 +73,6 @@ def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     return math.fsum(precisions.tolist()) / npos
 
 
-def brute_force_ap(scores, labels) -> float:
-    """Definition-chasing AP for tiny inputs (N <= 8), no sorting library.
-
-    Builds the ranking by repeated argmax with explicit tie handling, then
-    walks it accumulating precision at every positive.
-    """
-    scores = [float(s) for s in scores]
-    labels = [int(y) for y in labels]
-    n = len(scores)
-    if n != len(labels):
-        raise ConfigError("scores and labels must be the same length")
-    if n > 8:
-        raise ConfigError("brute-force path is restricted to N <= 8")
-    if sum(labels) == 0:
-        raise ConfigError("average precision is undefined without positives")
-    remaining = list(range(n))
-    ranking = []
-    while remaining:
-        best = remaining[0]
-        for j in remaining[1:]:
-            if scores[j] > scores[best] or (scores[j] == scores[best] and j < best):
-                best = j
-        ranking.append(best)
-        remaining.remove(best)
-    precisions = []
-    true_pos = 0
-    for rank, j in enumerate(ranking, start=1):
-        if labels[j] == 1:
-            true_pos += 1
-            precisions.append(true_pos / rank)
-    return math.fsum(precisions) / len(precisions)
-
-
 @dataclass(frozen=True)
 class EvalResult:
     """Grouped mAP summary.
@@ -122,11 +88,6 @@ class EvalResult:
     map_medium: float | None
     map_tail: float | None
     excluded: tuple[int, ...]
-
-    def group_map(self, group: str) -> float | None:
-        if group not in GROUPS:
-            raise ConfigError(f"unknown group: {group!r}")
-        return {"head": self.map_head, "medium": self.map_medium, "tail": self.map_tail}[group]
 
 
 def evaluate_scores(scores: np.ndarray, labels: np.ndarray, stats: ClassStats) -> EvalResult:
@@ -181,15 +142,3 @@ def evaluate(
     encoding = encode_all(encoder, prompts)
     scores = dataset.images @ encoding.embeddings.T / tau
     return evaluate_scores(scores, dataset.labels, stats)
-
-
-def all_binary_label_patterns(n: int, require_positive: bool = True):
-    """Every length-n binary vector, optionally only those with >= 1 positive."""
-    patterns = []
-    for k in range(0 if not require_positive else 1, n + 1):
-        for pos in combinations(range(n), k):
-            row = [0] * n
-            for j in pos:
-                row[j] = 1
-            patterns.append(row)
-    return patterns

@@ -5,13 +5,52 @@ math.*, and math.fsum (exactly rounded sums), sharing no code with the
 vectorized package paths they certify. Keep them slow and obvious. The others
 are earlier, simpler implementations of package paths that were since made
 faster; the tests require the fast paths to match them bit for bit.
+
+cse_loss and db_loss are each part of the objective on its own, as the
+acceptance criteria name them. They are built from the package's parts, and
+cse_loss deliberately not from total_loss, which the tests compare it with.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
+
+from tailprompt.data_model import ClassStats
+from tailprompt.encoders import encode_all, encode_backward
+from tailprompt.errors import ConfigError
+from tailprompt.losses import LossReport, _cse_parts, cls_loss_on_logits, loss_constants
+
+
+def _stats(counts, num_samples: int) -> ClassStats:
+    # the group tags play no part in a loss value
+    return ClassStats(counts, ("tail",) * len(counts), num_samples)
+
+
+def cse_loss(batch, prompts, encoder, counts, config, need_grad: bool = True) -> LossReport:
+    """The class-specific embedding loss alone, gradient w.r.t. the contexts.
+    counts are the full training split's, not the batch's."""
+    if batch.num_classes != prompts.num_classes:
+        raise ConfigError("batch and prompts disagree on the number of classes")
+    encoding = encode_all(encoder, prompts)
+    weights, margins = loss_constants(_stats(counts, int(np.sum(counts))), config).cse
+    value, grad_embeddings = _cse_parts(
+        batch.captions, batch.labels, encoding.embeddings, weights, margins, need_grad
+    )
+    gradient = None
+    if need_grad:
+        gradient = encode_backward(encoder, prompts, encoding, grad_embeddings)
+    return LossReport(total=value, cls_part=0.0, cse_part=value, gradient=gradient)
+
+
+def db_loss(z, labels, counts, num_samples, config, need_grad: bool = True) -> LossReport:
+    """The distribution-balanced classification loss on logits z, whatever
+    config.cls_loss_kind says."""
+    stats = _stats(counts, num_samples)
+    return cls_loss_on_logits(z, labels, stats, replace(config, cls_loss_kind="db"), need_grad)
 
 
 def dot(a, b) -> float:
@@ -149,6 +188,51 @@ def average_precision_scalar(scores, labels) -> float:
             hits += 1
             precisions.append(hits / rank)
     return math.fsum(precisions) / len(precisions)
+
+
+def brute_force_ap(scores, labels) -> float:
+    """Definition-chasing AP for tiny inputs (N <= 8), no sorting library.
+
+    Builds the ranking by repeated argmax with explicit tie handling, then
+    walks it accumulating precision at every positive.
+    """
+    scores = [float(s) for s in scores]
+    labels = [int(y) for y in labels]
+    n = len(scores)
+    if n != len(labels):
+        raise ConfigError("scores and labels must be the same length")
+    if n > 8:
+        raise ConfigError("brute-force path is restricted to N <= 8")
+    if sum(labels) == 0:
+        raise ConfigError("average precision is undefined without positives")
+    remaining = list(range(n))
+    ranking = []
+    while remaining:
+        best = remaining[0]
+        for j in remaining[1:]:
+            if scores[j] > scores[best] or (scores[j] == scores[best] and j < best):
+                best = j
+        ranking.append(best)
+        remaining.remove(best)
+    precisions = []
+    true_pos = 0
+    for rank, j in enumerate(ranking, start=1):
+        if labels[j] == 1:
+            true_pos += 1
+            precisions.append(true_pos / rank)
+    return math.fsum(precisions) / len(precisions)
+
+
+def all_binary_label_patterns(n: int, require_positive: bool = True):
+    """Every length-n binary vector, optionally only those with >= 1 positive."""
+    patterns = []
+    for k in range(0 if not require_positive else 1, n + 1):
+        for pos in combinations(range(n), k):
+            row = [0] * n
+            for j in pos:
+                row[j] = 1
+            patterns.append(row)
+    return patterns
 
 
 def average_precision_stable_argsort(scores, labels) -> float:

@@ -24,15 +24,20 @@ from tailprompt.losses import (
     class_margins,
     class_weights,
     cls_loss_on_logits,
-    cse_loss,
-    db_loss,
     total_loss,
 )
-from tailprompt.metrics import all_binary_label_patterns, average_precision, brute_force_ap
+from tailprompt.metrics import average_precision
 from tailprompt.synth import generate
 from tailprompt.train import build_training_state, train
 
-from oracles import cse_loss_scalar, db_loss_scalar
+from oracles import (
+    all_binary_label_patterns,
+    brute_force_ap,
+    cse_loss,
+    cse_loss_scalar,
+    db_loss,
+    db_loss_scalar,
+)
 
 SEEDS = (101, 102, 103, 104, 105)
 

@@ -7,7 +7,6 @@ from tailprompt.config import (
     default_config,
     load_config,
     parse_config,
-    save_config,
     with_loss,
     with_prompt,
     with_synth,
@@ -107,7 +106,7 @@ class TestEcho:
     def test_file_round_trip(self, tmp_path):
         cfg = with_loss(default_config(), cls_loss_weight=0.75)
         path = tmp_path / "run.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
         assert load_config(path) == cfg
         # the file is plain JSON with explicit values
         doc = json.loads(path.read_text())

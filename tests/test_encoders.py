@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,11 @@ from tailprompt.encoders import (
     PromptSet,
     encode_all,
     encode_backward,
-    encode_prompt,
     init_prompt_set,
-    load_prompts,
     prompts_from_dict,
     prompts_to_dict,
-    save_prompts,
 )
-from tailprompt.errors import ConfigError, NumericsError
+from tailprompt.errors import ConfigError, NumericsError, read_json
 
 from oracles import encode_prompt_scalar
 
@@ -40,8 +39,13 @@ class TestEncoder:
             enc.projection[0, 0] = 1.0
 
     def test_identity(self):
-        enc = FrozenTextEncoder.identity(5)
-        assert np.array_equal(enc.projection, np.eye(5))
+        # an identity projection embeds a prompt as its normalized pooled token
+        enc = FrozenTextEncoder(np.eye(5))
+        prompts = PromptSet(np.full((1, 1, 5), 0.5), np.eye(5)[:1])
+        pooled = np.array([0.75, 0.25, 0.25, 0.25, 0.25])
+        got = encode_all(enc, prompts).embeddings[0]
+        assert np.allclose(got, pooled / np.linalg.norm(pooled), atol=1e-15)
+        assert enc.seed is None
 
 
 class TestEncodeForward:
@@ -66,13 +70,6 @@ class TestEncodeForward:
             )
             assert np.allclose(out.embeddings[i], want, atol=1e-13)
 
-    def test_encode_prompt_single(self):
-        enc, prompts = _setup()
-        full = encode_all(enc, prompts).embeddings
-        assert np.array_equal(encode_prompt(enc, prompts, 2), full[2])
-        with pytest.raises(ConfigError):
-            encode_prompt(enc, prompts, 4)
-
     def test_token_dim_mismatch(self):
         enc, _ = _setup(dt=6)
         _, prompts = _setup(dt=5)
@@ -80,7 +77,7 @@ class TestEncodeForward:
             encode_all(enc, prompts)
 
     def test_degenerate_zero_prompt(self):
-        enc = FrozenTextEncoder.identity(4)
+        enc = FrozenTextEncoder(np.eye(4))
         prompts = PromptSet(np.zeros((2, 1, 4)), np.zeros((2, 4)))
         with pytest.raises(NumericsError, match="degenerate"):
             encode_all(enc, prompts)
@@ -187,8 +184,8 @@ class TestSerialization:
     def test_file_roundtrip_bitwise(self, tmp_path):
         _, prompts = _setup()
         path = tmp_path / "p.json"
-        save_prompts(prompts, path)
-        back = load_prompts(path)
+        path.write_text(json.dumps(prompts_to_dict(prompts)) + "\n")
+        back = prompts_from_dict(read_json(path, "prompt checkpoint"))
         assert np.array_equal(back.contexts, prompts.contexts)
         assert np.array_equal(back.class_tokens, prompts.class_tokens)
 

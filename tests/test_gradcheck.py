@@ -160,7 +160,7 @@ class TestCheckTotalLoss:
         # embedding: every hinge is strictly satisfied, the loss is exactly 0
         # on a neighborhood, and analytic and numeric gradients are both 0
         d = 6
-        enc = FrozenTextEncoder.identity(d)
+        enc = FrozenTextEncoder(np.eye(d))
         prompts = init_prompt_set(2, d, num_context_tokens=1, init_std=0.3, init_seed=12)
         emb = encode_all(enc, prompts).embeddings
         cap = _orthogonal_caption(emb)
@@ -179,7 +179,7 @@ class TestCheckTotalLoss:
         # curved minimum: relative error is meaningless there, so assert both
         # gradients are absolutely tiny instead
         d = 6
-        enc = FrozenTextEncoder.identity(d)
+        enc = FrozenTextEncoder(np.eye(d))
         prompts = init_prompt_set(1, d, num_context_tokens=1, init_std=0.3, init_seed=13)
         emb = encode_all(enc, prompts).embeddings
         batch = Batch(emb.copy(), np.array([[1]]), emb.copy())

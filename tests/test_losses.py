@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +9,11 @@ from tailprompt.encoders import FrozenTextEncoder, encode_all, init_prompt_set
 from tailprompt.errors import ConfigError, NumericsError
 from tailprompt.losses import (
     LossConfig,
-    bce_loss,
     class_margins,
     class_weights,
     cls_loss_on_logits,
-    cse_loss,
     db_bias,
-    db_loss,
     db_rebalance,
-    focal_loss,
     hinge_kink_mask,
     mean_positive_delta,
     total_loss,
@@ -25,6 +22,7 @@ from tailprompt.losses import (
 from oracles import (
     bce_loss_scalar,
     bce_parts_where,
+    cse_loss,
     cse_loss_scalar,
     db_loss_scalar,
     db_parts_where,
@@ -38,6 +36,27 @@ def _stats(counts, num_samples=None):
     return ClassStats(
         counts=counts, group=group_classes(counts, head_min=10, tail_max=3), num_samples=n
     )
+
+
+def _cse(batch, prompts, enc, counts, cfg, need_grad=True):
+    """The embedding loss alone, as total_loss computes it at cls_loss_weight 0."""
+    cfg = replace(cfg, cls_loss_weight=0.0)
+    return total_loss(batch, prompts, enc, _stats(counts), cfg, need_grad=need_grad)
+
+
+BCE = LossConfig(cls_loss_kind="bce")
+
+
+def _focal(gamma):
+    return LossConfig(cls_loss_kind="focal", gamma_focal=gamma)
+
+
+def _on_logits(z, labels, cfg, counts=None, num_samples=None, need_grad=True):
+    """cls_loss_on_logits with stats from counts; bce and focal read no
+    counts, so they default to one per class."""
+    if counts is None:
+        counts = np.ones(np.shape(z)[1], dtype=np.int64)
+    return cls_loss_on_logits(z, labels, _stats(counts, num_samples), cfg, need_grad=need_grad)
 
 
 def _random_instance(seed, b=6, c=4, d=12, dt=5, m=2, mode="class_specific"):
@@ -105,12 +124,12 @@ class TestWeights:
 
 class TestCseTerm:
     """One class's term of the embedding loss: a one-sample, one-class batch
-    through cse_loss with unit weight and the flat margin 0.5. Positives pay
-    delta, negatives the hinge max(0, margin - delta)."""
+    through total_loss at cls_loss_weight 0, with unit weight and the flat
+    margin 0.5. Positives pay delta, negatives the hinge max(0, margin - delta)."""
 
     def _term(self, delta_value, label):
         d = 4
-        enc = FrozenTextEncoder.identity(d)
+        enc = FrozenTextEncoder(np.eye(d))
         contexts = np.zeros((1, 1, d))
         token = np.zeros((1, d))
         token[0, 0] = 1.0  # the prompt embedding is e_0
@@ -120,7 +139,7 @@ class TestCseTerm:
         cap[0], cap[1] = cos, math.sqrt(1.0 - cos * cos)
         batch = Batch(cap[None, :], np.array([[label]]), cap[None, :])
         cfg = LossConfig(use_reweighting=False, use_class_aware_margin=False, mu_base=0.5)
-        return cse_loss(batch, prompts, enc, [5], cfg, need_grad=False).cse_part
+        return _cse(batch, prompts, enc, [5], cfg, need_grad=False).cse_part
 
     def test_positive(self):
         assert self._term(0.2, 1) == pytest.approx(0.2, abs=1e-15)
@@ -136,7 +155,7 @@ class TestCseTerm:
             batch, prompts, enc, stats = _random_instance(seed)
             for margin_on in (True, False):
                 cfg = LossConfig(use_class_aware_margin=margin_on, mu_base=0.6)
-                rep = cse_loss(batch, prompts, enc, stats.counts, cfg, need_grad=False)
+                rep = _cse(batch, prompts, enc, stats.counts, cfg, need_grad=False)
                 assert rep.cse_part >= 0.0
 
 
@@ -147,7 +166,7 @@ class TestCseLoss:
     def test_matches_scalar_oracle(self, margin_on, reweight_on, mode):
         batch, prompts, enc, stats = _random_instance(7, b=8, c=4, mode=mode)
         cfg = LossConfig(use_class_aware_margin=margin_on, use_reweighting=reweight_on)
-        got = cse_loss(batch, prompts, enc, stats.counts, cfg, need_grad=False)
+        got = _cse(batch, prompts, enc, stats.counts, cfg, need_grad=False)
         emb = encode_all(enc, prompts).embeddings
         want = cse_loss_scalar(
             batch.captions.tolist(),
@@ -167,7 +186,7 @@ class TestCseLoss:
         # captions sit exactly on their positive prompt embedding and far
         # from the negatives (margins are small for large counts)
         c, d, dt = 3, 12, 12
-        enc = FrozenTextEncoder.identity(d)
+        enc = FrozenTextEncoder(np.eye(d))
         contexts = np.zeros((c, 1, dt))
         eye = np.eye(c)
         class_tokens = np.zeros((c, dt))
@@ -180,21 +199,21 @@ class TestCseLoss:
         counts = np.array([10_000, 10_000, 10_000])
         cfg = LossConfig(eta=1.0)
         # negative delta is 1.0 here, margin 0.1: hinge strictly satisfied
-        rep = cse_loss(batch, prompts, enc, counts, cfg)
+        rep = _cse(batch, prompts, enc, counts, cfg)
         assert rep.cse_part == 0.0
         assert np.abs(rep.gradient).max() == 0.0
 
     def test_single_positive_reduces_to_delta(self):
         # one sample, one class, unit weight: loss is the cosine distance
         d = 6
-        enc = FrozenTextEncoder.identity(d)
+        enc = FrozenTextEncoder(np.eye(d))
         prompts = init_prompt_set(1, d, num_context_tokens=1, init_std=0.5, init_seed=3)
         rng = np.random.default_rng(4)
         cap = rng.standard_normal(d)
         cap /= np.linalg.norm(cap)
         batch = Batch(cap[None, :], np.array([[1]]), cap[None, :])
         cfg = LossConfig(use_reweighting=False)
-        rep = cse_loss(batch, prompts, enc, [5], cfg, need_grad=False)
+        rep = _cse(batch, prompts, enc, [5], cfg, need_grad=False)
         emb = encode_all(enc, prompts).embeddings[0]
         assert rep.cse_part == pytest.approx(1.0 - float(cap @ emb), abs=1e-14)
 
@@ -203,14 +222,14 @@ class TestCseLoss:
         values = []
         for eta in np.linspace(0.0, 2.0, 9):
             cfg = LossConfig(eta=float(eta))
-            values.append(cse_loss(batch, prompts, enc, stats.counts, cfg, need_grad=False).cse_part)
+            values.append(_cse(batch, prompts, enc, stats.counts, cfg, need_grad=False).cse_part)
         assert (np.diff(values) >= -1e-15).all()
 
     def test_monotone_in_positive_delta(self):
         # pull one caption away from its positive prompt along a geodesic;
         # only that positive term changes, so the loss cannot decrease
         d = 8
-        enc = FrozenTextEncoder.identity(d)
+        enc = FrozenTextEncoder(np.eye(d))
         prompts = init_prompt_set(1, d, num_context_tokens=1, init_std=0.5, init_seed=5)
         emb = encode_all(enc, prompts).embeddings[0]
         ortho = np.zeros(d)
@@ -222,13 +241,13 @@ class TestCseLoss:
         for angle in np.linspace(0.0, np.pi, 13):
             cap = np.cos(angle) * emb + np.sin(angle) * ortho
             batch = Batch(cap[None, :], np.array([[1]]), cap[None, :])
-            values.append(cse_loss(batch, prompts, enc, [5], cfg, need_grad=False).cse_part)
+            values.append(_cse(batch, prompts, enc, [5], cfg, need_grad=False).cse_part)
         assert (np.diff(values) >= -1e-15).all()
 
     def test_toggles_off_bitwise_equals_flat_margin_reference(self):
         batch, prompts, enc, stats = _random_instance(13, b=7, c=5)
         cfg = LossConfig(use_class_aware_margin=False, use_reweighting=False, mu_base=0.35)
-        got = cse_loss(batch, prompts, enc, stats.counts, cfg, need_grad=False)
+        got = _cse(batch, prompts, enc, stats.counts, cfg, need_grad=False)
 
         # direct implementation of the flat-margin embedding loss
         emb = encode_all(enc, prompts).embeddings
@@ -240,16 +259,16 @@ class TestCseLoss:
 
     def test_grad_none_when_not_requested(self):
         batch, prompts, enc, stats = _random_instance(17)
-        rep = cse_loss(batch, prompts, enc, stats.counts, LossConfig(), need_grad=False)
+        rep = _cse(batch, prompts, enc, stats.counts, LossConfig(), need_grad=False)
         assert rep.gradient is None
-        rep = cse_loss(batch, prompts, enc, stats.counts, LossConfig())
+        rep = _cse(batch, prompts, enc, stats.counts, LossConfig())
         assert rep.gradient is not None and rep.gradient.shape == prompts.contexts.shape
 
     def test_class_count_mismatch(self):
         batch, _, enc, stats = _random_instance(19, c=4)
         wrong = init_prompt_set(5, 5, num_context_tokens=2, encoder_seed=19)
         with pytest.raises(ConfigError):
-            cse_loss(batch, wrong, enc, stats.counts, LossConfig(), need_grad=False)
+            _cse(batch, wrong, enc, stats.counts, LossConfig(), need_grad=False)
 
 
 class TestDbPieces:
@@ -289,12 +308,12 @@ class TestDbLoss:
         cfg = LossConfig(
             db_alpha=0.5, db_beta=0.0, db_theta=0.2, db_kappa=0.0, db_zeta=1.0, gamma_focal=0.0
         )
-        rep = db_loss(np.array([[0.0]]), np.array([[1]]), [1], 2, cfg, need_grad=False)
+        rep = _on_logits(np.array([[0.0]]), np.array([[1]]), cfg, [1], 2, need_grad=False)
         assert rep.cls_part == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_confident_positive_term_vanishes(self):
         cfg = LossConfig(db_kappa=0.0)
-        rep = db_loss(np.array([[40.0]]), np.array([[1]]), [1], 2, cfg, need_grad=False)
+        rep = _on_logits(np.array([[40.0]]), np.array([[1]]), cfg, [1], 2, need_grad=False)
         assert rep.cls_part == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_scalar_oracle(self):
@@ -309,7 +328,7 @@ class TestDbLoss:
                 db_zeta=float(rng.uniform(1.0, 5.0)),
                 gamma_focal=float(rng.choice([0.0, 1.0, 2.0])),
             )
-            got = db_loss(z, labels, counts, n, cfg, need_grad=False)
+            got = _on_logits(z, labels, cfg, counts, n, need_grad=False)
             want = db_loss_scalar(
                 z.tolist(),
                 labels.tolist(),
@@ -326,29 +345,29 @@ class TestDbLoss:
 
     def test_saturated_class_rejected(self):
         with pytest.raises(NumericsError):
-            db_loss(np.zeros((2, 1)), np.ones((2, 1), dtype=np.int64), [2], 2, LossConfig())
+            _on_logits(np.zeros((2, 1)), np.ones((2, 1), dtype=np.int64), LossConfig(), [2], 2)
 
 
 class TestBceFocal:
     def test_bce_known_value(self):
-        rep = bce_loss(np.zeros((3, 4)), np.eye(3, 4, dtype=np.int64), need_grad=False)
+        rep = _on_logits(np.zeros((3, 4)), np.eye(3, 4, dtype=np.int64), BCE, need_grad=False)
         assert rep.cls_part == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_bce_matches_scalar_oracle(self):
         rng = np.random.default_rng(8)
         z = rng.uniform(-3, 3, size=(5, 4))
         labels = (rng.random((5, 4)) < 0.5).astype(np.int64)
-        got = bce_loss(z, labels, need_grad=False)
+        got = _on_logits(z, labels, BCE, need_grad=False)
         assert got.cls_part == pytest.approx(bce_loss_scalar(z.tolist(), labels.tolist()), abs=1e-12)
 
     def test_bce_gradient_at_zero(self):
-        rep = bce_loss(np.zeros((1, 2)), np.array([[1, 0]]))
+        rep = _on_logits(np.zeros((1, 2)), np.array([[1, 0]]), BCE)
         assert np.allclose(rep.gradient, [[-0.25, 0.25]], atol=1e-15)
 
     def test_focal_known_value(self):
         # q = 0.9 at z = log 9; modulation (1-q)^2 = 0.01
         z = np.array([[math.log(9.0)]])
-        rep = focal_loss(z, np.array([[1]]), gamma_focal=2.0, need_grad=False)
+        rep = _on_logits(z, np.array([[1]]), _focal(2.0), need_grad=False)
         assert rep.cls_part == pytest.approx(0.01 * -math.log(0.9), rel=1e-10)
 
     def test_focal_gamma_zero_is_bce_bitwise(self):
@@ -357,15 +376,15 @@ class TestBceFocal:
             b, c = rng.integers(1, 6), rng.integers(1, 6)
             z = rng.uniform(-8, 8, size=(b, c))
             labels = (rng.random((b, c)) < 0.5).astype(np.int64)
-            f = focal_loss(z, labels, gamma_focal=0.0)
-            g = bce_loss(z, labels)
+            f = _on_logits(z, labels, _focal(0.0))
+            g = _on_logits(z, labels, BCE)
             assert f.cls_part == g.cls_part
             assert np.array_equal(f.gradient, g.gradient)
 
     def test_focal_downweights_easy_examples(self):
         z = np.array([[3.0]])
         y = np.array([[1]])
-        assert focal_loss(z, y, 2.0, need_grad=False).cls_part < bce_loss(z, y, need_grad=False).cls_part
+        assert _on_logits(z, y, _focal(2.0), need_grad=False).cls_part < _on_logits(z, y, BCE, need_grad=False).cls_part
 
 
 _BRANCH_CASES = (
@@ -431,8 +450,8 @@ class TestBranchOnlyMatchesWhere:
                 bias = db_bias(counts, n, cfg.db_kappa)
                 with np.errstate(all="ignore"):
                     want = db_parts_where(z, labels, rebal, bias, gamma, zeta, need_grad=True)
-                    report = db_loss(z, labels, counts, n, cfg)
-                    value_only = db_loss(z, labels, counts, n, cfg, need_grad=False)
+                    report = _on_logits(z, labels, cfg, counts, n)
+                    value_only = _on_logits(z, labels, cfg, counts, n, need_grad=False)
                 _assert_matches_where(report, value_only, want)
 
     @pytest.mark.parametrize("case", _BRANCH_CASES)
@@ -440,8 +459,8 @@ class TestBranchOnlyMatchesWhere:
         z, labels, _, _ = _branch_case(case)
         with np.errstate(all="ignore"):
             want = bce_parts_where(z, labels, need_grad=True)
-            report = bce_loss(z, labels)
-            value_only = bce_loss(z, labels, need_grad=False)
+            report = _on_logits(z, labels, BCE)
+            value_only = _on_logits(z, labels, BCE, need_grad=False)
         _assert_matches_where(report, value_only, want)
 
     @pytest.mark.parametrize("case", _BRANCH_CASES)
@@ -450,8 +469,8 @@ class TestBranchOnlyMatchesWhere:
         for gamma in (0.0, 1.0, 2.0):
             with np.errstate(all="ignore"):
                 want = focal_parts_where(z, labels, gamma, need_grad=True)
-                report = focal_loss(z, labels, gamma)
-                value_only = focal_loss(z, labels, gamma, need_grad=False)
+                report = _on_logits(z, labels, _focal(gamma))
+                value_only = _on_logits(z, labels, _focal(gamma), need_grad=False)
             _assert_matches_where(report, value_only, want)
 
 
@@ -461,15 +480,17 @@ class TestClsDispatch:
         z = rng.uniform(-2, 2, size=(4, 3))
         labels = (rng.random((4, 3)) < 0.5).astype(np.int64)
         stats = _stats([5, 3, 2], 12)
-        for kind, direct in (
-            ("db", lambda: db_loss(z, labels, stats.counts, stats.num_samples, LossConfig(cls_loss_kind="db"))),
-            ("bce", lambda: bce_loss(z, labels)),
-            ("focal", lambda: focal_loss(z, labels, LossConfig().gamma_focal)),
+        cfg = LossConfig()
+        rebal = db_rebalance(stats.counts, cfg.db_alpha, cfg.db_beta, cfg.db_theta)
+        bias = db_bias(stats.counts, stats.num_samples, cfg.db_kappa)
+        for kind, (value, grad) in (
+            ("db", db_parts_where(z, labels, rebal, bias, cfg.gamma_focal, cfg.db_zeta, True)),
+            ("bce", bce_parts_where(z, labels, True)),
+            ("focal", focal_parts_where(z, labels, cfg.gamma_focal, True)),
         ):
             via = cls_loss_on_logits(z, labels, stats, LossConfig(cls_loss_kind=kind))
-            want = direct()
-            assert via.cls_part == want.cls_part
-            assert np.array_equal(via.gradient, want.gradient)
+            assert via.cls_part == value
+            assert np.array_equal(via.gradient, grad)
 
 
 class TestTotalLoss:
@@ -531,6 +552,38 @@ class TestTotalLoss:
             total_loss(batch, prompts, enc, stats, LossConfig(), tau=0.0)
 
 
+class TestClassCountMismatch:
+    """The batch, the prompts and the stats must cover the same classes;
+    otherwise every entry point raises ConfigError instead of broadcasting
+    or failing on an index."""
+
+    @pytest.mark.parametrize("batch_classes", [1, 5], ids=["C1", "C5"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_batch_against_prompts(self, lam, batch_classes):
+        batch, prompts, enc, stats = _random_instance(67, c=4)
+        labels = np.ones((batch.num_samples, batch_classes), dtype=np.int64)
+        batch = Batch(batch.images, labels, batch.captions)
+        cfg = LossConfig(cls_loss_weight=lam)
+        for need_grad in (False, True):
+            with pytest.raises(ConfigError, match="class counts disagree"):
+                total_loss(batch, prompts, enc, stats, cfg, need_grad=need_grad)
+        with pytest.raises(ConfigError, match="class counts disagree"):
+            hinge_kink_mask(batch, prompts, enc, stats, cfg)
+        with pytest.raises(ConfigError, match="class counts disagree"):
+            mean_positive_delta(batch, prompts, enc)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_stats_against_prompts(self, lam):
+        batch, prompts, enc, _ = _random_instance(67, c=4)
+        cfg = LossConfig(cls_loss_weight=lam)
+        for counts in ([7], [7, 3, 5, 2, 4]):
+            stats = _stats(counts, 20)
+            with pytest.raises(ConfigError, match="class counts disagree"):
+                total_loss(batch, prompts, enc, stats, cfg)
+            with pytest.raises(ConfigError, match="class counts disagree"):
+                hinge_kink_mask(batch, prompts, enc, stats, cfg)
+
+
 class TestLossConstants:
     """The per-class constants are kept on ClassStats across calls; a stats
     object shared by several configs must give what a fresh one gives."""
@@ -583,7 +636,7 @@ class TestKinkMask:
         # delta exactly 1.0; mu_base=1.0 with margins off puts the hinge
         # argument at exactly 0 for negatives
         d = 8
-        enc = FrozenTextEncoder.identity(d)
+        enc = FrozenTextEncoder(np.eye(d))
         prompts = init_prompt_set(2, d, num_context_tokens=1, init_std=0.4, init_seed=6)
         emb = encode_all(enc, prompts).embeddings
         u, s, vt = np.linalg.svd(emb)
@@ -607,7 +660,7 @@ class TestKinkMask:
 
     def test_shared_mode_masks_whole_block(self):
         d = 8
-        enc = FrozenTextEncoder.identity(d)
+        enc = FrozenTextEncoder(np.eye(d))
         prompts = init_prompt_set(
             2, d, num_context_tokens=2, mode="shared", init_std=0.4, init_seed=6
         )
@@ -625,7 +678,7 @@ class TestKinkMask:
 class TestMeanPositiveDelta:
     def test_hand_value(self):
         d = 4
-        enc = FrozenTextEncoder.identity(d)
+        enc = FrozenTextEncoder(np.eye(d))
         prompts = init_prompt_set(2, d, num_context_tokens=1, init_std=0.5, init_seed=8)
         emb = encode_all(enc, prompts).embeddings
         # every caption sits exactly on its positive prompt embedding
@@ -634,7 +687,7 @@ class TestMeanPositiveDelta:
 
     def test_averages_over_positives_only(self):
         d = 4
-        enc = FrozenTextEncoder.identity(d)
+        enc = FrozenTextEncoder(np.eye(d))
         prompts = init_prompt_set(2, d, num_context_tokens=1, init_std=0.5, init_seed=9)
         emb = encode_all(enc, prompts).embeddings
         cap = emb[0]
@@ -644,7 +697,7 @@ class TestMeanPositiveDelta:
 
     def test_no_positives_rejected(self):
         d = 4
-        enc = FrozenTextEncoder.identity(d)
+        enc = FrozenTextEncoder(np.eye(d))
         prompts = init_prompt_set(1, d, num_context_tokens=1, init_seed=10)
         cap = np.zeros(d)
         cap[0] = 1.0

@@ -147,7 +147,7 @@ class TestOptimizerAtMinimum:
         # satisfied hinge: repeated full-batch steps must not move the
         # contexts by more than float noise
         d = 8
-        enc = FrozenTextEncoder.identity(d)
+        enc = FrozenTextEncoder(np.eye(d))
         prompts = init_prompt_set(2, d, num_context_tokens=1, init_std=0.4, init_seed=21)
         emb = encode_all(enc, prompts).embeddings
         assert abs(float(emb[0] @ emb[1])) < 0.9  # prompts are distinct
