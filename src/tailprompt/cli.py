@@ -27,7 +27,9 @@ from .config import (
 )
 from .data_model import class_counts, group_classes, load_dataset, save_dataset
 from .errors import ConfigError, NumericsError, read_json
-from .gradcheck import check_total_loss, run_sweep
+from .gradcheck import SWEEP_CASES, SWEEP_SEED, STEP, TOLERANCE, check_total_loss, run_sweep
+from .losses import KINK_GUARD
+from .metrics import MAP_KEYS
 from .seeding import DOMAIN_TRAIN, substream
 from .synth import generate
 from .train import (
@@ -95,6 +97,14 @@ def _refuse_existing_file(path: Path, force: bool) -> None:
 
 def _fmt(value) -> str:
     return "absent" if value is None else f"{value:.4f}"
+
+
+def _map_summary(ev) -> str:
+    """'map_total=... head=... medium=... tail=...' for an EvalResult."""
+    return " ".join(
+        f"{key if key == MAP_KEYS[0] else key.removeprefix('map_')}={_fmt(value)}"
+        for key, value in ev.maps().items()
+    )
 
 
 def cmd_synth(args) -> int:
@@ -183,11 +193,9 @@ def cmd_train(args) -> int:
     if record.failed:
         print(f"run aborted: {record.abort_reason}", file=sys.stderr)
         return EXIT_NUMERICS
-    ev = record.final_eval
     print(
         f"finished {record.epochs_completed} epochs in {record.wall_seconds:.2f}s: "
-        f"map_total={_fmt(ev.map_total)} head={_fmt(ev.map_head)} "
-        f"medium={_fmt(ev.map_medium)} tail={_fmt(ev.map_tail)}"
+        f"{_map_summary(record.final_eval)}"
     )
     print(f"run directory: {args.out}")
     return EXIT_OK
@@ -199,14 +207,7 @@ def cmd_eval(args) -> int:
         _refuse_existing_file(Path(args.out), args.force)
     dataset = _resolve_dataset(args, config)
     head = checkpoint_from_dict(read_json(args.ckpt, "checkpoint"), dataset, config.train)
-    result = head.evaluate(dataset)
-
-    lines = {
-        "map_total": result.map_total,
-        "map_head": result.map_head,
-        "map_medium": result.map_medium,
-        "map_tail": result.map_tail,
-    }
+    lines = head.evaluate(dataset).maps()
     for key, value in lines.items():
         print(f"{key} {_fmt(value)}")
     if args.out is not None:
@@ -217,7 +218,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     results = run_sweep(
         num_cases=args.cases,
-        base_seed=args.seed if args.seed is not None else 2026,
+        base_seed=args.seed,
         tolerance=args.tolerance,
         h=args.step,
         kink_guard=args.kink_guard,
@@ -279,18 +280,19 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep root {out_root} is not a directory")
     summary_path = out_root / "sweep.csv"
     _refuse_existing_file(summary_path, args.force)
+    run_configs = {}
     for name in variants:
         for seed in seeds:
             refuse_nonempty_dir(out_root / name / f"seed-{seed}", args.force)
+            run_configs[name, seed] = with_train(VARIANTS[name](config), seed=seed)
     dataset = _resolve_dataset(args, config)
 
-    metric_names = ("map_total", "map_head", "map_medium", "map_tail")
     rows = []
     for name in variants:
-        collected: dict[str, list[float]] = {m: [] for m in metric_names}
+        collected: dict[str, list[float]] = {m: [] for m in MAP_KEYS}
         n_failed = 0
         for seed in seeds:
-            run_config = with_train(VARIANTS[name](config), seed=seed)
+            run_config = run_configs[name, seed]
             record = train(dataset, run_config.train)
             run_dir = out_root / name / f"seed-{seed}"
             write_run_dir(run_dir, record, config_to_dict(run_config), force=args.force)
@@ -298,31 +300,22 @@ def cmd_sweep(args) -> int:
                 n_failed += 1
                 print(f"{name} seed={seed}: FAILED ({record.abort_reason})", file=sys.stderr)
                 continue
-            ev = record.final_eval
-            for metric in metric_names:
-                value = getattr(ev, metric)
+            for metric, value in record.final_eval.maps().items():
                 if value is not None:
                     collected[metric].append(value)
-            print(
-                f"{name} seed={seed}: map_total={_fmt(ev.map_total)} "
-                f"head={_fmt(ev.map_head)} medium={_fmt(ev.map_medium)} "
-                f"tail={_fmt(ev.map_tail)}"
-            )
+            print(f"{name} seed={seed}: {_map_summary(record.final_eval)}")
         row = {"variant": name, "runs": len(seeds), "failed": n_failed}
-        for metric in metric_names:
+        for metric in MAP_KEYS:
             values = collected[metric]
             row[f"{metric}_mean"] = repr(float(np.mean(values))) if values else ""
             row[f"{metric}_std"] = repr(_std(values)) if values else ""
         rows.append(row)
 
     out_root.mkdir(parents=True, exist_ok=True)
-    header = ["variant", "runs", "failed"]
-    for metric in metric_names:
-        header += [f"{metric}_mean", f"{metric}_std"]
     with summary_path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
         for row in rows:
-            fh.write(",".join(str(row[column]) for column in header) + "\n")
+            fh.write(",".join(str(value) for value in row.values()) + "\n")
     print(f"wrote {summary_path}")
     return EXIT_OK
 
@@ -366,11 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_grad = sub.add_parser("gradcheck", help="run the finite-difference sweep")
-    p_grad.add_argument("--cases", type=int, default=120, help="number of random cases")
-    p_grad.add_argument("--seed", type=int, help="sweep base seed (default 2026)")
-    p_grad.add_argument("--tolerance", type=float, default=1e-4)
-    p_grad.add_argument("--step", type=float, default=1e-5)
-    p_grad.add_argument("--kink-guard", type=float, default=1e-6)
+    p_grad.add_argument("--cases", type=int, default=SWEEP_CASES, help="number of random cases")
+    p_grad.add_argument(
+        "--seed", type=int, default=SWEEP_SEED, help="sweep base seed (default %(default)s)"
+    )
+    p_grad.add_argument("--tolerance", type=float, default=TOLERANCE)
+    p_grad.add_argument("--step", type=float, default=STEP)
+    p_grad.add_argument("--kink-guard", type=float, default=KINK_GUARD)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_sweep = sub.add_parser("sweep", help="run variants x seeds and aggregate")

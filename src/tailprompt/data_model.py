@@ -2,7 +2,8 @@
 
 Images exist only as frozen unit-norm embeddings (the image encoder is applied
 at generation time and never trained), each paired with a binary label vector
-and one pooled unit-norm caption embedding.
+and one pooled unit-norm caption embedding. A dataset is the batch of all its
+samples: a MultiLabelDataset is a Batch, so full-split passes take it as is.
 """
 
 from __future__ import annotations
@@ -53,16 +54,15 @@ class Batch:
 
 
 @dataclass(frozen=True)
-class MultiLabelDataset:
-    """A full training split. Immutable after construction.
+class MultiLabelDataset(Batch):
+    """A full training split: the batch of all its samples. Immutable after
+    construction.
 
-    Invariants checked here: all rows unit-norm, labels binary with >= 1
-    positive per sample, and every class positive in >= 1 sample.
+    Invariants checked here (in place of Batch's shape checks, which they
+    include): all rows unit-norm, labels binary with >= 1 positive per
+    sample, and every class positive in >= 1 sample.
     """
 
-    images: np.ndarray  # (N, d) float64, unit rows
-    labels: np.ndarray  # (N, C) int64 in {0,1}
-    captions: np.ndarray  # (N, d) float64, unit rows
     class_names: tuple[str, ...]
 
     def __post_init__(self):
@@ -103,23 +103,12 @@ class MultiLabelDataset:
             arr.flags.writeable = False
 
     @property
-    def num_samples(self) -> int:
-        return self.images.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.labels.shape[1]
-
-    @property
     def dim(self) -> int:
         return self.images.shape[1]
 
     def batch(self, indices) -> Batch:
         idx = np.asarray(indices, dtype=np.int64)
         return Batch(self.images[idx], self.labels[idx], self.captions[idx])
-
-    def full_batch(self) -> Batch:
-        return Batch(self.images, self.labels, self.captions)
 
 
 def class_counts(dataset: MultiLabelDataset) -> np.ndarray:

@@ -155,10 +155,9 @@ def init_prompt_set(
 @dataclass(frozen=True)
 class PromptEncoding:
     """Forward cache of encode_all: unit embeddings plus the pre-normalization
-    vectors and norms the backward pass needs."""
+    norms the backward pass needs."""
 
     embeddings: np.ndarray  # (C, d) unit rows
-    pre_norm: np.ndarray  # (C, d)
     norms: np.ndarray  # (C,)
 
 
@@ -174,7 +173,7 @@ def encode_all(encoder: FrozenTextEncoder, prompts: PromptSet) -> PromptEncoding
     norms = np.sqrt(np.add.reduce(pre * pre, axis=1))
     if norms.min() < 1e-12:
         raise NumericsError("degenerate prompt embedding: zero vector before normalization")
-    return PromptEncoding(pre / norms[:, None], pre, norms)
+    return PromptEncoding(pre / norms[:, None], norms)
 
 
 def encode_backward(

@@ -15,10 +15,14 @@ import numpy as np
 from .data_model import Batch, ClassStats, group_classes
 from .encoders import FrozenTextEncoder, PromptSet, init_prompt_set
 from .errors import ConfigError
-from .losses import CLS_LOSS_KINDS, LossConfig, hinge_kink_mask, total_loss
+from .losses import CLS_LOSS_KINDS, KINK_GUARD, LossConfig, hinge_kink_mask, total_loss
 from .seeding import unit_rows
 
 REL_ERROR_FLOOR = 1e-8
+TOLERANCE = 1e-4  # a check passes below this relative error
+STEP = 1e-5  # central-difference step h
+SWEEP_CASES = 120
+SWEEP_SEED = 2026
 
 
 @dataclass(frozen=True)
@@ -67,27 +71,25 @@ def check(
     loss_fn,
     params: np.ndarray,
     analytic_grad: np.ndarray,
-    tolerance: float = 1e-4,
-    h: float = 1e-5,
-    kink_guard: float = 1e-6,
-    kink_mask_fn=None,
+    tolerance: float = TOLERANCE,
+    h: float = STEP,
+    skip: np.ndarray | None = None,
 ) -> GradCheckReport:
     """Compare the analytic gradient against central differences.
 
     Per-coordinate relative error |a - b| / max(|a|, |b|, 1e-8); coordinates
-    flagged by kink_mask_fn(kink_guard) are skipped and counted.
+    where the boolean array skip (shaped like params) is True, such as hinge
+    kinks, are not compared but counted.
     """
     params = np.asarray(params, dtype=np.float64)
     analytic = np.asarray(analytic_grad, dtype=np.float64)
     if analytic.shape != params.shape:
         raise ConfigError("analytic gradient shape does not match the parameters")
+    skip = np.zeros(params.shape, dtype=bool) if skip is None else np.asarray(skip, dtype=bool)
+    if skip.shape != params.shape:
+        raise ConfigError("skip mask shape does not match the parameters")
     numeric = finite_diff_grad(loss_fn, params, h)
 
-    skip = np.zeros(params.shape, dtype=bool)
-    if kink_mask_fn is not None:
-        skip = np.asarray(kink_mask_fn(kink_guard), dtype=bool)
-        if skip.shape != params.shape:
-            raise ConfigError("kink mask shape does not match the parameters")
     num_skipped = int(skip.sum())
     compared = ~skip
     if not compared.any():
@@ -113,11 +115,12 @@ def check_total_loss(
     stats: ClassStats,
     config: LossConfig,
     tau: float = 1.0,
-    tolerance: float = 1e-4,
-    h: float = 1e-5,
-    kink_guard: float = 1e-6,
+    tolerance: float = TOLERANCE,
+    h: float = STEP,
+    kink_guard: float = KINK_GUARD,
 ) -> GradCheckReport:
-    """Certify the blended objective's gradient w.r.t. the prompt contexts."""
+    """Certify the blended objective's gradient w.r.t. the prompt contexts,
+    skipping the coordinates within kink_guard of a hinge kink."""
     work = PromptSet(
         contexts=prompts.contexts,
         class_tokens=prompts.class_tokens,
@@ -131,19 +134,8 @@ def check_total_loss(
         return total_loss(batch, work, encoder, stats, config, tau, need_grad=False).total
 
     analytic = total_loss(batch, prompts, encoder, stats, config, tau, need_grad=True).gradient
-
-    def kink_mask_fn(guard: float) -> np.ndarray:
-        return hinge_kink_mask(batch, prompts, encoder, stats, config, guard)
-
-    return check(
-        loss_fn,
-        prompts.contexts,
-        analytic,
-        tolerance=tolerance,
-        h=h,
-        kink_guard=kink_guard,
-        kink_mask_fn=kink_mask_fn,
-    )
+    skip = hinge_kink_mask(batch, prompts, encoder, stats, config, kink_guard)
+    return check(loss_fn, prompts.contexts, analytic, tolerance=tolerance, h=h, skip=skip)
 
 
 @dataclass(frozen=True)
@@ -164,7 +156,7 @@ _SWEEP_MODES = ("class_specific", "shared")
 _SWEEP_TOGGLES = ((True, True), (True, False), (False, True), (False, False))
 
 
-def sweep_cases(num_cases: int = 120, base_seed: int = 2026) -> list[SweepCase]:
+def sweep_cases(num_cases: int = SWEEP_CASES, base_seed: int = SWEEP_SEED) -> list[SweepCase]:
     """Deterministic battery of small instances cycling through every
     combination of blend weight, prompt mode, margin/re-weighting toggles,
     and classification loss kind.
@@ -174,6 +166,8 @@ def sweep_cases(num_cases: int = 120, base_seed: int = 2026) -> list[SweepCase]:
     """
     if num_cases < 1:
         raise ConfigError("num_cases must be >= 1")
+    if base_seed < 0:
+        raise ConfigError("base_seed must be >= 0")
     cells = [
         (lam, mode, margin_rw)
         for lam in _SWEEP_LAMBDAS
@@ -244,11 +238,11 @@ def sweep_cases(num_cases: int = 120, base_seed: int = 2026) -> list[SweepCase]:
 
 
 def run_sweep(
-    num_cases: int = 120,
-    base_seed: int = 2026,
-    tolerance: float = 1e-4,
-    h: float = 1e-5,
-    kink_guard: float = 1e-6,
+    num_cases: int = SWEEP_CASES,
+    base_seed: int = SWEEP_SEED,
+    tolerance: float = TOLERANCE,
+    h: float = STEP,
+    kink_guard: float = KINK_GUARD,
 ) -> list[tuple[SweepCase, GradCheckReport]]:
     """Run check_total_loss on every sweep case; shared by CLI and tests."""
     results = []

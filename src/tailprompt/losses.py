@@ -25,6 +25,9 @@ from .errors import ConfigError, NumericsError
 
 CLS_LOSS_KINDS = ("db", "bce", "focal")
 
+# distance from a hinge kink within which hinge_kink_mask flags a coordinate
+KINK_GUARD = 1e-6
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -343,9 +346,13 @@ def cls_loss_on_logits(
 ) -> LossReport:
     """The configured classification loss applied to raw logits; used by
     heads that are not prompts (e.g. the linear probe)."""
-    value, grad_z = _cls_parts(
-        np.asarray(z, dtype=np.float64), labels, loss_constants(stats, config), config, need_grad
-    )
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or np.shape(labels) != z.shape or z.shape[1] != stats.num_classes:
+        raise ConfigError(
+            f"logits {z.shape}, labels {np.shape(labels)} and stats of "
+            f"{stats.num_classes} classes disagree"
+        )
+    value, grad_z = _cls_parts(z, labels, loss_constants(stats, config), config, need_grad)
     return LossReport(total=value, cls_part=value, cse_part=0.0, gradient=grad_z)
 
 
@@ -413,7 +420,7 @@ def hinge_kink_mask(
     encoder: FrozenTextEncoder,
     stats: ClassStats,
     config: LossConfig,
-    guard: float = 1e-6,
+    guard: float = KINK_GUARD,
 ) -> np.ndarray:
     """Boolean mask (contexts layout) of coordinates whose loss sits within
     guard of a hinge kink, where finite differences are meaningless.

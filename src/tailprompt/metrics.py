@@ -24,6 +24,9 @@ from .data_model import ClassStats, GROUPS, MultiLabelDataset
 from .encoders import FrozenTextEncoder, PromptSet, encode_all
 from .errors import ConfigError
 
+# the grouped mAP fields of EvalResult, in the order every output lists them
+MAP_KEYS = ("map_total", "map_head", "map_medium", "map_tail")
+
 
 def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     """AP of one class: mean over positives of precision at each positive rank.
@@ -88,6 +91,10 @@ class EvalResult:
     map_medium: float | None
     map_tail: float | None
     excluded: tuple[int, ...]
+
+    def maps(self) -> dict:
+        """The grouped mAP fields by name, in MAP_KEYS order."""
+        return {key: getattr(self, key) for key in MAP_KEYS}
 
 
 def evaluate_scores(scores: np.ndarray, labels: np.ndarray, stats: ClassStats) -> EvalResult:

@@ -54,6 +54,8 @@ class SynthConfig:
             raise ConfigError("max_extra_labels must be >= 0")
         if self.noise_std < 0 or self.caption_noise_std < 0:
             raise ConfigError("noise standard deviations must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .encoders import (
 )
 from .errors import ConfigError, NumericsError
 from .losses import LossConfig, cls_loss_on_logits, mean_positive_delta, total_loss
-from .metrics import EvalResult, evaluate, evaluate_scores
+from .metrics import MAP_KEYS, EvalResult, evaluate, evaluate_scores
 from .seeding import DOMAIN_TRAIN, substream
 
 BASELINES = ("none", "linear_probe")
@@ -227,9 +227,9 @@ class _PromptHead:
     def evaluate(self, dataset: MultiLabelDataset) -> EvalResult:
         return evaluate(dataset, self.prompts, self.encoder, self.config.tau, self.stats)
 
-    def measure(self, dataset: MultiLabelDataset, full: Batch):
+    def measure(self, dataset: MultiLabelDataset):
         """(mean positive delta, EvalResult) for an epoch record."""
-        return mean_positive_delta(full, self.prompts, self.encoder), self.evaluate(dataset)
+        return mean_positive_delta(dataset, self.prompts, self.encoder), self.evaluate(dataset)
 
 
 class _ProbeHead:
@@ -262,7 +262,7 @@ class _ProbeHead:
     def evaluate(self, dataset: MultiLabelDataset) -> EvalResult:
         return evaluate_scores(self.scores(dataset.images), dataset.labels, self.stats)
 
-    def measure(self, dataset: MultiLabelDataset, full: Batch):
+    def measure(self, dataset: MultiLabelDataset):
         """(mean positive delta, EvalResult); a probe has no prompts to align."""
         return None, self.evaluate(dataset)
 
@@ -282,11 +282,10 @@ def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
     else:
         stats, encoder, prompts = build_training_state(dataset, config)
         head = _PromptHead(prompts, encoder, stats, config)
-    full = dataset.full_batch()
 
-    report, _ = head.loss(full, need_grad=False)
+    report, _ = head.loss(dataset, need_grad=False)
     initial = EpochRecord(
-        0, config.lr0, report.total, report.cls_part, report.cse_part, *head.measure(dataset, full)
+        0, config.lr0, report.total, report.cls_part, report.cse_part, *head.measure(dataset)
     )
     shuffle_rng = substream(config.seed, DOMAIN_TRAIN, _STREAM_SHUFFLE)
     history: list[EpochRecord] = []
@@ -320,7 +319,7 @@ def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
                 sum_total / dataset.num_samples,
                 sum_cls / dataset.num_samples,
                 sum_cse / dataset.num_samples,
-                *(head.measure(dataset, full) if eval_now else (None, None)),
+                *(head.measure(dataset) if eval_now else (None, None)),
             )
         )
 
@@ -338,17 +337,7 @@ def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
         **head.record_fields,
     )
 
-METRICS_COLUMNS = (
-    "epoch",
-    "map_total",
-    "map_head",
-    "map_medium",
-    "map_tail",
-    "loss_total",
-    "loss_cls",
-    "loss_cse",
-    "lr",
-)
+METRICS_COLUMNS = ("epoch", *MAP_KEYS, "loss_total", "loss_cls", "loss_cse", "lr")
 
 
 def _cell(value) -> str:
@@ -361,32 +350,16 @@ def _cell(value) -> str:
 
 
 def _metrics_row(record: EpochRecord) -> list[str]:
-    ev = record.eval
-    return [
-        _cell(record.epoch),
-        _cell(ev.map_total if ev else None),
-        _cell(ev.map_head if ev else None),
-        _cell(ev.map_medium if ev else None),
-        _cell(ev.map_tail if ev else None),
-        _cell(record.loss_total),
-        _cell(record.loss_cls),
-        _cell(record.loss_cse),
-        _cell(record.lr),
-    ]
+    """The METRICS_COLUMNS cells of the record's run.json epoch entry."""
+    fields = {**_epoch_to_dict(record), **(_eval_to_dict(record.eval) or {})}
+    return [_cell(fields.get(column)) for column in METRICS_COLUMNS]
 
 
 def _eval_to_dict(ev: EvalResult | None):
     if ev is None:
         return None
     per_class = [float(a) if math.isfinite(a) else None for a in ev.per_class_ap]
-    return {
-        "map_total": ev.map_total,
-        "map_head": ev.map_head,
-        "map_medium": ev.map_medium,
-        "map_tail": ev.map_tail,
-        "per_class_ap": per_class,
-        "excluded": list(ev.excluded),
-    }
+    return {**ev.maps(), "per_class_ap": per_class, "excluded": list(ev.excluded)}
 
 
 def _epoch_to_dict(record: EpochRecord) -> dict:

@@ -428,6 +428,41 @@ class TestSweep:
         assert code == EXIT_CONFIG
         assert "duplicate seed" in capsys.readouterr().err
 
+    def test_negative_seed_rejected_before_training(
+        self, monkeypatch, tmp_path, config_path, capsys
+    ):
+        from tailprompt import cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("cli.train ran before every run config was built")
+
+        monkeypatch.setattr(cli, "train", fail)
+        out = tmp_path / "s"
+        args = ["--variant", "full", "--variant", "bce", "--seeds", "1,-1"]
+        code = main(["sweep", "--config", config_path, "--out", str(out), *args])
+        assert code == EXIT_CONFIG
+        assert "seeds must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, seed_config",
+    [
+        (["synth", "--seed", "-1", "--out", "ds.json"], None),
+        (["train", "--out", "run"], {"synth": {"seed": -2}}),
+        (["gradcheck", "--seed", "-5"], None),
+    ],
+    ids=["synth", "train-config", "gradcheck"],
+)
+def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys, command, seed_config):
+    monkeypatch.chdir(tmp_path)
+    if seed_config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(seed_config))
+        command = [*command, "--config", "config.json"]
+    assert main(command) == EXIT_CONFIG
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["config.json"] if seed_config else [])
+
 
 class TestExistingOutputRefusedFirst:
     """An existing --out is refused before the dataset is made and before any

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tailprompt.data_model import (
+    Batch,
     ClassStats,
     MultiLabelDataset,
     class_counts,
@@ -13,7 +14,9 @@ from tailprompt.data_model import (
     load_dataset,
     save_dataset,
 )
+from tailprompt.encoders import FrozenTextEncoder, init_prompt_set
 from tailprompt.errors import ConfigError
+from tailprompt.losses import LossConfig, total_loss
 from tailprompt.seeding import unit_rows
 
 
@@ -112,10 +115,19 @@ class TestDataset:
         assert np.array_equal(batch.images, ds.images[[0, 2]])
 
     def test_full_batch_covers_everything(self):
+        # a dataset is the batch of all its samples: its own arrays, no copy
         ds = _tiny_dataset()
-        full = ds.full_batch()
-        assert full.num_samples == ds.num_samples
-        assert np.array_equal(full.labels, ds.labels)
+        assert isinstance(ds, Batch)
+        assert (ds.num_samples, ds.num_classes) == (6, 3)
+        full = Batch(ds.images, ds.labels, ds.captions)
+        encoder = FrozenTextEncoder.create(seed=5, token_dim=4, dim=8)
+        prompts = init_prompt_set(3, 4, init_std=0.3, encoder_seed=5, init_seed=2)
+        stats = ClassStats.from_dataset(ds)
+        config = LossConfig()
+        a = total_loss(ds, prompts, encoder, stats, config)
+        b = total_loss(full, prompts, encoder, stats, config)
+        assert (a.total, a.cls_part, a.cse_part) == (b.total, b.cls_part, b.cse_part)
+        assert np.array_equal(a.gradient, b.gradient)
 
 
 class TestGroups:

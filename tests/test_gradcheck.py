@@ -97,7 +97,7 @@ class TestCheck:
             lambda x: float((x**2).sum()),
             p,
             np.zeros(4),  # wrong on purpose: must not matter when all skipped
-            kink_mask_fn=lambda guard: np.ones(4, dtype=bool),
+            skip=np.ones(4, dtype=bool),
         )
         assert report == GradCheckReport(0.0, -1, 4, True)
 
@@ -105,11 +105,7 @@ class TestCheck:
         p = np.array([1.0, 1.0])
         bad = 2 * p
         bad[0] += 5.0  # huge error, but masked out
-
-        def mask(guard):
-            return np.array([True, False])
-
-        report = check(lambda x: float((x**2).sum()), p, bad, kink_mask_fn=mask)
+        report = check(lambda x: float((x**2).sum()), p, bad, skip=np.array([True, False]))
         assert report.passed
         assert report.num_skipped_kinks == 1
         assert report.worst_index == 1
@@ -120,7 +116,7 @@ class TestCheck:
                 lambda x: 0.0,
                 np.ones(3),
                 np.zeros(3),
-                kink_mask_fn=lambda guard: np.ones(2, dtype=bool),
+                skip=np.ones(2, dtype=bool),
             )
 
     def test_tiny_gradients_sit_below_floor(self):

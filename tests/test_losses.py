@@ -583,6 +583,22 @@ class TestClassCountMismatch:
             with pytest.raises(ConfigError, match="class counts disagree"):
                 hinge_kink_mask(batch, prompts, enc, stats, cfg)
 
+    @pytest.mark.parametrize("kind", ["db", "bce", "focal"])
+    def test_logits_against_labels_and_stats(self, kind):
+        rng = np.random.default_rng(68)
+        z = rng.standard_normal((5, 4))
+        labels = rng.integers(0, 2, size=(5, 4))
+        cfg = LossConfig(cls_loss_kind=kind)
+        cls_loss_on_logits(z, labels, _stats([7, 3, 5, 2], 20), cfg)
+        for bad_labels, counts in [
+            (labels, [7, 3, 5]),
+            (labels, [7, 3, 5, 2, 4]),
+            (labels[:, :3], [7, 3, 5, 2]),
+            (labels[:4], [7, 3, 5, 2]),
+        ]:
+            with pytest.raises(ConfigError, match="disagree"):
+                cls_loss_on_logits(z, bad_labels, _stats(counts, 20), cfg)
+
 
 class TestLossConstants:
     """The per-class constants are kept on ClassStats across calls; a stats

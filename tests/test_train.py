@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib
 import inspect
@@ -363,6 +364,26 @@ class TestRunDir:
         assert ckpt["kind"] == "prompts"
         got = np.asarray(ckpt["contexts"])
         assert np.array_equal(got, record.prompts.contexts)
+
+    def test_metrics_rows_are_the_run_json_epochs(self, tmp_path):
+        # no class is above head_min, so the head group is empty in every row
+        record = train(_dataset(), _config(epochs=3, eval_every=2, head_min=1000))
+        out = write_run_dir(tmp_path / "run", record, {})
+        run_doc = json.loads((out / "run.json").read_text())
+        epochs = [run_doc["initial"], *run_doc["history"]]
+        with (out / "metrics.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(epochs) == 4
+        for row, epoch in zip(rows, epochs, strict=True):
+            for column in METRICS_COLUMNS:
+                if column.startswith("map_"):
+                    value = epoch["eval"] and epoch["eval"][column]
+                else:
+                    value = epoch[column]
+                assert row[column] == ("" if value is None else repr(value)), column
+        # epoch 1 is off-cadence; epochs 0, 2 and the last are evaluated
+        assert [row["map_total"] == "" for row in rows] == [False, True, False, False]
+        assert {row["map_head"] for row in rows} == {""}
 
     def test_off_cadence_rows_have_empty_eval_cells(self, tmp_path):
         ds = _dataset()

@@ -1,0 +1,150 @@
+"""Check that the working tree's CLI outputs are byte-identical to a commit's.
+
+Usage: python3 tools/compare_outputs.py [BASE]   (BASE defaults to HEAD)
+
+BASE's src/ is extracted with `git archive`. One fixed command list runs
+against both trees, each with PYTHONPATH set to that tree's src/ and one BLAS
+thread: synth, train (with its pre-training gradcheck), eval of the trained
+prompts, the 120-case gradcheck, a sweep of every variant over seeds 1 and 2,
+and eval of the linear-probe checkpoint that sweep writes. Every output file
+is then compared byte for byte, except run.json, which is compared without
+its wall_seconds. Exit codes, stdout and stderr are compared with the output
+root and the train wall time masked. Prints each difference and exits 1 if
+there is any, 0 otherwise. Uses the standard library only; one comparison
+takes about 40 s on a 2-core x86 VM.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+VARIANTS = (
+    "full",
+    "no-cse",
+    "no-margin",
+    "no-reweight",
+    "plain-cse",
+    "db",
+    "bce",
+    "focal",
+    "coop",
+    "linear-probe",
+)
+
+# run from the output root, so every path here is relative to it
+COMMANDS = (
+    ("synth", "--out", "data.json"),
+    ("train", "--data", "data.json", "--out", "train"),
+    ("eval", "--data", "data.json", "--ckpt", "train/prompts.ckpt.json", "--out", "eval.json"),
+    ("gradcheck",),
+    ("sweep", "--data", "data.json", "--out", "sweep", "--seeds", "1,2")
+    + tuple(arg for name in VARIANTS for arg in ("--variant", name)),
+    (
+        "eval",
+        "--data",
+        "data.json",
+        "--ckpt",
+        "sweep/linear-probe/seed-1/prompts.ckpt.json",
+        "--out",
+        "eval-probe.json",
+    ),
+)
+
+_WALL = re.compile(r"epochs in \d+\.\d+s")
+
+
+def extract_src(base: str, dest: Path) -> Path:
+    """BASE's src/ directory, unpacked under dest."""
+    archive = subprocess.run(
+        ["git", "-C", str(REPO), "archive", base, "src"],
+        check=True,
+        capture_output=True,
+    ).stdout
+    # extraction filters exist from Python 3.11.4 (and 3.10.12) on
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, **safe)
+    return dest / "src"
+
+
+def run_all(src: Path, out_root: Path) -> list[tuple[int, str, str]]:
+    """(exit code, masked stdout, masked stderr) of each command, run in out_root."""
+    out_root.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
+    results = []
+    for args in COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tailprompt.cli", *args],
+            cwd=out_root,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        masked = [
+            _WALL.sub("epochs in <wall>s", text.replace(str(out_root), "<root>"))
+            for text in (proc.stdout, proc.stderr)
+        ]
+        results.append((proc.returncode, *masked))
+    return results
+
+
+def _file_differs(a: Path, b: Path) -> bool:
+    if a.name != "run.json":
+        return a.read_bytes() != b.read_bytes()
+    docs = [json.loads(path.read_text()) for path in (a, b)]
+    for doc in docs:
+        doc.pop("wall_seconds", None)
+    return docs[0] != docs[1]
+
+
+def compare(base_root: Path, work_root: Path, base_runs, work_runs) -> list[str]:
+    """One line per difference between the two output roots and command results."""
+    diffs = []
+    for args, base_run, work_run in zip(COMMANDS, base_runs, work_runs):
+        for what, x, y in zip(("exit code", "stdout", "stderr"), base_run, work_run):
+            if x != y:
+                diffs.append(f"{args[0]}: {what} differs:\n--- base\n{x}\n--- work\n{y}")
+    files = {
+        root: {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+        for root in (base_root, work_root)
+    }
+    for rel in sorted(files[base_root] ^ files[work_root]):
+        side = "base" if rel in files[base_root] else "work"
+        diffs.append(f"{rel}: written by {side} only")
+    common = sorted(files[base_root] & files[work_root])
+    for rel in common:
+        if _file_differs(base_root / rel, work_root / rel):
+            diffs.append(f"{rel}: differs")
+    print(f"compared {len(COMMANDS)} commands and {len(common)} files")
+    return diffs
+
+
+def main(argv: list[str]) -> int:
+    base = argv[0] if argv else "HEAD"
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        tmp = Path(tmp)
+        base_src = extract_src(base, tmp / "base-tree")
+        base_root, work_root = tmp / "base", tmp / "work"
+        base_runs = run_all(base_src, base_root)
+        work_runs = run_all(REPO / "src", work_root)
+        diffs = compare(base_root, work_root, base_runs, work_runs)
+    for line in diffs:
+        print(line)
+    print(f"{base} vs working tree: {'identical' if not diffs else f'{len(diffs)} differences'}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
