@@ -26,9 +26,10 @@ from .config import (
     with_train,
 )
 from .data_model import class_counts, group_classes, load_dataset, save_dataset
+from .encoders import MODE_SHARED
 from .errors import ConfigError, NumericsError, read_json
-from .gradcheck import SWEEP_CASES, SWEEP_SEED, STEP, TOLERANCE, check_total_loss, run_sweep
-from .losses import KINK_GUARD
+from .gradcheck import SWEEP_CASES, SWEEP_SEED, check_total_loss, run_sweep
+from .losses import CLS_LOSS_KINDS
 from .metrics import MAP_KEYS
 from .seeding import DOMAIN_TRAIN, substream
 from .synth import generate
@@ -62,16 +63,19 @@ VARIANTS = {
     "bce": lambda c: with_loss(c, cls_loss_kind="bce"),
     "focal": lambda c: with_loss(c, cls_loss_kind="focal"),
     "coop": lambda c: with_prompt(
-        with_loss(c, cls_loss_weight=1.0, use_embedding_loss=False), mode="shared"
+        with_loss(c, cls_loss_weight=1.0, use_embedding_loss=False), mode=MODE_SHARED
     ),
     "linear-probe": lambda c: with_train(c, baseline="linear_probe"),
 }
 
 ABLATIONS = ("no-cse", "no-margin", "no-reweight", "plain-cse")
-LOSS_CHOICES = ("db", "bce", "focal")
 
 
 class _Parser(argparse.ArgumentParser):
+    # flags must be spelled in full; subcommand parsers are _Parsers too
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with code 2 on usage errors, which collides with the
     # numerical-failure code; route usage errors through ConfigError instead
     def error(self, message):
@@ -91,8 +95,11 @@ def _resolve_dataset(args, config: RunConfigFile):
 
 
 def _refuse_existing_file(path: Path, force: bool) -> None:
+    if path.is_dir():
+        raise ConfigError(f"{path} is a directory")
     if path.exists() and not force:
         raise ConfigError(f"{path} already exists (use --force to overwrite)")
+    refuse_nonempty_dir(path.parent, force=True)  # no file where its directory goes
 
 
 def _fmt(value) -> str:
@@ -124,6 +131,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     _refuse_existing_file(out, args.force)
     dataset = generate(config.synth)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out)
 
     counts = class_counts(dataset)
@@ -211,18 +219,13 @@ def cmd_eval(args) -> int:
     for key, value in lines.items():
         print(f"{key} {_fmt(value)}")
     if args.out is not None:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(json.dumps(lines, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_sweep(
-        num_cases=args.cases,
-        base_seed=args.seed,
-        tolerance=args.tolerance,
-        h=args.step,
-        kink_guard=args.kink_guard,
-    )
+    results = run_sweep(num_cases=args.cases, base_seed=args.seed)
     failures = [(case, report) for case, report in results if not report.passed]
     worst = max(report.max_rel_error for _, report in results)
     skipped = sum(report.num_skipped_kinks for _, report in results)
@@ -268,16 +271,9 @@ def cmd_sweep(args) -> int:
         if name in seen:
             raise ConfigError(f"duplicate variant {name!r}")
         seen.add(name)
-    if args.seeds:
-        seeds = _parse_seeds(args.seeds)
-    elif args.seed is not None:
-        seeds = [args.seed]
-    else:
-        seeds = [config.train.seed]
+    seeds = [config.train.seed] if args.seeds is None else _parse_seeds(args.seeds)
 
     out_root = Path(args.out)
-    if out_root.exists() and not out_root.is_dir():
-        raise ConfigError(f"sweep root {out_root} is not a directory")
     summary_path = out_root / "sweep.csv"
     _refuse_existing_file(summary_path, args.force)
     run_configs = {}
@@ -326,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, out_required=True, out_help="output path"):
         p.add_argument("--config", help="JSON run config file (defaults apply when omitted)")
-        p.add_argument("--seed", type=int, help="override the relevant seed")
         p.add_argument("--out", required=out_required, help=out_help)
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic long-tailed dataset")
     add_common(p_synth, out_help="dataset file to write")
+    p_synth.add_argument("--seed", type=int, help="dataset seed (overrides synth.seed)")
     p_synth.add_argument("--classes", type=int, help="number of classes")
     p_synth.add_argument("--samples", type=int, help="number of samples")
     p_synth.add_argument("--dim", type=int, help="embedding dimension")
@@ -339,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="tune prompts on a dataset")
     add_common(p_train, out_help="run directory to create")
+    p_train.add_argument("--seed", type=int, help="training seed (overrides train.seed)")
     p_train.add_argument("--data", help="dataset file (generated from config when omitted)")
     p_train.add_argument(
         "--skip-gradcheck", action="store_true", help="skip the pre-training gradient check"
@@ -349,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ABLATIONS,
         help="switch an ingredient off (repeatable)",
     )
-    p_train.add_argument("--loss", choices=LOSS_CHOICES, help="classification loss kind")
+    p_train.add_argument("--loss", choices=CLS_LOSS_KINDS, help="classification loss kind")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -363,9 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument(
         "--seed", type=int, default=SWEEP_SEED, help="sweep base seed (default %(default)s)"
     )
-    p_grad.add_argument("--tolerance", type=float, default=TOLERANCE)
-    p_grad.add_argument("--step", type=float, default=STEP)
-    p_grad.add_argument("--kink-guard", type=float, default=KINK_GUARD)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_sweep = sub.add_parser("sweep", help="run variants x seeds and aggregate")
@@ -374,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--variant", action="append", help=f"variant name (repeatable): {', '.join(VARIANTS)}"
     )
-    p_sweep.add_argument("--seeds", help="comma-separated training seeds")
+    p_sweep.add_argument("--seeds", help="comma-separated training seeds (default: train.seed)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

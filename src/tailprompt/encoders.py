@@ -23,6 +23,7 @@ from .seeding import DOMAIN_ENCODER, DOMAIN_PROMPT, substream, unit_rows
 
 MODE_CLASS_SPECIFIC = "class_specific"
 MODE_SHARED = "shared"
+PROMPT_MODES = (MODE_CLASS_SPECIFIC, MODE_SHARED)
 
 # PRNG streams.
 _STREAM_PROJECTION = 0  # DOMAIN_ENCODER
@@ -99,7 +100,7 @@ class PromptSet:
         tokens = np.asarray(self.class_tokens, dtype=np.float64)
         tokens.flags.writeable = False
         self.class_tokens = tokens
-        if self.mode not in (MODE_CLASS_SPECIFIC, MODE_SHARED):
+        if self.mode not in PROMPT_MODES:
             raise ConfigError(f"unknown prompt mode {self.mode!r}")
         if self.contexts.ndim != 3 or self.class_tokens.ndim != 2:
             raise ConfigError("contexts must be (C or 1, M, d_token); class_tokens (C, d_token)")

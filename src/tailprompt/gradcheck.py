@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Batch, ClassStats, group_classes
-from .encoders import FrozenTextEncoder, PromptSet, init_prompt_set
+from .encoders import PROMPT_MODES, FrozenTextEncoder, PromptSet, init_prompt_set
 from .errors import ConfigError
-from .losses import CLS_LOSS_KINDS, KINK_GUARD, LossConfig, hinge_kink_mask, total_loss
+from .losses import CLS_LOSS_KINDS, LossConfig, hinge_kink_mask, total_loss
 from .seeding import unit_rows
 
 REL_ERROR_FLOOR = 1e-8
@@ -30,7 +30,7 @@ class GradCheckReport:
     """Outcome of one analytic-vs-numeric comparison.
 
     worst_index is a flat coordinate into the parameter array (-1 when every
-    coordinate was skipped). passed means max_rel_error < tolerance over the
+    coordinate was skipped). passed means max_rel_error < TOLERANCE over the
     compared coordinates and everything involved was finite.
     """
 
@@ -71,11 +71,9 @@ def check(
     loss_fn,
     params: np.ndarray,
     analytic_grad: np.ndarray,
-    tolerance: float = TOLERANCE,
-    h: float = STEP,
     skip: np.ndarray | None = None,
 ) -> GradCheckReport:
-    """Compare the analytic gradient against central differences.
+    """Compare the analytic gradient against central differences of step STEP.
 
     Per-coordinate relative error |a - b| / max(|a|, |b|, 1e-8); coordinates
     where the boolean array skip (shaped like params) is True, such as hinge
@@ -88,7 +86,7 @@ def check(
     skip = np.zeros(params.shape, dtype=bool) if skip is None else np.asarray(skip, dtype=bool)
     if skip.shape != params.shape:
         raise ConfigError("skip mask shape does not match the parameters")
-    numeric = finite_diff_grad(loss_fn, params, h)
+    numeric = finite_diff_grad(loss_fn, params, STEP)
 
     num_skipped = int(skip.sum())
     compared = ~skip
@@ -105,7 +103,7 @@ def check(
     rel[skip] = -1.0  # never selected as the worst coordinate
     worst = int(np.argmax(rel))
     worst_value = float(rel.ravel()[worst])
-    return GradCheckReport(worst_value, worst, num_skipped, worst_value < tolerance)
+    return GradCheckReport(worst_value, worst, num_skipped, worst_value < TOLERANCE)
 
 
 def check_total_loss(
@@ -115,12 +113,9 @@ def check_total_loss(
     stats: ClassStats,
     config: LossConfig,
     tau: float = 1.0,
-    tolerance: float = TOLERANCE,
-    h: float = STEP,
-    kink_guard: float = KINK_GUARD,
 ) -> GradCheckReport:
     """Certify the blended objective's gradient w.r.t. the prompt contexts,
-    skipping the coordinates within kink_guard of a hinge kink."""
+    skipping the coordinates within KINK_GUARD of a hinge kink."""
     work = PromptSet(
         contexts=prompts.contexts,
         class_tokens=prompts.class_tokens,
@@ -134,8 +129,8 @@ def check_total_loss(
         return total_loss(batch, work, encoder, stats, config, tau, need_grad=False).total
 
     analytic = total_loss(batch, prompts, encoder, stats, config, tau, need_grad=True).gradient
-    skip = hinge_kink_mask(batch, prompts, encoder, stats, config, kink_guard)
-    return check(loss_fn, prompts.contexts, analytic, tolerance=tolerance, h=h, skip=skip)
+    skip = hinge_kink_mask(batch, prompts, encoder, stats, config)
+    return check(loss_fn, prompts.contexts, analytic, skip=skip)
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,6 @@ class SweepCase:
 
 
 _SWEEP_LAMBDAS = (0.0, 0.5, 1.0)
-_SWEEP_MODES = ("class_specific", "shared")
 _SWEEP_TOGGLES = ((True, True), (True, False), (False, True), (False, False))
 
 
@@ -171,7 +165,7 @@ def sweep_cases(num_cases: int = SWEEP_CASES, base_seed: int = SWEEP_SEED) -> li
     cells = [
         (lam, mode, margin_rw)
         for lam in _SWEEP_LAMBDAS
-        for mode in _SWEEP_MODES
+        for mode in PROMPT_MODES
         for margin_rw in _SWEEP_TOGGLES
     ]
     cases = []
@@ -238,25 +232,15 @@ def sweep_cases(num_cases: int = SWEEP_CASES, base_seed: int = SWEEP_SEED) -> li
 
 
 def run_sweep(
-    num_cases: int = SWEEP_CASES,
-    base_seed: int = SWEEP_SEED,
-    tolerance: float = TOLERANCE,
-    h: float = STEP,
-    kink_guard: float = KINK_GUARD,
+    num_cases: int = SWEEP_CASES, base_seed: int = SWEEP_SEED
 ) -> list[tuple[SweepCase, GradCheckReport]]:
     """Run check_total_loss on every sweep case; shared by CLI and tests."""
-    results = []
-    for case in sweep_cases(num_cases, base_seed):
-        report = check_total_loss(
-            case.batch,
-            case.prompts,
-            case.encoder,
-            case.stats,
-            case.config,
-            tau=case.tau,
-            tolerance=tolerance,
-            h=h,
-            kink_guard=kink_guard,
+    return [
+        (
+            case,
+            check_total_loss(
+                case.batch, case.prompts, case.encoder, case.stats, case.config, tau=case.tau
+            ),
         )
-        results.append((case, report))
-    return results
+        for case in sweep_cases(num_cases, base_seed)
+    ]

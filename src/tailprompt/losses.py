@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .data_model import Batch, ClassStats
-from .encoders import FrozenTextEncoder, PromptSet, encode_all, encode_backward
+from .encoders import MODE_SHARED, FrozenTextEncoder, PromptSet, encode_all, encode_backward
 from .errors import ConfigError, NumericsError
 
 CLS_LOSS_KINDS = ("db", "bce", "focal")
@@ -420,13 +420,12 @@ def hinge_kink_mask(
     encoder: FrozenTextEncoder,
     stats: ClassStats,
     config: LossConfig,
-    guard: float = KINK_GUARD,
 ) -> np.ndarray:
     """Boolean mask (contexts layout) of coordinates whose loss sits within
-    guard of a hinge kink, where finite differences are meaningless.
+    KINK_GUARD of a hinge kink, where finite differences are meaningless.
 
     A context coordinate of class i is near a kink when any negative-label
-    hinge argument w_i*(margin_i - delta) of that class lies within guard of
+    hinge argument w_i*(margin_i - delta) of that class lies within KINK_GUARD of
     zero; in shared mode every coordinate feeds every class.
     """
     _check_classes(batch, prompts, stats)
@@ -437,9 +436,9 @@ def hinge_kink_mask(
     weights, margins = loss_constants(stats, config).cse
     dl = 1.0 - batch.captions @ encoding.embeddings.T
     hinge = weights * (margins - dl)
-    near = (np.abs(hinge) < guard) & (batch.labels == 0)
+    near = (np.abs(hinge) < KINK_GUARD) & (batch.labels == 0)
     per_class = near.any(axis=0)  # (C,)
-    if prompts.mode == "shared":
+    if prompts.mode == MODE_SHARED:
         mask[:] = per_class.any()
         return mask
     mask[per_class, :, :] = True

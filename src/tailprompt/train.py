@@ -29,7 +29,7 @@ from .data_model import (
 from .encoders import (
     FrozenTextEncoder,
     MODE_CLASS_SPECIFIC,
-    MODE_SHARED,
+    PROMPT_MODES,
     PromptSet,
     init_prompt_set,
     prompts_from_dict,
@@ -61,7 +61,7 @@ class PromptSpec:
     init_std: float = 0.02
 
     def __post_init__(self):
-        if self.mode not in (MODE_CLASS_SPECIFIC, MODE_SHARED):
+        if self.mode not in PROMPT_MODES:
             raise ConfigError(f"unknown prompt mode {self.mode!r}")
         if self.num_context_tokens < 1:
             raise ConfigError("num_context_tokens must be >= 1")
@@ -435,11 +435,12 @@ def checkpoint_from_dict(doc, dataset: MultiLabelDataset, config: TrainConfig):
 
 
 def refuse_nonempty_dir(out_dir, force: bool) -> Path:
-    """Raise ConfigError when out_dir is a file, or when it is a non-empty
-    directory and force is not set."""
+    """Raise ConfigError when out_dir is a file or lies under one, or when it
+    is a non-empty directory and force is not set."""
     out = Path(out_dir)
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"output directory {out} is not a directory")
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"output directory {out} is not a directory ({nearest} is a file)")
     if not force and out.is_dir() and any(out.iterdir()):
         raise ConfigError(f"output directory {out} is not empty (use force to overwrite)")
     return out

@@ -1,10 +1,12 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from tailprompt.cli import EXIT_CONFIG, EXIT_GRADCHECK, EXIT_NUMERICS, EXIT_OK, main
+from tailprompt.cli import EXIT_CONFIG, EXIT_GRADCHECK, EXIT_NUMERICS, EXIT_OK, build_parser, main
 from tailprompt.data_model import MultiLabelDataset, save_dataset
+from tailprompt.metrics import MAP_KEYS
 
 SMALL_CONFIG = {
     "synth": {"num_classes": 4, "num_samples": 60, "dim": 16, "seed": 3},
@@ -266,13 +268,6 @@ class TestGradcheckCommand:
         stdout = capsys.readouterr().out
         assert "gradcheck: 6/6 cases passed" in stdout
 
-    def test_absurd_tolerance_fails_with_exit_3(self, capsys):
-        code = main(["gradcheck", "--cases", "3", "--tolerance", "1e-30"])
-        assert code == EXIT_GRADCHECK
-        captured = capsys.readouterr()
-        assert "FAIL" in captured.err
-        assert "cases passed" in captured.out
-
 
 def _corrupt_analytic_gradient(monkeypatch, flat_index):
     """Make check_total_loss's analytic gradient wrong by 1 at flat_index."""
@@ -304,7 +299,9 @@ class TestGradcheckFailureNamesTheCoordinate:
 
         _corrupt_analytic_gradient(monkeypatch, 5)
         assert main(["gradcheck", "--cases", "3"]) == EXIT_GRADCHECK
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "gradcheck: 0/3 cases passed" in captured.out
+        err = captured.err
         for case in sweep_cases(3):
             _, m, dt = case.prompts.contexts.shape
             name = f"(class {5 // (m * dt)}, token {5 // dt % m}, dim {5 % dt})"
@@ -350,7 +347,7 @@ class TestSweep:
 
     def test_single_seed_zero_std(self, tmp_path, config_path, dataset_path):
         out = tmp_path / "sweep"
-        main(
+        code = main(
             [
                 "sweep",
                 "--config",
@@ -361,10 +358,11 @@ class TestSweep:
                 str(out),
                 "--variant",
                 "full",
-                "--seed",
+                "--seeds",
                 "4",
             ]
         )
+        assert code == EXIT_OK
         lines = (out / "sweep.csv").read_text().splitlines()
         cells = lines[1].split(",")
         assert cells[1] == "1"
@@ -555,7 +553,66 @@ class TestExistingOutputRefusedFirst:
         self._forbid(monkeypatch, "load_dataset", "generate", "train")
         code = main(["sweep", "--config", config_path, "--out", str(out), "--variant", "full"])
         assert code == EXIT_CONFIG
-        assert f"sweep root {out} is not a directory" in capsys.readouterr().err
+        assert f"output directory {out} is not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, forbidden",
+        [
+            (["synth", "--out", "ds", "--force"], ["generate"]),
+            (
+                ["eval", "--ckpt", "p.json", "--out", "ds", "--force"],
+                ["load_dataset", "generate", "checkpoint_from_dict"],
+            ),
+        ],
+        ids=["synth", "eval"],
+    )
+    def test_file_output_is_a_directory(
+        self, monkeypatch, tmp_path, config_path, capsys, command, forbidden
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ds").mkdir()
+        self._forbid(monkeypatch, *forbidden)
+        assert main([*command, "--config", config_path]) == EXIT_CONFIG
+        assert "error: ds is a directory" in capsys.readouterr().err
+        assert list((tmp_path / "ds").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, forbidden",
+        [
+            (["synth", "--out", "afile/sub/ds.json"], ["generate"]),
+            (
+                ["eval", "--ckpt", "p.json", "--out", "afile/e.json"],
+                ["load_dataset", "generate", "checkpoint_from_dict"],
+            ),
+            (["train", "--out", "afile/run"], ["load_dataset", "generate", "train"]),
+            (
+                ["sweep", "--out", "afile/sw", "--variant", "full"],
+                ["load_dataset", "generate", "train"],
+            ),
+        ],
+        ids=["synth", "eval", "train", "sweep"],
+    )
+    def test_output_under_a_file(
+        self, monkeypatch, tmp_path, config_path, capsys, command, forbidden
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("keep")
+        self._forbid(monkeypatch, *forbidden)
+        assert main([*command, "--config", config_path]) == EXIT_CONFIG
+        assert "(afile is a file)" in capsys.readouterr().err
+        assert (tmp_path / "afile").read_text() == "keep"
+
+    def test_missing_parent_directory_is_created(self, tmp_path, config_path, dataset_path):
+        data = tmp_path / "new" / "deeper" / "ds.json"
+        assert main(["synth", "--config", config_path, "--out", str(data)]) == EXIT_OK
+        assert data.read_bytes() == (tmp_path / "data.json").read_bytes()
+        run = tmp_path / "run"
+        args = ["--config", config_path, "--data", str(data)]
+        assert main(["train", *args, "--out", str(run), "--skip-gradcheck"]) == EXIT_OK
+        summary = tmp_path / "other" / "e.json"
+        ckpt = str(run / "prompts.ckpt.json")
+        assert main(["eval", *args, "--ckpt", ckpt, "--out", str(summary)]) == EXIT_OK
+        assert tuple(json.loads(summary.read_text())) == MAP_KEYS
 
 
 class TestTopLevel:
@@ -581,3 +638,72 @@ class TestTopLevel:
         )
         assert code == EXIT_OK
         assert out.exists()
+
+
+def test_each_subcommand_takes_exactly_these_flags():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: sorted(flag for action in p._actions for flag in action.option_strings)
+        for name, p in sub.choices.items()
+    }
+    common = ["--config", "--force", "--out", "-h", "--help"]
+    assert flags == {
+        "synth": sorted([*common, "--seed", "--classes", "--samples", "--dim"]),
+        "train": sorted([*common, "--seed", "--data", "--skip-gradcheck", "--ablation", "--loss"]),
+        "eval": sorted([*common, "--data", "--ckpt"]),
+        "gradcheck": sorted(["-h", "--help", "--cases", "--seed"]),
+        "sweep": sorted([*common, "--data", "--variant", "--seeds"]),
+    }
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["gradcheck", "--tolerance", "1"], "unrecognized arguments: --tolerance 1"),
+        (["gradcheck", "--step", "1e-3"], "unrecognized arguments: --step 1e-3"),
+        (["gradcheck", "--kink-guard", "0"], "unrecognized arguments: --kink-guard 0"),
+        (["eval", "--ckpt", "p.json", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (
+            ["sweep", "--out", "s", "--variant", "full", "--seed", "3"],
+            "unrecognized arguments: --seed 3",
+        ),
+        (["train", "--out", "run", "--skip"], "unrecognized arguments: --skip"),
+        (["sweep", "--out", "s", "--variant", "full", "--seeds", ""], "--seeds must name at least"),
+    ],
+    ids=["tolerance", "step", "kink-guard", "eval-seed", "sweep-seed", "abbrev", "empty-seeds"],
+)
+def test_removed_spelling_is_refused(tmp_path, monkeypatch, capsys, command, message):
+    monkeypatch.chdir(tmp_path)
+    forbidden = ("generate", "load_dataset", "train", "run_sweep")
+    TestExistingOutputRefusedFirst._forbid(monkeypatch, *forbidden)
+    assert main(command) == EXIT_CONFIG
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"train": {"epochs": 2.5}}, "epochs"),
+        ({"synth": {"seed": "7"}}, "seed"),
+        ({"synth": {"num_classes": 3.0, "num_samples": 60}}, "num_classes"),
+        ({"train": {"batch_size": True}}, "batch_size"),
+        ({"loss": {"use_reweighting": "no"}}, "use_reweighting"),
+        # an int stands for a float, and is echoed as written
+        ({**SMALL_CONFIG, "train": {**SMALL_CONFIG["train"], "epochs": 1, "lr0": 2}}, None),
+    ],
+    ids=["float-epochs", "string-seed", "float-classes", "bool-batch-size", "str-bool", "int-lr0"],
+)
+def test_config_value_type(tmp_path, capsys, doc, key):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(config), "--skip-gradcheck", "--out", str(out)])
+    if key is None:
+        assert code == EXIT_OK
+        assert '"lr0": 2,' in (out / "config.json").read_text()
+    else:
+        assert code == EXIT_CONFIG
+        assert f"error: key {key!r} in section" in capsys.readouterr().err
+        assert not out.exists()

@@ -73,6 +73,21 @@ class TestParse:
         with pytest.raises(ConfigError, match="encoder_seed"):
             parse_config({"encoder_seed": "7"})
 
+    def test_value_types_follow_the_defaults(self):
+        assert parse_config({"prompt": {"token_dim": None}}).train.prompt.token_dim is None
+        assert parse_config({"prompt": {"token_dim": 8}}).train.prompt.token_dim == 8
+        assert parse_config({"loss": {"eta": 1}}).train.loss.eta == 1
+        wrong = [
+            ({"prompt": {"token_dim": 8.0}}, "'token_dim' in .* must be an integer or null"),
+            ({"prompt": {"mode": None}}, "'mode' in section 'prompt' must be a string"),
+            ({"loss": {"eta": True}}, "'eta' in section 'loss' must be a number, got true"),
+            ({"synth": {"dim": None}}, "'dim' in section 'synth' must be an integer, got null"),
+            ({"encoder_seed": 1.5}, "'encoder_seed' at the top level must be an integer"),
+        ]
+        for doc, message in wrong:
+            with pytest.raises(ConfigError, match=message):
+                parse_config(doc)
+
     def test_invalid_values_bubble_up(self):
         with pytest.raises(ConfigError, match="epochs"):
             parse_config({"train": {"epochs": 0}})

@@ -4,9 +4,10 @@ Usage: python3 tools/compare_outputs.py [BASE]   (BASE defaults to HEAD)
 
 BASE's src/ is extracted with `git archive`. One fixed command list runs
 against both trees, each with PYTHONPATH set to that tree's src/ and one BLAS
-thread: synth, train (with its pre-training gradcheck), eval of the trained
-prompts, the 120-case gradcheck, a sweep of every variant over seeds 1 and 2,
-and eval of the linear-probe checkpoint that sweep writes. Every output file
+thread: synth, train (with its pre-training gradcheck), train with
+--skip-gradcheck, --ablation, --loss and --seed, eval of the trained
+prompts, the 120-case gradcheck, a sweep of every variant over seeds 1 and
+2, and eval of the linear-probe checkpoint that sweep writes. Every output file
 is then compared byte for byte, except run.json, which is compared without
 its wall_seconds. Exit codes, stdout and stderr are compared with the output
 root and the train wall time masked. Prints each difference and exits 1 if
@@ -45,6 +46,20 @@ VARIANTS = (
 COMMANDS = (
     ("synth", "--out", "data.json"),
     ("train", "--data", "data.json", "--out", "train"),
+    (
+        "train",
+        "--data",
+        "data.json",
+        "--out",
+        "train-flags",
+        "--skip-gradcheck",
+        "--ablation",
+        "no-margin",
+        "--loss",
+        "bce",
+        "--seed",
+        "9",
+    ),
     ("eval", "--data", "data.json", "--ckpt", "train/prompts.ckpt.json", "--out", "eval.json"),
     ("gradcheck",),
     ("sweep", "--data", "data.json", "--out", "sweep", "--seeds", "1,2")
