@@ -28,7 +28,7 @@ from .config import (
 from .data_model import class_counts, group_classes, load_dataset, save_dataset
 from .encoders import MODE_SHARED
 from .errors import ConfigError, NumericsError, read_json
-from .gradcheck import SWEEP_CASES, SWEEP_SEED, check_total_loss, run_sweep
+from .gradcheck import SWEEP_CASES, SWEEP_SEED, check_training_state, run_sweep
 from .losses import CLS_LOSS_KINDS
 from .metrics import MAP_KEYS
 from .seeding import DOMAIN_TRAIN, substream
@@ -102,6 +102,12 @@ def _refuse_existing_file(path: Path, force: bool) -> None:
     refuse_nonempty_dir(path.parent, force=True)  # no file where its directory goes
 
 
+def _refuse_nonempty_dir(path: Path, force: bool) -> None:
+    refuse_nonempty_dir(path, force=True)  # not a file, nor under one
+    if not force and path.is_dir() and any(path.iterdir()):
+        raise ConfigError(f"output directory {path} is not empty (use --force to overwrite)")
+
+
 def _fmt(value) -> str:
     return "absent" if value is None else f"{value:.4f}"
 
@@ -161,13 +167,19 @@ def _coordinate_name(flat_index: int, contexts_shape) -> str:
 
 
 def _pretrain_gradcheck(dataset, config: RunConfigFile) -> int:
-    """Certify the gradient on a sampled batch of the exact training state."""
+    """Certify the gradient on a sampled batch of the exact training state.
+
+    check_training_state finite-differences the pooled coordinates, one per
+    class (one in shared mode) and token dimension, and compares each of the
+    M context tokens' analytic gradient with the pooled one exactly. A
+    failure names the training-state coordinate.
+    """
     tc = config.train
     stats, encoder, prompts = build_training_state(dataset, tc)
     rng = substream(tc.seed, DOMAIN_TRAIN, _GRADCHECK_BATCH_STREAM)
     size = min(_GRADCHECK_BATCH_SIZE, dataset.num_samples)
     indices = np.sort(rng.choice(dataset.num_samples, size=size, replace=False))
-    report = check_total_loss(
+    report = check_training_state(
         dataset.batch(indices), prompts, encoder, stats, tc.loss, tau=tc.tau
     )
     if not report.passed:
@@ -178,9 +190,11 @@ def _pretrain_gradcheck(dataset, config: RunConfigFile) -> int:
             file=sys.stderr,
         )
         return EXIT_GRADCHECK
+    pooled_coords = prompts.contexts.size // prompts.num_context_tokens
     print(
         f"gradcheck passed on a {size}-sample batch "
         f"(max rel error {report.max_rel_error:.3e}, "
+        f"{pooled_coords} pooled coordinates finite-differenced, "
         f"{report.num_skipped_kinks} kink coordinates skipped)"
     )
     return EXIT_OK
@@ -188,7 +202,7 @@ def _pretrain_gradcheck(dataset, config: RunConfigFile) -> int:
 
 def cmd_train(args) -> int:
     config = _apply_train_flags(args, _load_or_default_config(args.config))
-    refuse_nonempty_dir(args.out, args.force)
+    _refuse_nonempty_dir(Path(args.out), args.force)
     dataset = _resolve_dataset(args, config)
 
     if not args.skip_gradcheck and config.train.baseline == "none":
@@ -279,7 +293,7 @@ def cmd_sweep(args) -> int:
     run_configs = {}
     for name in variants:
         for seed in seeds:
-            refuse_nonempty_dir(out_root / name / f"seed-{seed}", args.force)
+            _refuse_nonempty_dir(out_root / name / f"seed-{seed}", args.force)
             run_configs[name, seed] = with_train(VARIANTS[name](config), seed=seed)
     dataset = _resolve_dataset(args, config)
 

@@ -8,7 +8,7 @@ non-differentiable there and a central difference would compare garbage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,9 +75,8 @@ def check(
 ) -> GradCheckReport:
     """Compare the analytic gradient against central differences of step STEP.
 
-    Per-coordinate relative error |a - b| / max(|a|, |b|, 1e-8); coordinates
-    where the boolean array skip (shaped like params) is True, such as hinge
-    kinks, are not compared but counted.
+    Coordinates where the boolean array skip (shaped like params) is True,
+    such as hinge kinks, are not compared but counted.
     """
     params = np.asarray(params, dtype=np.float64)
     analytic = np.asarray(analytic_grad, dtype=np.float64)
@@ -86,20 +85,25 @@ def check(
     skip = np.zeros(params.shape, dtype=bool) if skip is None else np.asarray(skip, dtype=bool)
     if skip.shape != params.shape:
         raise ConfigError("skip mask shape does not match the parameters")
-    numeric = finite_diff_grad(loss_fn, params, STEP)
+    return _compare(analytic, finite_diff_grad(loss_fn, params, STEP), skip)
 
+
+def _compare(analytic: np.ndarray, reference: np.ndarray, skip: np.ndarray) -> GradCheckReport:
+    """Per-coordinate relative error |a - b| / max(|a|, |b|, 1e-8) of analytic
+    against reference over the coordinates skip leaves in; the report names the
+    worst one."""
     num_skipped = int(skip.sum())
     compared = ~skip
     if not compared.any():
         return GradCheckReport(0.0, -1, num_skipped, True)
 
-    finite = np.isfinite(analytic) & np.isfinite(numeric)
+    finite = np.isfinite(analytic) & np.isfinite(reference)
     if not finite[compared].all():
         bad = np.flatnonzero(compared.ravel() & ~finite.ravel())
         return GradCheckReport(float("inf"), int(bad[0]), num_skipped, False)
 
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), REL_ERROR_FLOOR)
-    rel = np.abs(analytic - numeric) / denom
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(reference)), REL_ERROR_FLOOR)
+    rel = np.abs(analytic - reference) / denom
     rel[skip] = -1.0  # never selected as the worst coordinate
     worst = int(np.argmax(rel))
     worst_value = float(rel.ravel()[worst])
@@ -131,6 +135,72 @@ def check_total_loss(
     analytic = total_loss(batch, prompts, encoder, stats, config, tau, need_grad=True).gradient
     skip = hinge_kink_mask(batch, prompts, encoder, stats, config)
     return check(loss_fn, prompts.contexts, analytic, skip=skip)
+
+
+def _pool_scale(num_context_tokens: int) -> float:
+    # an M = 1 set pools by dividing by 2, an M-token set by M + 1
+    return 2.0 / (num_context_tokens + 1.0)
+
+
+def pooled_prompt_set(prompts: PromptSet) -> PromptSet:
+    """The M = 1 PromptSet that pools to the same vector as prompts.
+
+    With s = 2/(M+1), contexts s*sum_t contexts[:, t] and class tokens
+    s*class_tokens pool to (sum_t c_t + k)/(M+1), in either prompt mode. At
+    M = 1, s = 1 and the set is prompts' own values.
+    """
+    s = _pool_scale(prompts.num_context_tokens)
+    return PromptSet(
+        contexts=s * prompts.contexts.sum(axis=1, keepdims=True),
+        class_tokens=s * prompts.class_tokens,
+        mode=prompts.mode,
+        encoder_seed=prompts.encoder_seed,
+    )
+
+
+def check_training_state(
+    batch: Batch,
+    prompts: PromptSet,
+    encoder: FrozenTextEncoder,
+    stats: ClassStats,
+    config: LossConfig,
+    tau: float = 1.0,
+) -> GradCheckReport:
+    """Certify the gradient w.r.t. every context coordinate of prompts with
+    1/M of the loss evaluations check_total_loss(prompts) would make.
+
+    The encoder sees a class's M contexts only through their sum, so
+    check_total_loss runs on pooled_prompt_set(prompts). The analytic
+    gradient w.r.t. each of the M tokens must then equal s = 2/(M+1) times
+    the pooled analytic gradient; that comparison needs no loss evaluation
+    and uses the same relative error and TOLERANCE, skipping the pooled kink
+    mask broadcast over M. The report holds the worse of the two
+    comparisons, with worst_index into prompts.contexts (a pooled coordinate
+    is named at token 0) and num_skipped_kinks counted over prompts.contexts.
+    """
+    pooled = pooled_prompt_set(prompts)
+    numeric = check_total_loss(batch, pooled, encoder, stats, config, tau)
+    if numeric.worst_index >= 0:
+        block, dim = divmod(numeric.worst_index, prompts.token_dim)
+        index = int(np.ravel_multi_index((block, 0, dim), prompts.contexts.shape))
+        numeric = replace(numeric, worst_index=index)
+
+    analytic = total_loss(batch, prompts, encoder, stats, config, tau, need_grad=True).gradient
+    pooled_grad = total_loss(batch, pooled, encoder, stats, config, tau, need_grad=True).gradient
+    scaled = _pool_scale(prompts.num_context_tokens) * pooled_grad
+    skip = hinge_kink_mask(batch, pooled, encoder, stats, config)
+    exact = _compare(
+        analytic,
+        np.broadcast_to(scaled, analytic.shape),
+        np.broadcast_to(skip, analytic.shape),
+    )
+
+    worst = max(numeric, exact, key=lambda report: report.max_rel_error)
+    return replace(
+        worst,
+        num_skipped_kinks=exact.num_skipped_kinks,
+        passed=numeric.passed and exact.passed,
+    )
 
 
 @dataclass(frozen=True)

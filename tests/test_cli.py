@@ -71,6 +71,7 @@ class TestTrain:
         assert code == EXIT_OK
         stdout = capsys.readouterr().out
         assert "gradcheck passed on a 8-sample batch" in stdout
+        assert "64 pooled coordinates finite-differenced" in stdout  # 4 classes x 16 dims
         assert "finished 2 epochs" in stdout
         assert sorted(p.name for p in out.iterdir()) == [
             "config.json",
@@ -269,15 +270,16 @@ class TestGradcheckCommand:
         assert "gradcheck: 6/6 cases passed" in stdout
 
 
-def _corrupt_analytic_gradient(monkeypatch, flat_index):
-    """Make check_total_loss's analytic gradient wrong by 1 at flat_index."""
+def _corrupt_analytic_gradient(monkeypatch, flat_index, layout=None):
+    """Make gradcheck's analytic gradients of shape layout (every one when
+    layout is None) wrong by 1 at flat_index."""
     import tailprompt.gradcheck as gradcheck
 
     real = gradcheck.total_loss
 
     def wrong(*args, need_grad=True, **kwargs):
         report = real(*args, need_grad=need_grad, **kwargs)
-        if need_grad:
+        if need_grad and (layout is None or report.gradient.shape == layout):
             report.gradient.reshape(-1)[flat_index] += 1.0
         return report
 
@@ -286,12 +288,36 @@ def _corrupt_analytic_gradient(monkeypatch, flat_index):
 
 class TestGradcheckFailureNamesTheCoordinate:
     def test_pretrain_gradcheck(self, monkeypatch, tmp_path, config_path, dataset_path, capsys):
-        # contexts are (4 classes, 4 tokens, 16 dims): 181 = 2*64 + 3*16 + 5
-        _corrupt_analytic_gradient(monkeypatch, 181)
+        # contexts are (4 classes, 4 tokens, 16 dims): 181 = 2*64 + 3*16 + 5.
+        # The pooled (4, 1, 16) gradient stays right, so the exact comparison
+        # of the M tokens with it is what catches the error.
+        _corrupt_analytic_gradient(monkeypatch, 181, layout=(4, 4, 16))
         out = tmp_path / "run"
         code = main(["train", "--config", config_path, "--data", dataset_path, "--out", str(out)])
         assert code == EXIT_GRADCHECK
         assert "at coordinate 181 (class 2, token 3, dim 5)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pretrain_gradcheck_pooled(
+        self, monkeypatch, tmp_path, config_path, dataset_path, capsys
+    ):
+        # The gradient w.r.t. class 2's pooled vector is wrong at dim 5 in every
+        # layout, so each token still equals s times the pooled gradient and
+        # only the finite difference can catch it; it is named at token 0.
+        import tailprompt.losses as losses
+
+        real = losses.encode_backward
+
+        def wrong(encoder, prompts, encoding, grad_embeddings):
+            grad = real(encoder, prompts, encoding, grad_embeddings)
+            grad[2, :, 5] += 1.0 / (prompts.num_context_tokens + 1)
+            return grad
+
+        monkeypatch.setattr(losses, "encode_backward", wrong)
+        out = tmp_path / "run"
+        code = main(["train", "--config", config_path, "--data", dataset_path, "--out", str(out)])
+        assert code == EXIT_GRADCHECK
+        assert "at coordinate 133 (class 2, token 0, dim 5)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep(self, monkeypatch, capsys):
@@ -492,7 +518,8 @@ class TestExistingOutputRefusedFirst:
         for data in ([], ["--data", dataset_path]):
             code = main(["train", "--config", config_path, "--out", str(out), *data])
             assert code == EXIT_CONFIG
-            assert f"output directory {out} is not empty" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"output directory {out} is not empty (use --force to overwrite)" in err
 
     @pytest.mark.parametrize("force", [[], ["--force"]])
     def test_train_out_is_a_file(self, monkeypatch, tmp_path, config_path, capsys, force):
@@ -545,7 +572,9 @@ class TestExistingOutputRefusedFirst:
             ]
         )
         assert code == EXIT_CONFIG
-        assert str(out / existing.split("/metrics.csv")[0]) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(out / existing.split("/metrics.csv")[0]) in err
+        assert "(use --force to overwrite)" in err
 
     def test_sweep_root_is_a_file(self, monkeypatch, tmp_path, config_path, capsys):
         out = tmp_path / "sweep"

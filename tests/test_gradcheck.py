@@ -1,15 +1,27 @@
+import json
+
 import numpy as np
 import pytest
 
+from tailprompt.cli import EXIT_OK, main
 from tailprompt.data_model import Batch
-from tailprompt.encoders import FrozenTextEncoder, PromptSet, encode_all, init_prompt_set
+from tailprompt.encoders import (
+    MODE_SHARED,
+    PROMPT_MODES,
+    FrozenTextEncoder,
+    PromptSet,
+    encode_all,
+    init_prompt_set,
+)
 from tailprompt.errors import ConfigError
 from tailprompt.gradcheck import (
     REL_ERROR_FLOOR,
     GradCheckReport,
     check,
     check_total_loss,
+    check_training_state,
     finite_diff_grad,
+    pooled_prompt_set,
     run_sweep,
     sweep_cases,
 )
@@ -194,6 +206,64 @@ class TestCheckTotalLoss:
 
         fd = finite_diff_grad(loss_fn, prompts.contexts, step=1e-5)
         assert np.abs(fd).max() < 1e-6
+
+
+class TestCheckTrainingState:
+    @pytest.mark.parametrize("mode", PROMPT_MODES)
+    @pytest.mark.parametrize("num_context", [1, 2, 4, 7])
+    def test_pooled_set_pools_to_the_training_state(self, mode, num_context):
+        enc = FrozenTextEncoder.create(seed=5, token_dim=12, dim=10)
+        prompts = init_prompt_set(
+            6, 12, num_context_tokens=num_context, mode=mode, init_std=0.5,
+            encoder_seed=5, init_seed=9,
+        )
+        pooled = pooled_prompt_set(prompts)
+        assert pooled.contexts.shape == (prompts.contexts.shape[0], 1, 12)
+        assert pooled.mode == mode
+        expected = encode_all(enc, prompts).embeddings
+        got = encode_all(enc, pooled).embeddings
+        assert np.abs(got - expected).max() <= 1e-15
+        if num_context == 1:
+            assert np.array_equal(pooled.contexts, prompts.contexts)
+            assert np.array_equal(pooled.class_tokens, prompts.class_tokens)
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("mode", PROMPT_MODES)
+    def test_finite_differences_only_pooled_coordinates(self, monkeypatch, mode):
+        import tailprompt.gradcheck as gradcheck
+
+        case = next(
+            c for c in sweep_cases(24)
+            if c.prompts.mode == mode and c.prompts.num_context_tokens > 1
+        )
+        calls = {True: 0, False: 0}
+        real = gradcheck.total_loss
+
+        def counting(*args, need_grad=True, **kwargs):
+            calls[need_grad] += 1
+            return real(*args, need_grad=need_grad, **kwargs)
+
+        monkeypatch.setattr(gradcheck, "total_loss", counting)
+        report = check_training_state(
+            case.batch, case.prompts, case.encoder, case.stats, case.config, case.tau
+        )
+        assert report.passed, case.description
+        blocks, _, token_dim = case.prompts.contexts.shape
+        assert blocks == (1 if mode == MODE_SHARED else case.prompts.num_classes)
+        assert calls[False] == 2 * blocks * token_dim
+
+    def test_shared_mode_train_passes_the_gate(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "synth": {"num_classes": 4, "num_samples": 60, "dim": 16, "seed": 3},
+            "train": {"epochs": 1, "batch_size": 16, "head_min": 15, "tail_max": 8},
+            "prompt": {"mode": "shared"},
+        }))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "gradcheck passed on a 8-sample batch" in stdout
+        assert "16 pooled coordinates finite-differenced" in stdout
 
 
 class TestSweep:
