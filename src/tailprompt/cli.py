@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -112,11 +113,11 @@ def _fmt(value) -> str:
     return "absent" if value is None else f"{value:.4f}"
 
 
-def _map_summary(ev) -> str:
-    """'map_total=... head=... medium=... tail=...' for an EvalResult."""
+def _map_summary(maps: dict) -> str:
+    """'map_total=... head=... medium=... tail=...' for an EvalResult's maps()."""
     return " ".join(
         f"{key if key == MAP_KEYS[0] else key.removeprefix('map_')}={_fmt(value)}"
-        for key, value in ev.maps().items()
+        for key, value in maps.items()
     )
 
 
@@ -217,7 +218,7 @@ def cmd_train(args) -> int:
         return EXIT_NUMERICS
     print(
         f"finished {record.epochs_completed} epochs in {record.wall_seconds:.2f}s: "
-        f"{_map_summary(record.final_eval)}"
+        f"{_map_summary(record.final_eval.maps())}"
     )
     print(f"run directory: {args.out}")
     return EXIT_OK
@@ -273,7 +274,83 @@ def _std(values: list[float]) -> float:
     return float(np.std(np.asarray(values, dtype=np.float64)))  # population std
 
 
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _shares(jobs: list, workers: int) -> list[list]:
+    """Split jobs into fixed shares: share k is jobs[k::workers]."""
+    return [jobs[k::workers] for k in range(workers)]
+
+
+def _run_share(dataset, share, force: bool) -> list:
+    """Train each (run_dir, run_config) job in order and write its run directory.
+
+    Each outcome is (failed, abort_reason, maps), with maps None for a failed
+    run. A ConfigError or NumericsError becomes the share's last outcome: the
+    share stops there, as a serial sweep would.
+    """
+    outcomes = []
+    for run_dir, run_config in share:
+        try:
+            record = train(dataset, run_config.train)
+            write_run_dir(run_dir, record, config_to_dict(run_config), force=force)
+        except (ConfigError, NumericsError) as err:
+            outcomes.append(err)
+            break
+        failed = record.failed or record.final_eval is None
+        maps = None if failed else record.final_eval.maps()
+        outcomes.append((failed, record.abort_reason, maps))
+    return outcomes
+
+
+_inherited_dataset = None  # set in each forked sweep worker by its pool's initializer
+
+
+def _inherit_dataset(dataset) -> None:
+    global _inherited_dataset
+    _inherited_dataset = dataset
+
+
+def _run_inherited_share(share, force: bool) -> list:
+    return _run_share(_inherited_dataset, share, force)
+
+
+def _run_shares(dataset, shares: list[list], force: bool) -> list[list]:
+    """Each share's outcomes: share 0 runs in this process, every other share
+    in one of len(shares) - 1 forked workers.
+
+    Fork start hands the workers the dataset by inheritance, not by pickling
+    (about 200 MB at 50k x 200 x 256). The pool is imported only when it is
+    used, because the import costs RSS.
+    """
+    if len(shares) == 1:
+        return [_run_share(dataset, shares[0], force)]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(
+        max_workers=len(shares) - 1,
+        mp_context=get_context("fork"),
+        initializer=_inherit_dataset,
+        initargs=(dataset,),
+    ) as pool:
+        futures = [pool.submit(_run_inherited_share, share, force) for share in shares[1:]]
+        return [_run_share(dataset, shares[0], force), *(f.result() for f in futures)]
+
+
 def cmd_sweep(args) -> int:
+    """Train every (variant, seed) run, write its run directory and sweep.csv.
+
+    The runs are split over min(runs, usable cores) processes by a fixed
+    rule, and each is seeded on its own, so every output byte is the same as
+    in a serial sweep. The per-run lines are printed in order once all runs
+    have finished.
+    """
     config = _load_or_default_config(args.config)
     variants = args.variant or []
     if not variants:
@@ -290,30 +367,38 @@ def cmd_sweep(args) -> int:
     out_root = Path(args.out)
     summary_path = out_root / "sweep.csv"
     _refuse_existing_file(summary_path, args.force)
-    run_configs = {}
+    jobs = []
     for name in variants:
         for seed in seeds:
-            _refuse_nonempty_dir(out_root / name / f"seed-{seed}", args.force)
-            run_configs[name, seed] = with_train(VARIANTS[name](config), seed=seed)
+            run_dir = out_root / name / f"seed-{seed}"
+            _refuse_nonempty_dir(run_dir, args.force)
+            jobs.append((run_dir, with_train(VARIANTS[name](config), seed=seed)))
     dataset = _resolve_dataset(args, config)
+
+    workers = min(len(jobs), _usable_cores())
+    done = _run_shares(dataset, _shares(jobs, workers), args.force)
+    # job i is entry i // workers of share i % workers. A share stops at its
+    # first error, so the outcomes are read lazily, in job order: a missing
+    # one lies after an error that has already been raised.
+    outcomes = (done[i % workers][i // workers] for i in range(len(jobs)))
 
     rows = []
     for name in variants:
         collected: dict[str, list[float]] = {m: [] for m in MAP_KEYS}
         n_failed = 0
         for seed in seeds:
-            run_config = run_configs[name, seed]
-            record = train(dataset, run_config.train)
-            run_dir = out_root / name / f"seed-{seed}"
-            write_run_dir(run_dir, record, config_to_dict(run_config), force=args.force)
-            if record.failed or record.final_eval is None:
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            failed, abort_reason, maps = outcome
+            if failed:
                 n_failed += 1
-                print(f"{name} seed={seed}: FAILED ({record.abort_reason})", file=sys.stderr)
+                print(f"{name} seed={seed}: FAILED ({abort_reason})", file=sys.stderr)
                 continue
-            for metric, value in record.final_eval.maps().items():
+            for metric, value in maps.items():
                 if value is not None:
                     collected[metric].append(value)
-            print(f"{name} seed={seed}: {_map_summary(record.final_eval)}")
+            print(f"{name} seed={seed}: {_map_summary(maps)}")
         row = {"variant": name, "runs": len(seeds), "failed": n_failed}
         for metric in MAP_KEYS:
             values = collected[metric]

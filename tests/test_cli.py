@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tailprompt
 from tailprompt.cli import EXIT_CONFIG, EXIT_GRADCHECK, EXIT_NUMERICS, EXIT_OK, build_parser, main
 from tailprompt.data_model import MultiLabelDataset, save_dataset
 from tailprompt.metrics import MAP_KEYS
@@ -12,6 +17,30 @@ SMALL_CONFIG = {
     "synth": {"num_classes": 4, "num_samples": 60, "dim": 16, "seed": 3},
     "train": {"epochs": 2, "batch_size": 16, "lr0": 0.05, "head_min": 15, "tail_max": 8},
 }
+
+
+def _save_saturated_dataset(path):
+    # a class positive in every sample has an undefined classifier bias
+    rng = np.random.default_rng(0)
+    images = rng.standard_normal((10, 8))
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    labels = np.zeros((10, 2), dtype=np.int64)
+    labels[:, 0] = 1
+    labels[::3, 1] = 1
+    save_dataset(MultiLabelDataset(images, labels, images.copy(), ("a", "b")), path)
+    return str(path)
+
+
+def _python(code, *args, timeout=120):
+    """Run code in a fresh interpreter that imports tailprompt from this tree."""
+    src = str(Path(tailprompt.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 @pytest.fixture()
@@ -130,19 +159,9 @@ class TestTrain:
         assert echoed["train"]["seed"] == 9
 
     def test_saturated_class_is_a_numerics_failure(self, tmp_path, config_path, capsys):
-        # a class positive in every sample has an undefined classifier bias
-        rng = np.random.default_rng(0)
-        images = rng.standard_normal((10, 8))
-        images /= np.linalg.norm(images, axis=1, keepdims=True)
-        labels = np.zeros((10, 2), dtype=np.int64)
-        labels[:, 0] = 1
-        labels[::3, 1] = 1
-        ds = MultiLabelDataset(images, labels, images.copy(), ("a", "b"))
-        data = tmp_path / "saturated.json"
-        save_dataset(ds, data)
-        code = main(
-            ["train", "--config", config_path, "--data", str(data), "--out", str(tmp_path / "r")]
-        )
+        data = _save_saturated_dataset(tmp_path / "saturated.json")
+        out = str(tmp_path / "r")
+        code = main(["train", "--config", config_path, "--data", data, "--out", out])
         assert code == EXIT_NUMERICS
         assert "infinite bias" in capsys.readouterr().err
 
@@ -467,6 +486,154 @@ class TestSweep:
         assert code == EXIT_CONFIG
         assert "seeds must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _sweep_outputs(root):
+    """Every file under a sweep root, run.json without its wall time."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            text = path.read_text()
+            if path.name == "run.json":
+                doc = json.loads(text)
+                del doc["wall_seconds"]
+                text = json.dumps(doc)
+            files[path.relative_to(root).as_posix()] = text
+    return files
+
+
+class TestSweepWorkers:
+    """Runs are split over forked workers by a fixed rule; no output depends on
+    how many processes ran them."""
+
+    @staticmethod
+    def _sweep(monkeypatch, capsys, root, workers, argv):
+        from tailprompt import cli
+
+        monkeypatch.setattr(cli, "_usable_cores", lambda: workers)
+        code = main(["sweep", "--out", str(root), *argv])
+        out, err = capsys.readouterr()
+        return code, out.replace(str(root), "ROOT"), err.replace(str(root), "ROOT")
+
+    def test_outputs_do_not_depend_on_the_worker_count(
+        self, monkeypatch, tmp_path, config_path, dataset_path, capsys
+    ):
+        import concurrent.futures
+
+        from tailprompt import cli
+
+        argv = ["--config", config_path, "--data", dataset_path, "--seeds", "1,2"]
+        argv += ["--variant", "full", "--variant", "bce"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-process sweep started a process")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", refuse)
+            m.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+            serial = self._sweep(m, capsys, tmp_path / "one", 1, argv)
+
+        pools = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        here = []
+        real_train = cli.train
+
+        def recording_train(dataset, train_config):
+            here.append((train_config.loss.cls_loss_kind, train_config.seed))
+            return real_train(dataset, train_config)
+
+        def refuse_pickle(self, protocol):
+            raise AssertionError("the dataset was pickled")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "train", recording_train)
+        monkeypatch.setattr(MultiLabelDataset, "__reduce_ex__", refuse_pickle)
+        parallel = self._sweep(monkeypatch, capsys, tmp_path / "three", 3, argv)
+
+        assert serial[0] == EXIT_OK
+        assert parallel == serial
+        assert _sweep_outputs(tmp_path / "three") == _sweep_outputs(tmp_path / "one")
+        assert len(_sweep_outputs(tmp_path / "one")) == 1 + 4 * 4
+        assert pools == [2]
+        # runs in (variant, seed) order; this process ran jobs[0::3], the workers the rest
+        assert here == [("db", 1), ("bce", 2)]
+
+    def test_shares_take_every_worker_count_th_job(self):
+        from tailprompt.cli import _shares
+
+        assert _shares(["a", "b", "c", "d"], 3) == [["a", "d"], ["b"], ["c"]]
+        assert _shares(["a", "b", "c", "d"], 1) == [["a", "b", "c", "d"]]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_in_a_worker(self, monkeypatch, tmp_path, dataset_path, capsys):
+        # one step at this size overflows the parameters, and the run aborts
+        train = {**SMALL_CONFIG["train"], "lr0": 1e308}
+        config = tmp_path / "huge-lr.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "train": train}))
+        argv = ["--config", str(config), "--data", dataset_path, "--seeds", "1"]
+        argv += ["--variant", "full", "--variant", "bce"]
+        results = [self._sweep(monkeypatch, capsys, tmp_path / f"w{w}", w, argv) for w in (1, 2)]
+
+        assert results[0] == results[1]
+        code, out, err = results[1]
+        assert code == EXIT_OK
+        assert out == "wrote ROOT/sweep.csv\n"
+        assert err.splitlines() == [
+            f"{name} seed=1: FAILED (abort run: non-finite loss at epoch 1)"
+            for name in ("full", "bce")
+        ]
+        rows = (tmp_path / "w2" / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[:3] for row in rows[1:]] == [["full", "1", "1"], ["bce", "1", "1"]]
+        assert json.loads((tmp_path / "w2" / "bce" / "seed-1" / "run.json").read_text())["failed"]
+
+    def test_numerics_error_in_every_share(self, tmp_path, config_path):
+        # a fresh interpreter, so a hung pool ends in a timeout, not a hung suite
+        data = _save_saturated_dataset(tmp_path / "saturated.json")
+        code = "import sys, tailprompt.cli as c; c._usable_cores = lambda: 2; sys.exit(c.main())"
+        out = str(tmp_path / "s")
+        argv = ["sweep", "--config", config_path, "--data", data, "--out", out]
+        done = _python(code, *argv, "--variant", "full", "--seeds", "1,2")
+        assert done.returncode == EXIT_NUMERICS
+        assert done.stderr.startswith("numerical failure: ") and "infinite bias" in done.stderr
+        assert done.stdout == ""
+        assert not (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_error_in_a_worker_reraises_here(
+        self, monkeypatch, tmp_path, config_path, dataset_path, capsys
+    ):
+        from tailprompt import cli
+        from tailprompt.errors import NumericsError
+
+        real_train = cli.train
+
+        def train_or_fail(dataset, train_config):
+            if train_config.seed == 2:
+                raise NumericsError(f"seed {train_config.seed} broke")
+            return real_train(dataset, train_config)
+
+        monkeypatch.setattr(cli, "train", train_or_fail)
+        argv = ["--config", config_path, "--data", dataset_path, "--variant", "full"]
+        results = [
+            self._sweep(monkeypatch, capsys, tmp_path / f"w{w}", w, [*argv, "--seeds", "1,2,3"])
+            for w in (1, 2)
+        ]
+        assert results[0] == results[1]
+        code, out, err = results[1]
+        assert code == EXIT_NUMERICS
+        assert out.startswith("full seed=1: map_total=") and out.count("\n") == 1
+        assert err == "numerical failure: seed 2 broke\n"
+        assert not (tmp_path / "w2" / "sweep.csv").exists()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    done = _python("import sys, tailprompt.cli; print('concurrent.futures.process' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 @pytest.mark.parametrize(
