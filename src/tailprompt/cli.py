@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -290,21 +291,26 @@ def _shares(jobs: list, workers: int) -> list[list]:
 def _run_share(dataset, share, force: bool) -> list:
     """Train each (run_dir, run_config) job in order and write its run directory.
 
-    Each outcome is (failed, abort_reason, maps), with maps None for a failed
-    run. A ConfigError or NumericsError becomes the share's last outcome: the
-    share stops there, as a serial sweep would.
+    Each outcome is (issued, result). issued lists the run's warnings as
+    (category, message, filename, lineno), for the parent to re-issue next to
+    the run's line. result is (failed, abort_reason, maps), with maps None for
+    a failed run, or the run's ConfigError or NumericsError: the share stops
+    there, as a serial sweep would.
     """
     outcomes = []
     for run_dir, run_config in share:
-        try:
-            record = train(dataset, run_config.train)
-            write_run_dir(run_dir, record, config_to_dict(run_config), force=force)
-        except (ConfigError, NumericsError) as err:
-            outcomes.append(err)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                record = train(dataset, run_config.train)
+                write_run_dir(run_dir, record, config_to_dict(run_config), force=force)
+                failed = record.failed or record.final_eval is None
+                result = (failed, record.abort_reason, None if failed else record.final_eval.maps())
+            except (ConfigError, NumericsError) as err:
+                result = err
+        issued = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        outcomes.append((issued, result))
+        if isinstance(result, Exception):
             break
-        failed = record.failed or record.final_eval is None
-        maps = None if failed else record.final_eval.maps()
-        outcomes.append((failed, record.abort_reason, maps))
     return outcomes
 
 
@@ -349,7 +355,7 @@ def cmd_sweep(args) -> int:
     The runs are split over min(runs, usable cores) processes by a fixed
     rule, and each is seeded on its own, so every output byte is the same as
     in a serial sweep. The per-run lines are printed in order once all runs
-    have finished.
+    have finished, each run's warnings just before its line.
     """
     config = _load_or_default_config(args.config)
     variants = args.variant or []
@@ -387,10 +393,12 @@ def cmd_sweep(args) -> int:
         collected: dict[str, list[float]] = {m: [] for m in MAP_KEYS}
         n_failed = 0
         for seed in seeds:
-            outcome = next(outcomes)
-            if isinstance(outcome, Exception):
-                raise outcome
-            failed, abort_reason, maps = outcome
+            issued, result = next(outcomes)
+            for category, message, filename, lineno in issued:
+                warnings.warn_explicit(message, category, filename, lineno)
+            if isinstance(result, Exception):
+                raise result
+            failed, abort_reason, maps = result
             if failed:
                 n_failed += 1
                 print(f"{name} seed={seed}: FAILED ({abort_reason})", file=sys.stderr)

@@ -8,13 +8,11 @@ samples: a MultiLabelDataset is a Batch, so full-split passes take it as is.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, read_json
+from .errors import ConfigError
 
 NORM_TOL = 1e-9
 
@@ -184,64 +182,56 @@ class ClassStats:
         return ClassStats(counts, group_classes(counts, head_min, tail_max), dataset.num_samples)
 
 
-def dataset_to_dict(dataset: MultiLabelDataset) -> dict:
-    return {
-        "dim": dataset.dim,
-        "num_classes": dataset.num_classes,
-        "class_names": list(dataset.class_names),
-        "samples": [
-            {
-                "image_embedding": dataset.images[k].tolist(),
-                "labels": dataset.labels[k].tolist(),
-                "caption_embedding": dataset.captions[k].tolist(),
-            }
-            for k in range(dataset.num_samples)
-        ],
-    }
-
-
-def _stack_field(rows, key: str, dtype=None) -> np.ndarray:
-    try:
-        column = [row[key] for row in rows]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(
-            f"dataset snapshot samples must be objects with {key!r}: {exc!r}"
-        ) from exc
-    try:
-        return np.asarray(column, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"dataset snapshot field {key!r} is ragged or not numeric: {exc}"
-        ) from exc
-
-
-def dataset_from_dict(doc: dict) -> MultiLabelDataset:
-    """Rebuild a dataset from its snapshot. Rows are stacked into arrays
-    once; MultiLabelDataset validates every row invariant on the arrays."""
-    try:
-        names = doc["class_names"]
-        rows = doc["samples"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"dataset snapshot missing field: {exc}") from exc
-    if not isinstance(names, list):
-        raise ConfigError("dataset snapshot class_names must be a list")
-    dataset = MultiLabelDataset(
-        _stack_field(rows, "image_embedding", np.float64),
-        _stack_field(rows, "labels"),
-        _stack_field(rows, "caption_embedding", np.float64),
-        names,
-    )
-    if dataset.dim != doc.get("dim") or dataset.num_classes != doc.get("num_classes"):
-        raise ConfigError("dataset snapshot header disagrees with its samples")
-    return dataset
+# The snapshot's arrays, in file order: (dtype kinds accepted, ndim, kind name). The
+# kinds are checked before MultiLabelDataset casts, so no string reaches a float.
+SNAPSHOT_ARRAYS = {
+    "images": ("f", 2, "real floating"),
+    "labels": ("iub", 2, "integer or bool"),
+    "captions": ("f", 2, "real floating"),
+    "class_names": ("U", 1, "unicode"),
+}
 
 
 def save_dataset(dataset: MultiLabelDataset, path) -> None:
-    """Write the JSON snapshot. Floats are serialized with repr, which
-    round-trips every double exactly."""
-    text = json.dumps(dataset_to_dict(dataset), separators=(",", ":"))
-    Path(path).write_text(text + "\n")
+    """Write the snapshot: one uncompressed .npz archive of the arrays in
+    SNAPSHOT_ARRAYS. np.savez gets an open file, because it appends .npz to a
+    path that lacks it. Its zip entries carry a fixed date, so equal datasets
+    give equal bytes."""
+    arrays = dict(images=dataset.images, labels=dataset.labels, captions=dataset.captions)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays, class_names=np.array(dataset.class_names, dtype=str))
 
 
 def load_dataset(path) -> MultiLabelDataset:
-    return dataset_from_dict(read_json(path, "dataset snapshot"))
+    """Read a snapshot written by save_dataset, every array eagerly and with
+    pickles refused. A file that is not such an archive, a missing or extra
+    array, or an array of the wrong kind or ndim raises ConfigError;
+    MultiLabelDataset then checks every invariant."""
+    import tokenize  # for the errors np.load raises on a malformed archive
+    import zipfile
+
+    what = f"dataset snapshot {path}"
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(2)
+            fh.seek(0)
+            if magic == b"PK":  # every zip archive starts so; a bare .npy does not
+                with np.load(fh, allow_pickle=False) as archive:
+                    arrays = {key: archive[key] for key in archive.files}
+    except OSError as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {what}: {reason}") from exc
+    except (EOFError, ValueError, zipfile.BadZipFile, tokenize.TokenError) as exc:
+        raise ConfigError(f"{what} is not a readable .npz archive: {exc}") from exc
+    if magic.startswith(b"{"):
+        raise ConfigError(f"{what} is JSON, no longer read; regenerate it with `tailprompt synth`")
+    if magic != b"PK":
+        raise ConfigError(f"{what} is not an .npz archive")
+    if arrays.keys() != SNAPSHOT_ARRAYS.keys():
+        raise ConfigError(f"{what} holds arrays {sorted(arrays)}; expected {list(SNAPSHOT_ARRAYS)}")
+    for key, (kinds, ndim, kind_name) in SNAPSHOT_ARRAYS.items():
+        array = np.asarray(arrays[key])  # a member that is not a .npy file reads as bytes
+        if array.dtype.kind not in kinds or array.ndim != ndim:
+            got = f"{array.ndim}-d {array.dtype}"
+            raise ConfigError(f"{what}: {key} must be a {ndim}-d {kind_name} array, got {got}")
+    return MultiLabelDataset(**arrays)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -590,6 +591,36 @@ class TestSweepWorkers:
         rows = (tmp_path / "w2" / "sweep.csv").read_text().splitlines()
         assert [row.split(",")[:3] for row in rows[1:]] == [["full", "1", "1"], ["bce", "1", "1"]]
         assert json.loads((tmp_path / "w2" / "bce" / "seed-1" / "run.json").read_text())["failed"]
+
+    def test_warnings_come_once_per_run_before_its_line(
+        self, monkeypatch, tmp_path, dataset_path, capsys
+    ):
+        train = {**SMALL_CONFIG["train"], "lr0": 1e308}
+        config = tmp_path / "huge-lr.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "train": train}))
+        argv = ["--config", str(config), "--data", dataset_path, "--seeds", "1"]
+        argv += ["--variant", "full", "--variant", "bce"]
+
+        def show(message, category, filename, lineno, file=None, line=None):
+            print(f"{category.__name__}: {message}", file=sys.stderr)
+
+        results = []
+        for w in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("default")
+                monkeypatch.setattr(warnings, "showwarning", show)
+                results.append(self._sweep(monkeypatch, capsys, tmp_path / f"w{w}", w, argv))
+
+        assert results[0] == results[1]
+        run_warnings = [
+            "RuntimeWarning: invalid value encountered in matmul",
+            "RuntimeWarning: invalid value encountered in logaddexp",
+        ]
+        assert results[1][2].splitlines() == [
+            line
+            for name in ("full", "bce")
+            for line in [*run_warnings, f"{name} seed=1: FAILED (abort run: non-finite loss at epoch 1)"]
+        ]
 
     def test_numerics_error_in_every_share(self, tmp_path, config_path):
         # a fresh interpreter, so a hung pool ends in a timeout, not a hung suite

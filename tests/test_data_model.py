@@ -1,4 +1,8 @@
+import io
 import json
+import pickle
+import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -8,8 +12,6 @@ from tailprompt.data_model import (
     ClassStats,
     MultiLabelDataset,
     class_counts,
-    dataset_from_dict,
-    dataset_to_dict,
     group_classes,
     load_dataset,
     save_dataset,
@@ -158,33 +160,99 @@ class TestGroups:
         assert len(stats.group) == ds.num_classes
 
 
+def _snapshot_arrays(ds):
+    """The arrays save_dataset writes for ds, by archive key."""
+    return {
+        "images": ds.images,
+        "labels": ds.labels,
+        "captions": ds.captions,
+        "class_names": np.array(ds.class_names, dtype=str),
+    }
+
+
+def _npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _npz_bytes(arrays):
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _write_npz(path, arrays):
+    path.write_bytes(_npz_bytes(arrays))
+    return path
+
+
+def _object_images(arrays):
+    images = arrays["images"].astype(object)
+    images[0, 1] = None
+    return {**arrays, "images": images}
+
+
 class TestSerialization:
-    def test_dict_roundtrip(self):
+    def test_array_roundtrip(self, tmp_path):
         ds = _tiny_dataset()
-        back = dataset_from_dict(dataset_to_dict(ds))
-        assert np.array_equal(back.images, ds.images)
-        assert np.array_equal(back.labels, ds.labels)
-        assert np.array_equal(back.captions, ds.captions)
+        path = tmp_path / "ds.npz"
+        save_dataset(ds, path)
+        with np.load(path, allow_pickle=False) as archive:
+            stored = {key: archive[key] for key in archive.files}
+        assert list(stored) == ["images", "labels", "captions", "class_names"]
+        assert [stored[k].dtype.str for k in stored] == ["<f8", "<i8", "<f8", "<U8"]
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+        back = load_dataset(path)
+        for key in ("images", "labels", "captions"):
+            assert getattr(back, key).dtype == getattr(ds, key).dtype
+            assert getattr(back, key).tobytes() == getattr(ds, key).tobytes()
         assert back.class_names == ds.class_names
+        assert all(type(name) is str for name in back.class_names)
 
     def test_file_roundtrip_byte_identical(self, tmp_path):
         ds = _tiny_dataset()
-        p1 = tmp_path / "a.json"
-        p2 = tmp_path / "b.json"
+        p1 = tmp_path / "a.npz"
+        p2 = tmp_path / "b.npz"
         save_dataset(ds, p1)
         save_dataset(load_dataset(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_two_saves_give_identical_bytes(self, tmp_path, monkeypatch):
+        ds = _tiny_dataset()
+        save_dataset(ds, tmp_path / "a.npz")
+        # a zip entry stamped with the current time would differ a day later
+        monkeypatch.setattr(time, "time", lambda: time.mktime((2031, 5, 6, 7, 8, 9, 0, 0, -1)))
+        save_dataset(ds, tmp_path / "b.npz")
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        save_dataset(_tiny_dataset(), tmp_path / "ds.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.json"]
+        assert load_dataset(tmp_path / "ds.json").num_samples == 6
+
+    def test_bool_labels_load_as_integers(self, tmp_path):
+        arrays = _snapshot_arrays(_tiny_dataset())
+        path = _write_npz(tmp_path / "ds.npz", {**arrays, "labels": arrays["labels"].astype(bool)})
+        back = load_dataset(path)
+        assert back.labels.dtype == np.int64
+        assert np.array_equal(back.labels, arrays["labels"])
+
+    # each sample is one row of images, labels and captions
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda rows: rows[2].pop("labels"),  # missing key
-            lambda rows: rows[1]["image_embedding"].pop(),  # ragged row
-            lambda rows: rows[3]["labels"].append(0),  # ragged labels
-            lambda rows: rows[0]["caption_embedding"].__setitem__(4, "x"),  # not a number
-            lambda rows: rows[0]["image_embedding"].__setitem__(1, None),  # a null
-            lambda rows: rows[4]["labels"].__setitem__(0, "1"),
-            lambda rows: rows.__setitem__(5, [0.1, 0.2]),  # a row that is not an object
+            lambda a: {k: v for k, v in a.items() if k != "labels"},
+            lambda a: {**a, "images": a["images"][:, :-1]},
+            lambda a: {**a, "labels": np.hstack([a["labels"], a["labels"][:, :1]])},
+            lambda a: {**a, "captions": a["captions"].astype(str)},
+            _object_images,
+            lambda a: {**a, "labels": a["labels"].astype(str)},
+            lambda a: {**a, "images": a["images"][0]},  # one row where the matrix goes
+            lambda a: {**a, "images": a["images"][None]},
+            lambda a: {**a, "labels": a["labels"].astype(np.float64)},
+            lambda a: {**a, "captions": a["captions"].astype(complex)},
         ],
         ids=[
             "missing-key",
@@ -194,30 +262,101 @@ class TestSerialization:
             "null-entry",
             "string-label",
             "row-not-object",
+            "images-3d",
+            "float-labels",
+            "complex-captions",
         ],
     )
     def test_malformed_rows_raise_config_error(self, tmp_path, corrupt):
-        doc = dataset_to_dict(_tiny_dataset())
-        corrupt(doc["samples"])
-        with pytest.raises(ConfigError):
-            dataset_from_dict(doc)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError):
+        path = _write_npz(tmp_path / "bad.npz", corrupt(_snapshot_arrays(_tiny_dataset())))
+        with pytest.raises(ConfigError, match="dataset snapshot|labels shape|caption embeddings"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("names", [5, None, "abc"], ids=["int", "null", "string"])
-    def test_class_names_must_be_a_list(self, names):
-        doc = dataset_to_dict(_tiny_dataset())
-        doc["class_names"] = names
-        with pytest.raises(ConfigError, match="class_names"):
-            dataset_from_dict(doc)
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (np.arange(3), "class_names must be a 1-d unicode array, got 1-d int64"),
+            (np.array([None] * 3, dtype=object), "Object arrays cannot be loaded"),
+            (np.array("abc"), "class_names must be a 1-d unicode array, got 0-d <U3"),
+        ],
+        ids=["int", "null", "string"],
+    )
+    def test_class_names_must_be_a_list(self, tmp_path, names, message):
+        arrays = {**_snapshot_arrays(_tiny_dataset()), "class_names": names}
+        with pytest.raises(ConfigError, match=message):
+            load_dataset(_write_npz(tmp_path / "bad.npz", arrays))
+
+    def test_labels_must_match_the_class_names(self, tmp_path):
+        arrays = _snapshot_arrays(_tiny_dataset())
+        arrays["class_names"] = arrays["class_names"][:2]
+        with pytest.raises(ConfigError, match=r"labels shape \(6, 3\) does not match 6 samples x 2"):
+            load_dataset(_write_npz(tmp_path / "bad.npz", arrays))
 
     def test_corrupt_header_rejected(self, tmp_path):
-        ds = _tiny_dataset()
-        doc = dataset_to_dict(ds)
-        doc["num_classes"] = 99
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError):
+        # a member whose .npy header does not parse
+        good = _write_npz(tmp_path / "good.npz", _snapshot_arrays(_tiny_dataset()))
+        path = tmp_path / "bad.npz"
+        with zipfile.ZipFile(good) as src, zipfile.ZipFile(path, "w") as dst:
+            for name in src.namelist():
+                data = src.read(name)
+                if name == "labels.npy":
+                    data = data.replace(b"'shape': (6, 3)", b"'shape': (6, 3 ")
+                dst.writestr(name, data)
+        with pytest.raises(ConfigError, match="not a readable .npz archive"):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"", "is not an .npz archive"),
+            (b"images,labels\n", "is not an .npz archive"),
+            (pickle.dumps(_snapshot_arrays(_tiny_dataset())), "is not an .npz archive"),
+            (b"PK\x03\x04 cut short", "File is not a zip file"),
+            (_npy_bytes(np.zeros((6, 8))), "is not an .npz archive"),
+            (
+                _npz_bytes({**_snapshot_arrays(_tiny_dataset()), "extra": np.ones(2)}),
+                r"holds arrays \['captions', 'class_names', 'extra', 'images', 'labels'\]",
+            ),
+            (
+                _npz_bytes({"images": np.zeros(2), "labels": np.zeros(2), "captions": np.zeros(2)}),
+                r"expected \['images', 'labels', 'captions', 'class_names'\]",
+            ),
+            (None, "cannot read dataset snapshot .*: No such file or directory"),
+        ],
+        ids=[
+            "empty",
+            "text",
+            "pickle",
+            "truncated-zip",
+            "bare-npy",
+            "extra-key",
+            "missing-class-names",
+            "missing-file",
+        ],
+    )
+    def test_unreadable_file_raises_config_error(self, tmp_path, content, message):
+        path = tmp_path / "bad.npz"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match=message):
+            load_dataset(path)
+
+    def test_member_that_is_not_an_array(self, tmp_path):
+        good = _write_npz(tmp_path / "good.npz", _snapshot_arrays(_tiny_dataset()))
+        path = tmp_path / "bad.npz"
+        with zipfile.ZipFile(good) as src, zipfile.ZipFile(path, "w") as dst:
+            for name in src.namelist():
+                if name == "class_names.npy":
+                    dst.writestr("class_names", b"class_00,class_01,class_02")
+                else:
+                    dst.writestr(name, src.read(name))
+        with pytest.raises(ConfigError, match="class_names must be a 1-d unicode array, got 0-d \\|S26"):
+            load_dataset(path)
+
+    def test_json_snapshot_names_the_fix(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"dim": 8, "num_classes": 3, "class_names": [], "samples": []}))
+        with pytest.raises(ConfigError) as info:
+            load_dataset(path)
+        assert str(path) in str(info.value)
+        assert "JSON" in str(info.value) and "tailprompt synth" in str(info.value)
