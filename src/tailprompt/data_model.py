@@ -21,6 +21,26 @@ GROUPS = ("head", "medium", "tail")
 HEAD_MIN_DEFAULT = 100
 TAIL_MAX_DEFAULT = 20
 
+# A value-only pass over a whole split works through its rows in blocks of
+# about this many entries of its widest (rows, width) temporary, so that its
+# temporaries stay cache-sized whatever the split's size.
+BLOCK_ENTRIES = 2**16
+
+
+def block_rows(width: int) -> int:
+    """Rows in one block of a pass over width-wide rows (see BLOCK_ENTRIES).
+    At least two: a one-row block is contiguous along its row in every
+    layout, so numpy would sum that row in a different order than it sums
+    the same row of a column-major whole array."""
+    return max(2, BLOCK_ENTRIES // width)
+
+
+def row_blocks(num_rows: int, width: int) -> list[slice]:
+    """Consecutive row slices that cover num_rows rows in blocks of
+    block_rows(width) rows; a one-row tail joins the block before it."""
+    starts = list(range(0, num_rows - 1, block_rows(width))) or [0]
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], num_rows])]
+
 
 @dataclass(frozen=True)
 class Batch:
@@ -84,13 +104,12 @@ class MultiLabelDataset(Batch):
             raise ConfigError("invalid label: entries must be 0 or 1")
         object.__setattr__(self, "labels", labels.astype(np.int64))
 
-        # written so that a NaN norm fails the check instead of passing it
-        norms = np.linalg.norm(images, axis=1)
-        if not (np.abs(norms - 1.0) <= NORM_TOL).all():
-            raise ConfigError("image embeddings must have unit L2 norm")
-        norms = np.linalg.norm(captions, axis=1)
-        if not (np.abs(norms - 1.0) <= NORM_TOL).all():
-            raise ConfigError("caption embeddings must have unit L2 norm")
+        for name, vecs in (("image", images), ("caption", captions)):
+            for rows in row_blocks(*vecs.shape):
+                norms = np.linalg.norm(vecs[rows], axis=1)
+                # written so that a NaN norm fails the check instead of passing it
+                if not (np.abs(norms - 1.0) <= NORM_TOL).all():
+                    raise ConfigError(f"{name} embeddings must have unit L2 norm")
         if (self.labels.sum(axis=1) < 1).any():
             raise ConfigError("invalid label: every sample must have at least one positive class")
         if (self.labels.sum(axis=0) < 1).any():

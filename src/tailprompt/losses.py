@@ -10,6 +10,8 @@ All class statistics (weights, margins, rebalance factors, logit biases) are
 computed from full-training-split counts, never from batch counts, once per
 (ClassStats, LossConfig) pair (see LossConstants). Reductions sum over classes
 first, then average over samples in index order, so values are bit-stable.
+A value-only pass over a whole split does its elementwise work in row blocks
+and gives the same bits as one whole-array pass (see _mean_of_terms).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data_model import Batch, ClassStats
+from .data_model import Batch, ClassStats, block_rows, row_blocks
 from .encoders import MODE_SHARED, FrozenTextEncoder, PromptSet, encode_all, encode_backward
 from .errors import ConfigError, NumericsError
 
@@ -122,27 +124,24 @@ def class_weights(counts, gamma_rw: float) -> np.ndarray:
     return raw / raw.sum()
 
 
-def _cse_parts(
-    captions: np.ndarray,
-    labels: np.ndarray,
-    embeddings: np.ndarray,
-    weights,
-    margins,
-    need_grad: bool,
-):
-    """Value and gradient w.r.t. the unit prompt embeddings."""
-    dl = 1.0 - captions @ embeddings.T  # (B, C)
+def _distances(captions: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
+    """(B, C) cosine distances 1 - caption . embedding between unit rows."""
+    dl = captions @ embeddings.T
+    return np.subtract(1.0, dl, out=dl)
+
+
+def _cse_parts(dl: np.ndarray, labels: np.ndarray, weights, margins, need_grad: bool):
+    """Per-sample sums of the embedding loss's terms on the distances dl, and
+    the terms' derivatives w.r.t. dl (not divided by B; see total_loss)."""
     positive = labels == 1
     hinge = weights * (margins - dl)
     terms = np.where(positive, weights * dl, np.maximum(0.0, hinge))
-    value = float(terms.sum(axis=1).sum() / dl.shape[0])
     if not need_grad:
-        return value, None
+        return terms.sum(axis=1), None
     # d(term)/d(delta): +w for positives, -w on the active hinge side, 0 at
     # the kink (subgradient convention) and beyond it
     coef = np.where(positive, weights, np.where(hinge > 0, -weights, 0.0))
-    grad_embeddings = -(coef.T @ captions) / captions.shape[0]
-    return value, grad_embeddings
+    return terms.sum(axis=1), coef
 
 
 def db_rebalance(counts, alpha: float, beta: float, theta: float) -> np.ndarray:
@@ -234,15 +233,14 @@ def _db_parts(
     terms = _by_label(
         positive, negative, z, r_pos * mod_pos * sp_neg_x, (r_neg / zeta) * mod_neg * sp_zx
     )
-    value = float(terms.sum(axis=1).sum() / z.shape[0])
     if not need_grad:
-        return value, None
+        return terms.sum(axis=1), None
     log_q = -sp_neg_x
     log_1mq = -sp_zx
     grad_pos = r_pos * g * q_pos * mod_pos * log_q - r_pos * np.power(one_minus_q, g + 1.0)
     grad_neg = r_neg * np.power(q_neg, g + 1.0) - r_neg * g * mod_neg * (1.0 - q_neg) * log_1mq
     grad_z = _by_label(positive, negative, z, grad_pos / z.shape[0], grad_neg / z.shape[0])
-    return value, grad_z
+    return terms.sum(axis=1), grad_z
 
 
 def _bce_parts(z: np.ndarray, labels: np.ndarray, need_grad: bool):
@@ -250,9 +248,8 @@ def _bce_parts(z: np.ndarray, labels: np.ndarray, need_grad: bool):
     negative = ~positive
     z_pos, z_neg = _split(z, positive, negative)
     terms = _by_label(positive, negative, z, _softplus(-z_pos), _softplus(z_neg))
-    value = float(terms.sum() / terms.size)
     if not need_grad:
-        return value, None
+        return terms, None
     grad_z = _by_label(
         positive,
         negative,
@@ -260,7 +257,7 @@ def _bce_parts(z: np.ndarray, labels: np.ndarray, need_grad: bool):
         (_sigmoid(z_pos) - 1.0) / terms.size,
         _sigmoid(z_neg) / terms.size,
     )
-    return value, grad_z
+    return terms, grad_z
 
 
 def _focal_parts(z: np.ndarray, labels: np.ndarray, gamma_focal: float, need_grad: bool):
@@ -276,15 +273,14 @@ def _focal_parts(z: np.ndarray, labels: np.ndarray, gamma_focal: float, need_gra
     q_neg = _sigmoid(z_neg)
     mod_neg = np.power(q_neg, g)
     terms = _by_label(positive, negative, z, mod_pos * sp_neg, mod_neg * sp_pos)
-    value = float(terms.sum() / terms.size)
     if not need_grad:
-        return value, None
+        return terms, None
     log_q = -sp_neg
     log_1mq = -sp_pos
     grad_pos = g * q_pos * mod_pos * log_q - np.power(one_minus_q, g + 1.0)
     grad_neg = np.power(q_neg, g + 1.0) - g * mod_neg * (1.0 - q_neg) * log_1mq
     grad_z = _by_label(positive, negative, z, grad_pos / terms.size, grad_neg / terms.size)
-    return value, grad_z
+    return terms, grad_z
 
 
 class LossConstants:
@@ -329,12 +325,45 @@ def _cls_parts(
     config: LossConfig,
     need_grad: bool,
 ):
+    """The configured classification part: the terms it averages and the
+    gradient w.r.t. z. db averages per-sample sums over the samples; bce
+    and focal average their (B, C) terms over every entry."""
     if config.cls_loss_kind == "db":
         rebal, bias = constants.db
         return _db_parts(z, labels, rebal, bias, config, need_grad)
     if config.cls_loss_kind == "bce":
         return _bce_parts(z, labels, need_grad)
     return _focal_parts(z, labels, config.gamma_focal, need_grad)
+
+
+def _mean_of_terms(
+    part, scores: np.ndarray, labels: np.ndarray, constants: tuple, need_grad: bool
+):
+    """(value, gradient) of one part of the objective on (B, C) scores.
+
+    part(scores, labels, *constants, need_grad) returns the terms its value
+    averages, (B,) per-sample sums or (B, C) entries, and its gradient. A
+    value-only call on more rows than fit in one block runs part on each row
+    block of the scores (data_model.row_blocks) and keeps only those terms,
+    in a buffer laid out as a block lays out its own; a block of two or more
+    rows has the whole array's layout. The one sum then adds the same
+    numbers in the same order as on the whole array, so the value is
+    bit-identical, while every other (B, C) temporary lives for one block.
+
+    The scores themselves come in whole: with some BLAS kernels, a row block
+    of a matrix product computed alone has other bits than the same rows of
+    the whole product.
+    """
+    if need_grad or scores.shape[0] <= block_rows(scores.shape[1]):
+        terms, gradient = part(scores, labels, *constants, need_grad)
+        return float(terms.sum() / terms.size), gradient
+    terms = None
+    for rows in row_blocks(*scores.shape):
+        block, _ = part(scores[rows], labels[rows], *constants, False)
+        if terms is None:
+            terms = np.empty_like(block, shape=(scores.shape[0], *block.shape[1:]))
+        terms[rows] = block
+    return float(terms.sum() / terms.size), None
 
 
 def cls_loss_on_logits(
@@ -352,7 +381,8 @@ def cls_loss_on_logits(
             f"logits {z.shape}, labels {np.shape(labels)} and stats of "
             f"{stats.num_classes} classes disagree"
         )
-    value, grad_z = _cls_parts(z, labels, loss_constants(stats, config), config, need_grad)
+    constants = (loss_constants(stats, config), config)
+    value, grad_z = _mean_of_terms(_cls_parts, z, labels, constants, need_grad)
     return LossReport(total=value, cls_part=value, cse_part=0.0, gradient=grad_z)
 
 
@@ -391,14 +421,23 @@ def total_loss(
     cls_value = 0.0
     cse_value = 0.0
     grad_z = None
-    grad_embeddings_cse = None
+    coef = None
+    # each (B, C) score matrix is passed on unnamed, so it is freed before the next is built
     if compute_cls:
-        z = batch.images @ encoding.embeddings.T / tau
-        cls_value, grad_z = _cls_parts(z, batch.labels, constants, config, need_grad)
+        cls_value, grad_z = _mean_of_terms(
+            _cls_parts,
+            batch.images @ encoding.embeddings.T / tau,
+            batch.labels,
+            (constants, config),
+            need_grad,
+        )
     if compute_cse:
-        weights, margins = constants.cse
-        cse_value, grad_embeddings_cse = _cse_parts(
-            batch.captions, batch.labels, encoding.embeddings, weights, margins, need_grad
+        cse_value, coef = _mean_of_terms(
+            _cse_parts,
+            _distances(batch.captions, encoding.embeddings),
+            batch.labels,
+            constants.cse,
+            need_grad,
         )
 
     total = lam * cls_value + (1.0 - lam) * cse_value
@@ -409,7 +448,7 @@ def total_loss(
     if compute_cls:
         grad_embeddings += lam * (grad_z.T @ batch.images) / tau
     if compute_cse:
-        grad_embeddings += (1.0 - lam) * grad_embeddings_cse
+        grad_embeddings += (1.0 - lam) * (-(coef.T @ batch.captions) / batch.num_samples)
     gradient = encode_backward(encoder, prompts, encoding, grad_embeddings)
     return LossReport(total=total, cls_part=cls_value, cse_part=cse_value, gradient=gradient)
 
@@ -434,7 +473,7 @@ def hinge_kink_mask(
         return mask
     encoding = encode_all(encoder, prompts)
     weights, margins = loss_constants(stats, config).cse
-    dl = 1.0 - batch.captions @ encoding.embeddings.T
+    dl = _distances(batch.captions, encoding.embeddings)
     hinge = weights * (margins - dl)
     near = (np.abs(hinge) < KINK_GUARD) & (batch.labels == 0)
     per_class = near.any(axis=0)  # (C,)
@@ -447,11 +486,14 @@ def hinge_kink_mask(
 
 def mean_positive_delta(batch: Batch, prompts: PromptSet, encoder: FrozenTextEncoder) -> float:
     """Mean cosine distance between captions and the prompt embeddings of
-    their positive classes; the caption-alignment diagnostic."""
+    their positive classes; the caption-alignment diagnostic. The positive
+    entries are gathered a row block at a time, in the row-major order of
+    one whole-array gather, and averaged once."""
     _check_classes(batch, prompts)
     encoding = encode_all(encoder, prompts)
-    dl = 1.0 - batch.captions @ encoding.embeddings.T
-    positive = batch.labels == 1
-    if not positive.any():
+    dl = _distances(batch.captions, encoding.embeddings)
+    labels = batch.labels
+    deltas = np.concatenate([dl[rows][labels[rows] == 1] for rows in row_blocks(*dl.shape)])
+    if deltas.size == 0:
         raise ConfigError("batch has no positive labels")
-    return float(dl[positive].mean())
+    return float(deltas.mean())

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import MultiLabelDataset
+from .data_model import MultiLabelDataset, row_blocks
 from .errors import ConfigError, NumericsError
 from .seeding import DOMAIN_SYNTH, substream, unit_rows
 
@@ -195,6 +195,7 @@ def generate_with_prototypes(config: SynthConfig) -> tuple[MultiLabelDataset, Cl
     captions = _noisy_unit(
         signal, config.caption_noise_std, substream(config.seed, DOMAIN_SYNTH, _STREAM_CAPTION_NOISE)
     )
+    del signal  # not held while the dataset checks its arrays
 
     names = tuple(f"class_{i:02d}" for i in range(c))
     dataset = MultiLabelDataset(images, labels, captions, names)
@@ -206,10 +207,17 @@ def generate(config: SynthConfig) -> MultiLabelDataset:
 
 
 def _noisy_unit(signal: np.ndarray, std: float, rng: np.random.Generator) -> np.ndarray:
-    vecs = signal
-    if std > 0:
-        vecs = signal + std * rng.standard_normal(signal.shape)
-    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-    if norms.min() < 1e-12:
-        raise NumericsError("degenerate embedding: prototype sum plus noise collapsed to zero")
-    return vecs / norms
+    """The rows of signal plus Gaussian noise of scale std, each scaled to
+    unit length, worked out in row blocks. Each block draws its noise from
+    rng after the block before it; standard_normal fills its output in
+    order, so the draws are those of one whole-array call."""
+    out = np.empty_like(signal)
+    for rows in row_blocks(*signal.shape):
+        vecs = signal[rows]
+        if std > 0:
+            vecs = vecs + std * rng.standard_normal(vecs.shape)
+        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+        if norms.min() < 1e-12:
+            raise NumericsError("degenerate embedding: prototype sum plus noise collapsed to zero")
+        np.divide(vecs, norms, out=out[rows])
+    return out

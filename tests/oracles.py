@@ -37,11 +37,12 @@ def cse_loss(batch, prompts, encoder, counts, config, need_grad: bool = True) ->
         raise ConfigError("batch and prompts disagree on the number of classes")
     encoding = encode_all(encoder, prompts)
     weights, margins = loss_constants(_stats(counts, int(np.sum(counts))), config).cse
-    value, grad_embeddings = _cse_parts(
-        batch.captions, batch.labels, encoding.embeddings, weights, margins, need_grad
-    )
+    dl = 1.0 - batch.captions @ encoding.embeddings.T
+    row_sums, coef = _cse_parts(dl, batch.labels, weights, margins, need_grad)
+    value = float(row_sums.sum() / batch.num_samples)
     gradient = None
     if need_grad:
+        grad_embeddings = -(coef.T @ batch.captions) / batch.num_samples
         gradient = encode_backward(encoder, prompts, encoding, grad_embeddings)
     return LossReport(total=value, cls_part=0.0, cse_part=value, gradient=gradient)
 
@@ -338,3 +339,15 @@ def focal_parts_where(z, labels, gamma_focal, need_grad):
     grad_pos = g * q * np.power(1.0 - q, g) * log_q - np.power(1.0 - q, g + 1.0)
     grad_neg = np.power(q, g + 1.0) - g * np.power(q, g) * (1.0 - q) * log_1mq
     return value, np.where(positive, grad_pos, grad_neg) / terms.size
+
+
+def noisy_unit_whole(signal, std, rng):
+    """synth._noisy_unit as one whole-array pass: one noise draw for every
+    row, then one normalisation."""
+    vecs = signal
+    if std > 0:
+        vecs = signal + std * rng.standard_normal(signal.shape)
+    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+    if norms.min() < 1e-12:
+        raise ValueError("degenerate embedding")
+    return vecs / norms

@@ -53,14 +53,14 @@ def config_path(tmp_path):
 
 @pytest.fixture()
 def dataset_path(tmp_path, config_path):
-    path = tmp_path / "data.json"
+    path = tmp_path / "data.npz"
     assert main(["synth", "--config", config_path, "--out", str(path)]) == EXIT_OK
     return str(path)
 
 
 class TestSynth:
     def test_writes_dataset_and_table(self, tmp_path, config_path, capsys):
-        out = tmp_path / "ds.json"
+        out = tmp_path / "ds.npz"
         assert main(["synth", "--config", config_path, "--out", str(out)]) == EXIT_OK
         stdout = capsys.readouterr().out
         assert "wrote 60 samples x 4 classes" in stdout
@@ -68,14 +68,14 @@ class TestSynth:
         assert out.exists()
 
     def test_rerun_byte_identical(self, tmp_path, config_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
+        a = tmp_path / "a.npz"
+        b = tmp_path / "b.npz"
         main(["synth", "--config", config_path, "--out", str(a)])
         main(["synth", "--config", config_path, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
     def test_collision_refused(self, tmp_path, config_path, capsys):
-        out = tmp_path / "ds.json"
+        out = tmp_path / "ds.npz"
         main(["synth", "--config", config_path, "--out", str(out)])
         assert main(["synth", "--config", config_path, "--out", str(out)]) == EXIT_CONFIG
         assert "already exists" in capsys.readouterr().err
@@ -84,7 +84,7 @@ class TestSynth:
         )
 
     def test_flag_overrides(self, tmp_path, capsys):
-        out = tmp_path / "ds.json"
+        out = tmp_path / "ds.npz"
         code = main(
             ["synth", "--classes", "3", "--samples", "30", "--dim", "8", "--out", str(out)]
         )
@@ -160,7 +160,7 @@ class TestTrain:
         assert echoed["train"]["seed"] == 9
 
     def test_saturated_class_is_a_numerics_failure(self, tmp_path, config_path, capsys):
-        data = _save_saturated_dataset(tmp_path / "saturated.json")
+        data = _save_saturated_dataset(tmp_path / "saturated.npz")
         out = str(tmp_path / "r")
         code = main(["train", "--config", config_path, "--data", data, "--out", out])
         assert code == EXIT_NUMERICS
@@ -624,7 +624,7 @@ class TestSweepWorkers:
 
     def test_numerics_error_in_every_share(self, tmp_path, config_path):
         # a fresh interpreter, so a hung pool ends in a timeout, not a hung suite
-        data = _save_saturated_dataset(tmp_path / "saturated.json")
+        data = _save_saturated_dataset(tmp_path / "saturated.npz")
         code = "import sys, tailprompt.cli as c; c._usable_cores = lambda: 2; sys.exit(c.main())"
         out = str(tmp_path / "s")
         argv = ["sweep", "--config", config_path, "--data", data, "--out", out]
@@ -670,7 +670,7 @@ def test_importing_the_cli_loads_no_process_pool():
 @pytest.mark.parametrize(
     "command, seed_config",
     [
-        (["synth", "--seed", "-1", "--out", "ds.json"], None),
+        (["synth", "--seed", "-1", "--out", "ds.npz"], None),
         (["train", "--out", "run"], {"synth": {"seed": -2}}),
         (["gradcheck", "--seed", "-5"], None),
     ],
@@ -702,7 +702,7 @@ class TestExistingOutputRefusedFirst:
             monkeypatch.setattr(cli, name, fail)
 
     def test_synth(self, monkeypatch, tmp_path, config_path, capsys):
-        out = tmp_path / "ds.json"
+        out = tmp_path / "ds.npz"
         out.write_text("{}")
         self._forbid(monkeypatch, "generate")
         assert main(["synth", "--config", config_path, "--out", str(out)]) == EXIT_CONFIG
@@ -806,7 +806,7 @@ class TestExistingOutputRefusedFirst:
     @pytest.mark.parametrize(
         "command, forbidden",
         [
-            (["synth", "--out", "afile/sub/ds.json"], ["generate"]),
+            (["synth", "--out", "afile/sub/ds.npz"], ["generate"]),
             (
                 ["eval", "--ckpt", "p.json", "--out", "afile/e.json"],
                 ["load_dataset", "generate", "checkpoint_from_dict"],
@@ -830,9 +830,9 @@ class TestExistingOutputRefusedFirst:
         assert (tmp_path / "afile").read_text() == "keep"
 
     def test_missing_parent_directory_is_created(self, tmp_path, config_path, dataset_path):
-        data = tmp_path / "new" / "deeper" / "ds.json"
+        data = tmp_path / "new" / "deeper" / "ds.npz"
         assert main(["synth", "--config", config_path, "--out", str(data)]) == EXIT_OK
-        assert data.read_bytes() == (tmp_path / "data.json").read_bytes()
+        assert data.read_bytes() == (tmp_path / "data.npz").read_bytes()
         run = tmp_path / "run"
         args = ["--config", config_path, "--data", str(data)]
         assert main(["train", *args, "--out", str(run), "--skip-gradcheck"]) == EXIT_OK

@@ -7,12 +7,15 @@ against both trees, each with PYTHONPATH set to that tree's src/ and one BLAS
 thread: synth, train (with its pre-training gradcheck), train with
 --skip-gradcheck, --ablation, --loss and --seed, eval of the trained
 prompts, the 120-case gradcheck, a sweep of every variant over seeds 1 and
-2, and eval of the linear-probe checkpoint that sweep writes. Every output file
-is then compared byte for byte, except run.json, which is compared without
-its wall_seconds. Exit codes, stdout and stderr are compared with the output
-root and the train wall time masked. Prints each difference and exits 1 if
-there is any, 0 otherwise. Uses the standard library only; one comparison
-takes about 40 s on a 2-core x86 VM.
+2, and eval of the linear-probe checkpoint that sweep writes. Then three more
+on a 3000 x 60 x 32 split, large enough that value-only passes run in
+several row blocks: synth, train with --skip-gradcheck and --loss focal, and
+a sweep of linear-probe and bce. Every output file is then compared byte for
+byte, except run.json, which is compared without its wall_seconds. Exit
+codes, stdout and stderr are compared with the output root and the train
+wall time masked. Prints each difference and exits 1 if there is any, 0
+otherwise. Uses the standard library only; one comparison takes about 45 s
+on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -44,12 +47,12 @@ VARIANTS = (
 
 # run from the output root, so every path here is relative to it
 COMMANDS = (
-    ("synth", "--out", "data.json"),
-    ("train", "--data", "data.json", "--out", "train"),
+    ("synth", "--out", "data.npz"),
+    ("train", "--data", "data.npz", "--out", "train"),
     (
         "train",
         "--data",
-        "data.json",
+        "data.npz",
         "--out",
         "train-flags",
         "--skip-gradcheck",
@@ -60,18 +63,34 @@ COMMANDS = (
         "--seed",
         "9",
     ),
-    ("eval", "--data", "data.json", "--ckpt", "train/prompts.ckpt.json", "--out", "eval.json"),
+    ("eval", "--data", "data.npz", "--ckpt", "train/prompts.ckpt.json", "--out", "eval.json"),
     ("gradcheck",),
-    ("sweep", "--data", "data.json", "--out", "sweep", "--seeds", "1,2")
+    ("sweep", "--data", "data.npz", "--out", "sweep", "--seeds", "1,2")
     + tuple(arg for name in VARIANTS for arg in ("--variant", name)),
     (
         "eval",
         "--data",
-        "data.json",
+        "data.npz",
         "--ckpt",
         "sweep/linear-probe/seed-1/prompts.ckpt.json",
         "--out",
         "eval-probe.json",
+    ),
+    # a split whose value-only passes run in several row blocks
+    ("synth", "--out", "big.npz", "--samples", "3000", "--classes", "60", "--dim", "32"),
+    ("train", "--data", "big.npz", "--out", "big-train", "--skip-gradcheck", "--loss", "focal"),
+    (
+        "sweep",
+        "--data",
+        "big.npz",
+        "--out",
+        "big-sweep",
+        "--seeds",
+        "1",
+        "--variant",
+        "linear-probe",
+        "--variant",
+        "bce",
     ),
 )
 
