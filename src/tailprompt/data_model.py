@@ -42,6 +42,13 @@ def row_blocks(num_rows: int, width: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], num_rows])]
 
 
+def positive_mask(labels: np.ndarray) -> np.ndarray:
+    """The bool mask of labels' positive entries, in labels' memory layout:
+    bool labels are their own mask, others are compared with 1. Comparing
+    bool labels with 1 would cast every entry to an integer first."""
+    return labels if labels.dtype == bool else labels == 1
+
+
 @dataclass(frozen=True)
 class Batch:
     """A slice of a dataset, stacked for vectorized loss evaluation.
@@ -78,7 +85,8 @@ class MultiLabelDataset(Batch):
 
     Invariants checked here (in place of Batch's shape checks, which they
     include): all rows unit-norm, labels binary with >= 1 positive per
-    sample, and every class positive in >= 1 sample.
+    sample, and every class positive in >= 1 sample. Labels given as 0/1
+    numbers of any dtype are stored as bool.
     """
 
     class_names: tuple[str, ...]
@@ -102,7 +110,8 @@ class MultiLabelDataset(Batch):
             raise ConfigError("caption embeddings must match image embeddings in shape")
         if not ((labels == 0) | (labels == 1)).all():
             raise ConfigError("invalid label: entries must be 0 or 1")
-        object.__setattr__(self, "labels", labels.astype(np.int64))
+        # a copy in the input's memory layout, one byte per entry
+        object.__setattr__(self, "labels", labels.astype(bool))
 
         for name, vecs in (("image", images), ("caption", captions)):
             for rows in row_blocks(*vecs.shape):

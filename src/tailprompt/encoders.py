@@ -10,6 +10,12 @@ adds no capacity. It changes only the initial spread (sigma*sqrt(M) for the
 sum) and the effective step: SGD at rate lr moves the pooled vector by
 lr*M/(M+1)^2 times its gradient. CoOp's context tokens matter because CLIP's
 text transformer mixes them (arXiv 2109.01134); this encoder does not.
+
+Since the pool sees only that sum, the M tokens of a block share one
+gradient, g_pooled/(M+1), and encode_backward returns it once per block,
+with a token axis of length 1 that broadcasts over the M stored contexts.
+The contexts themselves stay (C or 1, M, d_token), so the forward pass and
+the checkpoint format are those of M separate tokens.
 """
 
 from __future__ import annotations
@@ -186,19 +192,19 @@ def encode_backward(
     """Chain a gradient w.r.t. the unit prompt embeddings back to contexts.
 
     Per class: g_u = (I - e e^T) g_e / |u|, then through the fixed projection
-    and the mean pool. Returns an array shaped like prompts.contexts; in shared
-    mode the per-class contributions accumulate into the single block.
+    and the mean pool. Every context token of a block gets the same gradient,
+    so it is returned once per block: shape (C, 1, d_token), or (1, 1,
+    d_token) in shared mode, where the per-class contributions accumulate
+    into the single block. It broadcasts against prompts.contexts.
     """
     e = encoding.embeddings
     radial = (e * grad_embeddings).sum(axis=1, keepdims=True)
     g_pre = (grad_embeddings - e * radial) / encoding.norms[:, None]
     g_pooled = g_pre @ encoder.projection.T  # (C, d_token)
-    m = prompts.num_context_tokens
-    per_token = g_pooled / (m + 1.0)
+    per_token = g_pooled / (prompts.num_context_tokens + 1.0)
     if prompts.mode == MODE_SHARED:
-        block = per_token.sum(axis=0)
-        return np.tile(block, (1, m, 1))
-    return np.repeat(per_token[:, None, :], m, axis=1)
+        per_token = per_token.sum(axis=0, keepdims=True)
+    return per_token[:, None, :]
 
 
 def prompts_to_dict(prompts: PromptSet) -> dict:

@@ -75,13 +75,19 @@ def check(
 ) -> GradCheckReport:
     """Compare the analytic gradient against central differences of step STEP.
 
-    Coordinates where the boolean array skip (shaped like params) is True,
-    such as hinge kinks, are not compared but counted.
+    analytic_grad may have length 1 on an axis of params, such as the
+    pooled prompt gradient's token axis; it is broadcast to params' shape and
+    compared at every coordinate. Coordinates where the boolean array skip
+    (shaped like params) is True, such as hinge kinks, are not compared but
+    counted.
     """
     params = np.asarray(params, dtype=np.float64)
     analytic = np.asarray(analytic_grad, dtype=np.float64)
-    if analytic.shape != params.shape:
+    if analytic.ndim != params.ndim or any(
+        a not in (p, 1) for a, p in zip(analytic.shape, params.shape)
+    ):
         raise ConfigError("analytic gradient shape does not match the parameters")
+    analytic = np.broadcast_to(analytic, params.shape)
     skip = np.zeros(params.shape, dtype=bool) if skip is None else np.asarray(skip, dtype=bool)
     if skip.shape != params.shape:
         raise ConfigError("skip mask shape does not match the parameters")
@@ -171,12 +177,13 @@ def check_training_state(
 
     The encoder sees a class's M contexts only through their sum, so
     check_total_loss runs on pooled_prompt_set(prompts). The analytic
-    gradient w.r.t. each of the M tokens must then equal s = 2/(M+1) times
-    the pooled analytic gradient; that comparison needs no loss evaluation
-    and uses the same relative error and TOLERANCE, skipping the pooled kink
-    mask broadcast over M. The report holds the worse of the two
-    comparisons, with worst_index into prompts.contexts (a pooled coordinate
-    is named at token 0) and num_skipped_kinks counted over prompts.contexts.
+    gradient of the training state, one row per block that broadcasts over
+    its M tokens, must then equal s = 2/(M+1) times the pooled analytic
+    gradient at every token; that comparison needs no loss evaluation and
+    uses the same relative error and TOLERANCE, skipping the pooled kink mask
+    broadcast over M. The report holds the worse of the two comparisons,
+    with worst_index into prompts.contexts (a pooled coordinate is named at
+    token 0) and num_skipped_kinks counted over prompts.contexts.
     """
     pooled = pooled_prompt_set(prompts)
     numeric = check_total_loss(batch, pooled, encoder, stats, config, tau)
@@ -189,10 +196,11 @@ def check_training_state(
     pooled_grad = total_loss(batch, pooled, encoder, stats, config, tau, need_grad=True).gradient
     scaled = _pool_scale(prompts.num_context_tokens) * pooled_grad
     skip = hinge_kink_mask(batch, pooled, encoder, stats, config)
+    shape = prompts.contexts.shape
     exact = _compare(
-        analytic,
-        np.broadcast_to(scaled, analytic.shape),
-        np.broadcast_to(skip, analytic.shape),
+        np.broadcast_to(analytic, shape),
+        np.broadcast_to(scaled, shape),
+        np.broadcast_to(skip, shape),
     )
 
     worst = max(numeric, exact, key=lambda report: report.max_rel_error)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data_model import Batch, ClassStats, block_rows, row_blocks
+from .data_model import Batch, ClassStats, block_rows, positive_mask, row_blocks
 from .encoders import MODE_SHARED, FrozenTextEncoder, PromptSet, encode_all, encode_backward
 from .errors import ConfigError, NumericsError
 
@@ -77,7 +77,8 @@ class LossReport:
     """Value breakdown plus the gradient of the reported objective.
 
     total = cls_loss_weight * cls_part + (1 - cls_loss_weight) * cse_part for
-    total_loss, whose gradient is shaped like PromptSet.contexts.
+    total_loss, whose gradient is the pooled one of encode_backward: one
+    token row per context block, which broadcasts against PromptSet.contexts.
     cls_loss_on_logits reports its value as total and cls_part, with cse_part
     zero and the gradient shaped like the logits (for chaining). gradient is
     None when it was not requested.
@@ -133,7 +134,7 @@ def _distances(captions: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
 def _cse_parts(dl: np.ndarray, labels: np.ndarray, weights, margins, need_grad: bool):
     """Per-sample sums of the embedding loss's terms on the distances dl, and
     the terms' derivatives w.r.t. dl (not divided by B; see total_loss)."""
-    positive = labels == 1
+    positive = positive_mask(labels)
     hinge = weights * (margins - dl)
     terms = np.where(positive, weights * dl, np.maximum(0.0, hinge))
     if not need_grad:
@@ -213,7 +214,7 @@ def _db_parts(
 ):
     g = config.gamma_focal
     zeta = config.db_zeta
-    positive = labels == 1
+    positive = positive_mask(labels)
     negative = ~positive
     r_pos, r_neg = _split(_per_entry(rebal, z.shape), positive, negative)
     # x = z - bias; the (B, C) x itself is not kept
@@ -244,7 +245,7 @@ def _db_parts(
 
 
 def _bce_parts(z: np.ndarray, labels: np.ndarray, need_grad: bool):
-    positive = labels == 1
+    positive = positive_mask(labels)
     negative = ~positive
     z_pos, z_neg = _split(z, positive, negative)
     terms = _by_label(positive, negative, z, _softplus(-z_pos), _softplus(z_neg))
@@ -261,7 +262,7 @@ def _bce_parts(z: np.ndarray, labels: np.ndarray, need_grad: bool):
 
 
 def _focal_parts(z: np.ndarray, labels: np.ndarray, gamma_focal: float, need_grad: bool):
-    positive = labels == 1
+    positive = positive_mask(labels)
     negative = ~positive
     g = gamma_focal
     z_pos, z_neg = _split(z, positive, negative)
@@ -407,7 +408,7 @@ def total_loss(
 
     At the endpoints the disabled part is skipped entirely, so the total
     reproduces the pure loss bit-exactly. The gradient (same convex
-    combination) is returned in PromptSet.contexts layout.
+    combination) is encode_backward's, shaped (C or 1, 1, d_token).
     """
     if tau <= 0:
         raise ConfigError("temperature must be > 0")
@@ -493,7 +494,9 @@ def mean_positive_delta(batch: Batch, prompts: PromptSet, encoder: FrozenTextEnc
     encoding = encode_all(encoder, prompts)
     dl = _distances(batch.captions, encoding.embeddings)
     labels = batch.labels
-    deltas = np.concatenate([dl[rows][labels[rows] == 1] for rows in row_blocks(*dl.shape)])
+    deltas = np.concatenate(
+        [dl[rows][positive_mask(labels[rows])] for rows in row_blocks(*dl.shape)]
+    )
     if deltas.size == 0:
         raise ConfigError("batch has no positive labels")
     return float(deltas.mean())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ClassStats, GROUPS, MultiLabelDataset
+from .data_model import ClassStats, GROUPS, MultiLabelDataset, positive_mask
 from .encoders import FrozenTextEncoder, PromptSet, encode_all
 from .errors import ConfigError
 
@@ -46,7 +46,7 @@ def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
         raise ConfigError("scores must be finite")
     # one read of a strided column, then contiguous passes
     labels = np.ascontiguousarray(labels)
-    positive = labels == 1
+    positive = positive_mask(labels)
     npos = int(np.count_nonzero(positive))
     if npos + int(np.count_nonzero(labels == 0)) != n:
         raise ConfigError("labels must be 0 or 1")
@@ -108,7 +108,7 @@ def evaluate_scores(scores: np.ndarray, labels: np.ndarray, stats: ClassStats) -
         raise ConfigError("stats cover a different number of classes")
     per_class = np.full(num_classes, np.nan)
     excluded = []
-    has_positive = (labels == 1).any(axis=0)
+    has_positive = positive_mask(labels).any(axis=0)
     for i in range(num_classes):
         if has_positive[i]:
             per_class[i] = average_precision(scores[:, i], labels[:, i])

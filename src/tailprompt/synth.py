@@ -113,7 +113,7 @@ def make_prototypes(config: SynthConfig) -> ClassPrototypes:
 def sample_label_sets(
     config: SynthConfig, probs: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """(num_samples, C) binary labels: per sample, a primary class plus
+    """(num_samples, C) bool labels: per sample, a primary class plus
     optional co-occurring extras.
 
     Each of the max_extra_labels slots independently adds, with probability
@@ -147,8 +147,8 @@ def sample_label_sets(
                 at += 1
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    labels = np.zeros((n, config.num_classes), dtype=np.int64)
-    labels[owners, cdf.searchsorted(uniforms[draws], side="right")] = 1
+    labels = np.zeros((n, config.num_classes), dtype=bool)
+    labels[owners, cdf.searchsorted(uniforms[draws], side="right")] = True
     return labels
 
 
@@ -166,9 +166,9 @@ def _repair_zero_counts(labels: np.ndarray, rng: np.random.Generator) -> None:
             return
         nonzero = np.flatnonzero(counts > 0)
         rarest = nonzero[np.argmin(counts[nonzero])]
-        holders = np.flatnonzero(labels[:, rarest] == 1)
+        holders = np.flatnonzero(labels[:, rarest])
         pick = holders[rng.integers(holders.size)]
-        labels[pick, missing[0]] = 1
+        labels[pick, missing[0]] = True
 
 
 def generate_with_prototypes(config: SynthConfig) -> tuple[MultiLabelDataset, ClassPrototypes]:

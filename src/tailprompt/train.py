@@ -160,10 +160,21 @@ def cosine_lr(t: int, total_epochs: int, lr0: float) -> float:
 
 
 def sgd_step(params: np.ndarray, gradient: np.ndarray, lr: float) -> np.ndarray:
-    """In-place params -= lr * gradient; no momentum, no weight decay."""
+    """In-place params -= lr * gradient; no momentum, no weight decay.
+
+    Each axis of gradient has the length of params' axis or 1, where it
+    broadcasts: the pooled prompt gradient has one token row per block (see
+    encoders.encode_backward). The finiteness check and the product lr *
+    gradient run on gradient as given, so every entry of params gets the
+    bits p - lr * g that a full-shape copy of gradient would give it.
+    """
     gradient = np.asarray(gradient)
-    if gradient.shape != params.shape:
-        raise ConfigError("gradient shape does not match parameters")
+    if gradient.ndim != params.ndim or any(
+        g not in (p, 1) for g, p in zip(gradient.shape, params.shape)
+    ):
+        raise ConfigError(
+            f"gradient shape {gradient.shape} does not match parameters {params.shape}"
+        )
     if not np.isfinite(gradient).all():
         raise NumericsError("abort run: non-finite gradient")
     params -= lr * gradient

@@ -264,14 +264,14 @@ def finite_diff_grad_copying(loss_fn, params, step: float):
 
 
 def sample_label_set(num_classes, probs, cooccur_prob, max_extra_labels, rng):
-    """One binary label vector, one Generator call per draw: a primary class
+    """One bool label vector, one Generator call per draw: a primary class
     from rng.choice, then per extra slot a test rng.random() < cooccur_prob
     and, when it hits, one more rng.choice class."""
-    labels = np.zeros(num_classes, dtype=np.int64)
-    labels[rng.choice(num_classes, p=probs)] = 1
+    labels = np.zeros(num_classes, dtype=bool)
+    labels[rng.choice(num_classes, p=probs)] = True
     for _ in range(max_extra_labels):
         if rng.random() < cooccur_prob:
-            labels[rng.choice(num_classes, p=probs)] = 1
+            labels[rng.choice(num_classes, p=probs)] = True
     return labels
 
 
@@ -351,3 +351,19 @@ def noisy_unit_whole(signal, std, rng):
     if norms.min() < 1e-12:
         raise ValueError("degenerate embedding")
     return vecs / norms
+
+
+def encode_backward_per_token(encoder, prompts, encoding, grad_embeddings):
+    """encoders.encode_backward as it was before the gradient was pooled: the
+    same gradient repeated for each of the M context tokens of a block, or
+    the shared block's sum tiled over them, shaped like prompts.contexts."""
+    e = encoding.embeddings
+    radial = (e * grad_embeddings).sum(axis=1, keepdims=True)
+    g_pre = (grad_embeddings - e * radial) / encoding.norms[:, None]
+    g_pooled = g_pre @ encoder.projection.T
+    m = prompts.num_context_tokens
+    per_token = g_pooled / (m + 1.0)
+    if prompts.mode == "shared":
+        block = per_token.sum(axis=0)
+        return np.tile(block, (1, m, 1))
+    return np.repeat(per_token[:, None, :], m, axis=1)

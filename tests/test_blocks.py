@@ -147,8 +147,8 @@ class TestLogitsInBlocks:
         rng = np.random.default_rng(5)
         z = np.asarray(rng.uniform(-4.0, 4.0, size=(rows, C)), order=layout)
         labels = np.asarray(dataset.labels[:rows], order=layout)
-        if layout == "F":
-            labels = labels.astype(bool)
+        if layout == "C":
+            labels = labels.astype(np.int64)
         stats = ClassStats.from_dataset(dataset)
         cfg = LossConfig(cls_loss_kind=kind)
         got = cls_loss_on_logits(z, labels, stats, cfg, need_grad=False)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -290,17 +291,20 @@ class TestGradcheckCommand:
         assert "gradcheck: 6/6 cases passed" in stdout
 
 
-def _corrupt_analytic_gradient(monkeypatch, flat_index, layout=None):
-    """Make gradcheck's analytic gradients of shape layout (every one when
-    layout is None) wrong by 1 at flat_index."""
+def _corrupt_analytic_gradient(monkeypatch, flat_index, min_tokens=1):
+    """Replace gradcheck's analytic gradients for prompts of at least
+    min_tokens context tokens by a full-shape copy (one row per token) that
+    is wrong by 1 at flat_index."""
     import tailprompt.gradcheck as gradcheck
 
     real = gradcheck.total_loss
 
-    def wrong(*args, need_grad=True, **kwargs):
-        report = real(*args, need_grad=need_grad, **kwargs)
-        if need_grad and (layout is None or report.gradient.shape == layout):
-            report.gradient.reshape(-1)[flat_index] += 1.0
+    def wrong(batch, prompts, *args, need_grad=True, **kwargs):
+        report = real(batch, prompts, *args, need_grad=need_grad, **kwargs)
+        if need_grad and prompts.num_context_tokens >= min_tokens:
+            full = np.broadcast_to(report.gradient, prompts.contexts.shape).copy()
+            full.reshape(-1)[flat_index] += 1.0
+            report = dataclasses.replace(report, gradient=full)
         return report
 
     monkeypatch.setattr(gradcheck, "total_loss", wrong)
@@ -309,9 +313,10 @@ def _corrupt_analytic_gradient(monkeypatch, flat_index, layout=None):
 class TestGradcheckFailureNamesTheCoordinate:
     def test_pretrain_gradcheck(self, monkeypatch, tmp_path, config_path, dataset_path, capsys):
         # contexts are (4 classes, 4 tokens, 16 dims): 181 = 2*64 + 3*16 + 5.
-        # The pooled (4, 1, 16) gradient stays right, so the exact comparison
-        # of the M tokens with it is what catches the error.
-        _corrupt_analytic_gradient(monkeypatch, 181, layout=(4, 4, 16))
+        # The M = 1 pooled set's gradient stays right and passes finite
+        # differences, so the exact comparison of the M tokens with it is
+        # what catches the error.
+        _corrupt_analytic_gradient(monkeypatch, 181, min_tokens=2)
         out = tmp_path / "run"
         code = main(["train", "--config", config_path, "--data", dataset_path, "--out", str(out)])
         assert code == EXIT_GRADCHECK

@@ -49,7 +49,7 @@ class TestSample:
     def test_valid_sample(self):
         ds = MultiLabelDataset(*self._rows())
         assert ds.labels[0].tolist() == [1, 1, 0]
-        assert ds.labels.dtype == np.int64
+        assert ds.labels.dtype == bool
 
     def test_rejects_non_unit_image(self):
         images = _tiny_dataset().images.copy()
@@ -201,7 +201,7 @@ class TestSerialization:
         with np.load(path, allow_pickle=False) as archive:
             stored = {key: archive[key] for key in archive.files}
         assert list(stored) == ["images", "labels", "captions", "class_names"]
-        assert [stored[k].dtype.str for k in stored] == ["<f8", "<i8", "<f8", "<U8"]
+        assert [stored[k].dtype.str for k in stored] == ["<f8", "|b1", "<f8", "<U8"]
         with zipfile.ZipFile(path) as archive:
             assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
         back = load_dataset(path)
@@ -232,12 +232,16 @@ class TestSerialization:
         assert [p.name for p in tmp_path.iterdir()] == ["ds.json"]
         assert load_dataset(tmp_path / "ds.json").num_samples == 6
 
-    def test_bool_labels_load_as_integers(self, tmp_path):
+    def test_integer_labels_load_as_bool(self, tmp_path):
+        # snapshots written before labels were bool hold them as int64
         arrays = _snapshot_arrays(_tiny_dataset())
-        path = _write_npz(tmp_path / "ds.npz", {**arrays, "labels": arrays["labels"].astype(bool)})
-        back = load_dataset(path)
-        assert back.labels.dtype == np.int64
-        assert np.array_equal(back.labels, arrays["labels"])
+        for dtype in (np.int64, np.uint8):
+            labels = np.asfortranarray(arrays["labels"].astype(dtype))
+            path = _write_npz(tmp_path / f"{dtype.__name__}.npz", {**arrays, "labels": labels})
+            back = load_dataset(path)
+            assert back.labels.dtype == bool
+            assert back.labels.flags.f_contiguous
+            assert np.array_equal(back.labels, arrays["labels"])
 
     # each sample is one row of images, labels and captions
     @pytest.mark.parametrize(

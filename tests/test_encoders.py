@@ -16,7 +16,7 @@ from tailprompt.encoders import (
 )
 from tailprompt.errors import ConfigError, NumericsError, read_json
 
-from oracles import encode_prompt_scalar
+from oracles import encode_backward_per_token, encode_prompt_scalar
 
 
 def _setup(mode=MODE_CLASS_SPECIFIC, c=4, dt=6, d=10, m=3, seed=2):
@@ -99,7 +99,8 @@ class TestEncodeBackward:
 
         enc_out = encode_all(enc, prompts)
         got = encode_backward(enc, prompts, enc_out, a)
-        assert got.shape == prompts.contexts.shape
+        assert got.shape == (prompts.contexts.shape[0], 1, 6)
+        got = np.broadcast_to(got, prompts.contexts.shape)
 
         h = 1e-6
         fd = np.zeros_like(prompts.contexts)
@@ -115,19 +116,29 @@ class TestEncodeBackward:
         assert np.allclose(got, fd, atol=1e-7)
 
     def test_shared_rows_identical(self):
+        # one token row for the shared block: its 3 tokens get it by broadcasting
         enc, prompts = _setup(mode=MODE_SHARED)
         out = encode_all(enc, prompts)
         g = encode_backward(enc, prompts, out, np.ones((4, 10)))
-        assert g.shape == (1, 3, 6)
-        assert np.array_equal(g[0, 0], g[0, 1])
-        assert np.array_equal(g[0, 0], g[0, 2])
+        assert g.shape == (1, 1, 6)
 
     def test_class_specific_rows_identical_within_class(self):
         # every context token of one class receives the same pooled gradient
         enc, prompts = _setup()
         out = encode_all(enc, prompts)
         g = encode_backward(enc, prompts, out, np.ones((4, 10)))
-        assert np.array_equal(g[:, 0, :], g[:, 1, :])
+        assert g.shape == (4, 1, 6)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("mode", [MODE_CLASS_SPECIFIC, MODE_SHARED])
+    def test_pooled_gradient_is_the_per_token_one_broadcast(self, mode, m):
+        enc, prompts = _setup(mode=mode, m=m)
+        out = encode_all(enc, prompts)
+        grad_embeddings = np.random.default_rng(m).standard_normal((4, 10))
+        got = encode_backward(enc, prompts, out, grad_embeddings)
+        assert got.shape == (prompts.contexts.shape[0], 1, 6)
+        want = encode_backward_per_token(enc, prompts, out, grad_embeddings)
+        assert np.array_equal(np.broadcast_to(got, prompts.contexts.shape), want)
 
     def test_radial_component_removed(self):
         # gradient along the embedding direction must not move the embedding

@@ -98,6 +98,21 @@ class TestCheck:
         with pytest.raises(ConfigError):
             check(lambda x: 0.0, np.ones(3), np.ones(4))
 
+    def test_broadcast_gradient_compared_at_every_coordinate(self):
+        # one gradient row per block, as the pooled prompt gradient has
+        p = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, 0.5]])
+        rows = np.array([[3.0], [-2.0]])
+        assert check(lambda x: float((rows * x).sum()), p, rows).passed
+        # sum(x**2) has a gradient that differs within a row, so the
+        # broadcast row is wrong off column 0; the worst coordinate is named
+        report = check(lambda x: float((x**2).sum()), p, 2 * p[:, :1])
+        assert not report.passed
+        assert report.worst_index == 1
+        with pytest.raises(ConfigError):
+            check(lambda x: 0.0, p, np.ones((2, 2)))
+        with pytest.raises(ConfigError):
+            check(lambda x: 0.0, p, np.ones(1))  # would broadcast, but has too few axes
+
     def test_non_finite_loss_fails_cleanly(self):
         report = check(lambda x: float("nan"), np.ones(2), np.zeros(2))
         assert not report.passed

@@ -262,7 +262,8 @@ class TestCseLoss:
         rep = _cse(batch, prompts, enc, stats.counts, LossConfig(), need_grad=False)
         assert rep.gradient is None
         rep = _cse(batch, prompts, enc, stats.counts, LossConfig())
-        assert rep.gradient is not None and rep.gradient.shape == prompts.contexts.shape
+        c, _, dt = prompts.contexts.shape
+        assert rep.gradient is not None and rep.gradient.shape == (c, 1, dt)
 
     def test_class_count_mismatch(self):
         batch, _, enc, stats = _random_instance(19, c=4)
@@ -742,3 +743,45 @@ class TestLossConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             LossConfig(**kwargs)
+
+
+class TestBoolLabels:
+    """A label matrix gives the same bits as bool as it does as int64, in the
+    same memory layout: every mask built from it has that layout, and so the
+    same summation order."""
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("kind", ["db", "bce", "focal"])
+    def test_int64_and_bool_labels_give_equal_results(self, kind, layout):
+        from tailprompt.metrics import evaluate_scores
+
+        batch, prompts, enc, stats = _random_instance(41, b=48, c=9, d=16, dt=8, m=3)
+        cfg = LossConfig(cls_loss_kind=kind, mu_base=0.9, use_class_aware_margin=False)
+        ints = np.asarray(batch.labels, dtype=np.int64, order=layout)
+        bools = np.asarray(batch.labels, dtype=bool, order=layout)
+        z = np.asarray(batch.images @ encode_all(enc, prompts).embeddings.T, order=layout)
+        results = []
+        for labels in (ints, bools):
+            one = Batch(batch.images, labels, batch.captions)
+            value = total_loss(one, prompts, enc, stats, cfg, need_grad=False)
+            graded = total_loss(one, prompts, enc, stats, cfg)
+            logits = cls_loss_on_logits(z, labels, stats, cfg)
+            ev = evaluate_scores(z, labels, stats)
+            results.append(
+                (
+                    (value.total, value.cls_part, value.cse_part),
+                    (graded.total, graded.cls_part, graded.cse_part),
+                    graded.gradient,
+                    logits.total,
+                    logits.gradient,
+                    mean_positive_delta(one, prompts, enc),
+                    hinge_kink_mask(one, prompts, enc, stats, cfg),
+                    ev.per_class_ap,
+                    ev.maps(),
+                )
+            )
+        for got, want in zip(results[1], results[0]):
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want, equal_nan=want.dtype != bool)
+            else:
+                assert got == want

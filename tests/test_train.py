@@ -112,6 +112,43 @@ class TestSgdStep:
         with pytest.raises(ConfigError):
             sgd_step(np.ones(2), np.ones(3), 0.1)
 
+    @pytest.mark.parametrize("mode", ["class_specific", "shared"])
+    def test_pooled_gradient_steps_like_the_repeated_one(self, mode):
+        # 50 steps from one start, one run applying the pooled (C or 1, 1, d)
+        # gradient and one its full-shape copy: every context keeps equal bits
+        ds = _dataset()
+        config = _config(prompt=PromptSpec(mode=mode, num_context_tokens=3, init_std=0.3))
+        stats, encoder, pooled = build_training_state(ds, config)
+        _, _, repeated = build_training_state(ds, config)
+        rng = np.random.default_rng(8)
+        for step in range(50):
+            batch = ds.batch(rng.choice(ds.num_samples, size=16, replace=False))
+            lr = cosine_lr(step, 50, 0.5)
+            g = total_loss(batch, pooled, encoder, stats, config.loss).gradient
+            assert g.shape == (pooled.contexts.shape[0], 1, pooled.token_dim)
+            sgd_step(pooled.contexts, g, lr)
+            g = total_loss(batch, repeated, encoder, stats, config.loss).gradient
+            sgd_step(repeated.contexts, np.broadcast_to(g, repeated.contexts.shape).copy(), lr)
+        assert np.array_equal(pooled.contexts, repeated.contexts)
+        assert not np.array_equal(pooled.contexts[:, 0], pooled.contexts[:, 1])
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 4, 16), (3, 1, 16), (4, 1, 17), (1, 1)], ids=["M+1", "C-1", "d+1", "2-d"]
+    )
+    def test_gradient_must_broadcast_along_unit_axes(self, shape):
+        params = np.zeros((4, 3, 16))
+        with pytest.raises(ConfigError, match="does not match parameters"):
+            sgd_step(params, np.ones(shape), 0.1)
+        assert not params.any()
+
+    def test_non_finite_pooled_gradient_rejected(self):
+        params = np.zeros((4, 3, 16))
+        gradient = np.ones((4, 1, 16))
+        gradient[2, 0, 5] = np.nan
+        with pytest.raises(NumericsError, match="non-finite gradient"):
+            sgd_step(params, gradient, 0.1)
+        assert not params.any()
+
 
 class TestConfigValidation:
     def test_defaults_valid(self):

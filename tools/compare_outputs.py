@@ -11,7 +11,8 @@ prompts, the 120-case gradcheck, a sweep of every variant over seeds 1 and
 on a 3000 x 60 x 32 split, large enough that value-only passes run in
 several row blocks: synth, train with --skip-gradcheck and --loss focal, and
 a sweep of linear-probe and bce. Every output file is then compared byte for
-byte, except run.json, which is compared without its wall_seconds. Exit
+byte, except run.json, which is compared without its wall_seconds; for a
+differing .npz archive, the members that differ are named. Exit
 codes, stdout and stderr are compared with the output root and the train
 wall time masked. Prints each difference and exits 1 if there is any, 0
 otherwise. Uses the standard library only; one comparison takes about 45 s
@@ -28,6 +29,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import zipfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -134,13 +136,35 @@ def run_all(src: Path, out_root: Path) -> list[tuple[int, str, str]]:
     return results
 
 
-def _file_differs(a: Path, b: Path) -> bool:
-    if a.name != "run.json":
-        return a.read_bytes() != b.read_bytes()
-    docs = [json.loads(path.read_text()) for path in (a, b)]
-    for doc in docs:
-        doc.pop("wall_seconds", None)
-    return docs[0] != docs[1]
+def _npz_differences(a: Path, b: Path) -> list[str]:
+    """The members of two differing .npz archives that differ, or that only
+    one of them holds; ["differs"] when every member is equal or either file
+    is not a zip archive."""
+    try:
+        with zipfile.ZipFile(a) as base, zipfile.ZipFile(b) as work:
+            base_names, work_names = set(base.namelist()), set(work.namelist())
+            diffs = [f"{name} in base only" for name in sorted(base_names - work_names)]
+            diffs += [f"{name} in work only" for name in sorted(work_names - base_names)]
+            diffs += [
+                f"{name} differs"
+                for name in sorted(base_names & work_names)
+                if base.read(name) != work.read(name)
+            ]
+    except zipfile.BadZipFile:
+        return ["differs"]
+    return diffs or ["differs"]
+
+
+def _file_differences(a: Path, b: Path) -> list[str]:
+    """How two output files differ: [] when they match."""
+    if a.name == "run.json":
+        docs = [json.loads(path.read_text()) for path in (a, b)]
+        for doc in docs:
+            doc.pop("wall_seconds", None)
+        return [] if docs[0] == docs[1] else ["differs"]
+    if a.read_bytes() == b.read_bytes():
+        return []
+    return _npz_differences(a, b) if a.suffix == ".npz" else ["differs"]
 
 
 def compare(base_root: Path, work_root: Path, base_runs, work_runs) -> list[str]:
@@ -159,8 +183,7 @@ def compare(base_root: Path, work_root: Path, base_runs, work_runs) -> list[str]
         diffs.append(f"{rel}: written by {side} only")
     common = sorted(files[base_root] & files[work_root])
     for rel in common:
-        if _file_differs(base_root / rel, work_root / rel):
-            diffs.append(f"{rel}: differs")
+        diffs += [f"{rel}: {what}" for what in _file_differences(base_root / rel, work_root / rel)]
     print(f"compared {len(COMMANDS)} commands and {len(common)} files")
     return diffs
 
