@@ -123,9 +123,17 @@ def check_total_loss(
     stats: ClassStats,
     config: LossConfig,
     tau: float = 1.0,
+    *,
+    analytic: np.ndarray | None = None,
+    skip: np.ndarray | None = None,
 ) -> GradCheckReport:
     """Certify the blended objective's gradient w.r.t. the prompt contexts,
-    skipping the coordinates within KINK_GUARD of a hinge kink."""
+    skipping the coordinates within KINK_GUARD of a hinge kink.
+
+    analytic and skip are total_loss's gradient and hinge_kink_mask at
+    (batch, prompts); they are computed here unless a caller that needs
+    them too passes them in.
+    """
     work = PromptSet(
         contexts=prompts.contexts,
         class_tokens=prompts.class_tokens,
@@ -138,8 +146,10 @@ def check_total_loss(
         work.contexts = p
         return total_loss(batch, work, encoder, stats, config, tau, need_grad=False).total
 
-    analytic = total_loss(batch, prompts, encoder, stats, config, tau, need_grad=True).gradient
-    skip = hinge_kink_mask(batch, prompts, encoder, stats, config)
+    if analytic is None:
+        analytic = total_loss(batch, prompts, encoder, stats, config, tau, need_grad=True).gradient
+    if skip is None:
+        skip = hinge_kink_mask(batch, prompts, encoder, stats, config)
     return check(loss_fn, prompts.contexts, analytic, skip=skip)
 
 
@@ -176,7 +186,8 @@ def check_training_state(
     1/M of the loss evaluations check_total_loss(prompts) would make.
 
     The encoder sees a class's M contexts only through their sum, so
-    check_total_loss runs on pooled_prompt_set(prompts). The analytic
+    check_total_loss runs on pooled_prompt_set(prompts), with the pooled
+    analytic gradient and kink mask this function reuses below. The analytic
     gradient of the training state, one row per block that broadcasts over
     its M tokens, must then equal s = 2/(M+1) times the pooled analytic
     gradient at every token; that comparison needs no loss evaluation and
@@ -186,16 +197,18 @@ def check_training_state(
     token 0) and num_skipped_kinks counted over prompts.contexts.
     """
     pooled = pooled_prompt_set(prompts)
-    numeric = check_total_loss(batch, pooled, encoder, stats, config, tau)
+    pooled_grad = total_loss(batch, pooled, encoder, stats, config, tau, need_grad=True).gradient
+    skip = hinge_kink_mask(batch, pooled, encoder, stats, config)
+    numeric = check_total_loss(
+        batch, pooled, encoder, stats, config, tau, analytic=pooled_grad, skip=skip
+    )
     if numeric.worst_index >= 0:
         block, dim = divmod(numeric.worst_index, prompts.token_dim)
         index = int(np.ravel_multi_index((block, 0, dim), prompts.contexts.shape))
         numeric = replace(numeric, worst_index=index)
 
     analytic = total_loss(batch, prompts, encoder, stats, config, tau, need_grad=True).gradient
-    pooled_grad = total_loss(batch, pooled, encoder, stats, config, tau, need_grad=True).gradient
     scaled = _pool_scale(prompts.num_context_tokens) * pooled_grad
-    skip = hinge_kink_mask(batch, pooled, encoder, stats, config)
     shape = prompts.contexts.shape
     exact = _compare(
         np.broadcast_to(analytic, shape),

@@ -12,6 +12,11 @@ computed from full-training-split counts, never from batch counts, once per
 first, then average over samples in index order, so values are bit-stable.
 A value-only pass over a whole split does its elementwise work in row blocks
 and gives the same bits as one whole-array pass (see _mean_of_terms).
+
+Each part's value is also reachable from a score matrix the caller already
+holds (classification_part on class_scores, embedding_part on
+cosine_distances, combined by blend), so a training epoch's record can share
+each (N, C) product with the ranking and the alignment diagnostic.
 """
 
 from __future__ import annotations
@@ -125,8 +130,15 @@ def class_weights(counts, gamma_rw: float) -> np.ndarray:
     return raw / raw.sum()
 
 
-def _distances(captions: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
-    """(B, C) cosine distances 1 - caption . embedding between unit rows."""
+def class_scores(images: np.ndarray, embeddings: np.ndarray, tau: float) -> np.ndarray:
+    """(B, C) scores image . embedding / tau: the classification part's
+    logits, and what metrics.evaluate ranks."""
+    return images @ embeddings.T / tau
+
+
+def cosine_distances(captions: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
+    """(B, C) cosine distances 1 - caption . embedding between unit rows: the
+    embedding part's deltas, and what mean_positive_delta averages."""
     dl = captions @ embeddings.T
     return np.subtract(1.0, dl, out=dl)
 
@@ -367,6 +379,43 @@ def _mean_of_terms(
     return float(terms.sum() / terms.size), None
 
 
+def classification_part(
+    scores: np.ndarray,
+    labels: np.ndarray,
+    constants: LossConstants,
+    config: LossConfig,
+    need_grad: bool,
+):
+    """(value, gradient w.r.t. scores) of the configured classification part
+    on (B, C) scores; a value-only call on a whole split runs in row blocks.
+    constants is loss_constants(stats, config)."""
+    return _mean_of_terms(_cls_parts, scores, labels, (constants, config), need_grad)
+
+
+def embedding_part(
+    distances: np.ndarray, labels: np.ndarray, constants: LossConstants, need_grad: bool
+):
+    """(value, d terms / d distances) of the embedding part on (B, C) cosine
+    distances; the derivatives are not divided by B (see total_loss)."""
+    return _mean_of_terms(_cse_parts, distances, labels, constants.cse, need_grad)
+
+
+def active_parts(config: LossConfig) -> tuple[bool, bool]:
+    """Whether the blend computes its classification and its embedding part.
+    At the endpoints of cls_loss_weight the disabled part is skipped
+    entirely, so the total reproduces the pure loss bit-exactly."""
+    lam = config.cls_loss_weight
+    return lam > 0.0, config.use_embedding_loss and lam < 1.0
+
+
+def blend(config: LossConfig, cls_value: float, cse_value: float, gradient=None) -> LossReport:
+    """The report of cls_loss_weight * cls_value + (1 - cls_loss_weight) * cse_value;
+    a part active_parts skips enters as 0.0."""
+    lam = config.cls_loss_weight
+    total = lam * cls_value + (1.0 - lam) * cse_value
+    return LossReport(total=total, cls_part=cls_value, cse_part=cse_value, gradient=gradient)
+
+
 def cls_loss_on_logits(
     z: np.ndarray,
     labels: np.ndarray,
@@ -382,15 +431,12 @@ def cls_loss_on_logits(
             f"logits {z.shape}, labels {np.shape(labels)} and stats of "
             f"{stats.num_classes} classes disagree"
         )
-    constants = (loss_constants(stats, config), config)
-    value, grad_z = _mean_of_terms(_cls_parts, z, labels, constants, need_grad)
+    value, grad_z = classification_part(z, labels, loss_constants(stats, config), config, need_grad)
     return LossReport(total=value, cls_part=value, cse_part=0.0, gradient=grad_z)
 
 
-def _check_classes(batch: Batch, prompts: PromptSet, stats: ClassStats | None = None) -> None:
-    sizes = {"batch": batch.num_classes, "prompts": prompts.num_classes}
-    if stats is not None:
-        sizes["stats"] = stats.num_classes
+def _check_classes(batch: Batch, prompts: PromptSet, stats: ClassStats) -> None:
+    sizes = {"batch": batch.num_classes, "prompts": prompts.num_classes, "stats": stats.num_classes}
     if len(set(sizes.values())) > 1:
         raise ConfigError(f"class counts disagree: {sizes}")
 
@@ -406,52 +452,44 @@ def total_loss(
 ) -> LossReport:
     """Blended objective: cls_loss_weight * L_cls + (1 - cls_loss_weight) * L_cse.
 
-    At the endpoints the disabled part is skipped entirely, so the total
-    reproduces the pure loss bit-exactly. The gradient (same convex
+    The parts active_parts skips are not computed. The gradient (same convex
     combination) is encode_backward's, shaped (C or 1, 1, d_token).
     """
     if tau <= 0:
         raise ConfigError("temperature must be > 0")
     _check_classes(batch, prompts, stats)
-    lam = config.cls_loss_weight
-    compute_cls = lam > 0.0
-    compute_cse = config.use_embedding_loss and lam < 1.0
-
+    compute_cls, compute_cse = active_parts(config)
     constants = loss_constants(stats, config)
     encoding = encode_all(encoder, prompts)
     cls_value = 0.0
     cse_value = 0.0
-    grad_z = None
-    coef = None
-    # each (B, C) score matrix is passed on unnamed, so it is freed before the next is built
+    # each (B, C) matrix is passed on unnamed, so it is freed before the next is built
     if compute_cls:
-        cls_value, grad_z = _mean_of_terms(
-            _cls_parts,
-            batch.images @ encoding.embeddings.T / tau,
+        cls_value, grad_z = classification_part(
+            class_scores(batch.images, encoding.embeddings, tau),
             batch.labels,
-            (constants, config),
+            constants,
+            config,
             need_grad,
         )
     if compute_cse:
-        cse_value, coef = _mean_of_terms(
-            _cse_parts,
-            _distances(batch.captions, encoding.embeddings),
+        cse_value, coef = embedding_part(
+            cosine_distances(batch.captions, encoding.embeddings),
             batch.labels,
-            constants.cse,
+            constants,
             need_grad,
         )
-
-    total = lam * cls_value + (1.0 - lam) * cse_value
     if not need_grad:
-        return LossReport(total=total, cls_part=cls_value, cse_part=cse_value, gradient=None)
+        return blend(config, cls_value, cse_value)
 
+    lam = config.cls_loss_weight
     grad_embeddings = np.zeros_like(encoding.embeddings)
     if compute_cls:
         grad_embeddings += lam * (grad_z.T @ batch.images) / tau
     if compute_cse:
         grad_embeddings += (1.0 - lam) * (-(coef.T @ batch.captions) / batch.num_samples)
     gradient = encode_backward(encoder, prompts, encoding, grad_embeddings)
-    return LossReport(total=total, cls_part=cls_value, cse_part=cse_value, gradient=gradient)
+    return blend(config, cls_value, cse_value, gradient)
 
 
 def hinge_kink_mask(
@@ -470,11 +508,11 @@ def hinge_kink_mask(
     """
     _check_classes(batch, prompts, stats)
     mask = np.zeros(prompts.contexts.shape, dtype=bool)
-    if not config.use_embedding_loss or config.cls_loss_weight >= 1.0:
+    if not active_parts(config)[1]:
         return mask
     encoding = encode_all(encoder, prompts)
     weights, margins = loss_constants(stats, config).cse
-    dl = _distances(batch.captions, encoding.embeddings)
+    dl = cosine_distances(batch.captions, encoding.embeddings)
     hinge = weights * (margins - dl)
     near = (np.abs(hinge) < KINK_GUARD) & (batch.labels == 0)
     per_class = near.any(axis=0)  # (C,)
@@ -485,17 +523,18 @@ def hinge_kink_mask(
     return mask
 
 
-def mean_positive_delta(batch: Batch, prompts: PromptSet, encoder: FrozenTextEncoder) -> float:
+def mean_positive_delta(distances: np.ndarray, labels: np.ndarray) -> float:
     """Mean cosine distance between captions and the prompt embeddings of
-    their positive classes; the caption-alignment diagnostic. The positive
-    entries are gathered a row block at a time, in the row-major order of
-    one whole-array gather, and averaged once."""
-    _check_classes(batch, prompts)
-    encoding = encode_all(encoder, prompts)
-    dl = _distances(batch.captions, encoding.embeddings)
-    labels = batch.labels
+    their positive classes, read off a (B, C) cosine_distances matrix; the
+    caption-alignment diagnostic. The positive entries are gathered a row
+    block at a time, in the row-major order of one whole-array gather, and
+    averaged once."""
+    if distances.shape != np.shape(labels):
+        raise ConfigError(
+            f"class counts disagree: distances {distances.shape}, labels {np.shape(labels)}"
+        )
     deltas = np.concatenate(
-        [dl[rows][positive_mask(labels[rows])] for rows in row_blocks(*dl.shape)]
+        [distances[rows][positive_mask(labels[rows])] for rows in row_blocks(*distances.shape)]
     )
     if deltas.size == 0:
         raise ConfigError("batch has no positive labels")

@@ -20,8 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ClassStats, GROUPS, MultiLabelDataset, positive_mask
-from .encoders import FrozenTextEncoder, PromptSet, encode_all
+from .data_model import ClassStats, GROUPS, positive_mask
+
+# Not called here, since evaluate ranks scores its callers compute:
+# perfbench/test_perfbench.py checks that instrumentation wraps encode_all in
+# every module that imports it, this one included.
+from .encoders import encode_all  # noqa: F401
 from .errors import ConfigError
 
 # the grouped mAP fields of EvalResult, in the order every output lists them
@@ -97,8 +101,9 @@ class EvalResult:
         return {key: getattr(self, key) for key in MAP_KEYS}
 
 
-def evaluate_scores(scores: np.ndarray, labels: np.ndarray, stats: ClassStats) -> EvalResult:
-    """Per-class AP from a score matrix plus head/medium/tail means."""
+def evaluate(scores: np.ndarray, labels: np.ndarray, stats: ClassStats) -> EvalResult:
+    """Per-class AP of an (N, C) score matrix, ranked one class column at a
+    time, plus head/medium/tail means."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.ndim != 2 or scores.shape != labels.shape:
@@ -135,17 +140,3 @@ def evaluate_scores(scores: np.ndarray, labels: np.ndarray, stats: ClassStats) -
         excluded=tuple(excluded),
     )
 
-
-def evaluate(
-    dataset: MultiLabelDataset,
-    prompts: PromptSet,
-    encoder: FrozenTextEncoder,
-    tau: float,
-    stats: ClassStats,
-) -> EvalResult:
-    """Score every sample against every class prompt and rank."""
-    if tau <= 0:
-        raise ConfigError("temperature must be > 0")
-    encoding = encode_all(encoder, prompts)
-    scores = dataset.images @ encoding.embeddings.T / tau
-    return evaluate_scores(scores, dataset.labels, stats)

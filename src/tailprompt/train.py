@@ -31,13 +31,26 @@ from .encoders import (
     MODE_CLASS_SPECIFIC,
     PROMPT_MODES,
     PromptSet,
+    encode_all,
     init_prompt_set,
     prompts_from_dict,
     prompts_to_dict,
 )
 from .errors import ConfigError, NumericsError
-from .losses import LossConfig, cls_loss_on_logits, mean_positive_delta, total_loss
-from .metrics import MAP_KEYS, EvalResult, evaluate, evaluate_scores
+from .losses import (
+    LossConfig,
+    active_parts,
+    blend,
+    class_scores,
+    classification_part,
+    cls_loss_on_logits,
+    cosine_distances,
+    embedding_part,
+    loss_constants,
+    mean_positive_delta,
+    total_loss,
+)
+from .metrics import MAP_KEYS, EvalResult, evaluate
 from .seeding import DOMAIN_TRAIN, substream
 
 BASELINES = ("none", "linear_probe")
@@ -222,25 +235,43 @@ class _PromptHead:
         self.params = (prompts.contexts,)
         self.record_fields = {"prompts": prompts, "encoder": encoder}
 
-    def loss(self, batch: Batch, need_grad: bool):
+    def loss(self, batch: Batch):
         """(LossReport, one gradient per array of params)."""
         report = total_loss(
-            batch,
-            self.prompts,
-            self.encoder,
-            self.stats,
-            self.config.loss,
-            self.config.tau,
-            need_grad=need_grad,
+            batch, self.prompts, self.encoder, self.stats, self.config.loss, self.config.tau
         )
         return report, (report.gradient,)
 
     def evaluate(self, dataset: MultiLabelDataset) -> EvalResult:
-        return evaluate(dataset, self.prompts, self.encoder, self.config.tau, self.stats)
+        embeddings = encode_all(self.encoder, self.prompts).embeddings
+        scores = class_scores(dataset.images, embeddings, self.config.tau)
+        return evaluate(scores, dataset.labels, self.stats)
 
-    def measure(self, dataset: MultiLabelDataset):
-        """(mean positive delta, EvalResult) for an epoch record."""
-        return mean_positive_delta(dataset, self.prompts, self.encoder), self.evaluate(dataset)
+    def measure(self, dataset: MultiLabelDataset, with_loss: bool = False):
+        """(LossReport or None, mean positive delta, EvalResult) for an epoch
+        record, from one encoding of the prompts.
+
+        Each (N, C) matrix is built once, serves both of its readers and is
+        freed before the next is built: the scores give the classification
+        part's value and the ranking, the distances the embedding part's
+        value and the alignment diagnostic. The report, asked for at epoch 0,
+        has the bits of total_loss(dataset, need_grad=False).
+        """
+        loss, labels = self.config.loss, dataset.labels
+        compute_cls, compute_cse = active_parts(loss) if with_loss else (False, False)
+        constants = loss_constants(self.stats, loss)
+        embeddings = encode_all(self.encoder, self.prompts).embeddings
+        cls_value = cse_value = 0.0
+        scores = class_scores(dataset.images, embeddings, self.config.tau)
+        if compute_cls:
+            cls_value, _ = classification_part(scores, labels, constants, loss, need_grad=False)
+        result = evaluate(scores, labels, self.stats)
+        del scores
+        distances = cosine_distances(dataset.captions, embeddings)
+        if compute_cse:
+            cse_value, _ = embedding_part(distances, labels, constants, need_grad=False)
+        delta = mean_positive_delta(distances, labels)
+        return (blend(loss, cls_value, cse_value) if with_loss else None), delta, result
 
 
 class _ProbeHead:
@@ -261,21 +292,26 @@ class _ProbeHead:
     def scores(self, images: np.ndarray) -> np.ndarray:
         return images @ self.weights.T / self.config.tau + self.bias
 
-    def loss(self, batch: Batch, need_grad: bool):
+    def loss(self, batch: Batch):
         """(LossReport, one gradient per array of params)."""
         z = self.scores(batch.images)
-        report = cls_loss_on_logits(z, batch.labels, self.stats, self.config.loss, need_grad=need_grad)
-        if not need_grad:
-            return report, (None, None)
+        report = cls_loss_on_logits(z, batch.labels, self.stats, self.config.loss)
         grad_z = report.gradient
         return report, (grad_z.T @ batch.images / self.config.tau, grad_z.sum(axis=0))
 
     def evaluate(self, dataset: MultiLabelDataset) -> EvalResult:
-        return evaluate_scores(self.scores(dataset.images), dataset.labels, self.stats)
+        return evaluate(self.scores(dataset.images), dataset.labels, self.stats)
 
-    def measure(self, dataset: MultiLabelDataset):
-        """(mean positive delta, EvalResult); a probe has no prompts to align."""
-        return None, self.evaluate(dataset)
+    def measure(self, dataset: MultiLabelDataset, with_loss: bool = False):
+        """(LossReport or None, None, EvalResult) for an epoch record, from
+        one product of the scores; a probe has no prompts to align."""
+        z = self.scores(dataset.images)
+        report = None
+        if with_loss:
+            report = cls_loss_on_logits(
+                z, dataset.labels, self.stats, self.config.loss, need_grad=False
+            )
+        return report, None, evaluate(z, dataset.labels, self.stats)
 
 
 def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
@@ -294,10 +330,8 @@ def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
         stats, encoder, prompts = build_training_state(dataset, config)
         head = _PromptHead(prompts, encoder, stats, config)
 
-    report, _ = head.loss(dataset, need_grad=False)
-    initial = EpochRecord(
-        0, config.lr0, report.total, report.cls_part, report.cse_part, *head.measure(dataset)
-    )
+    report, *measured = head.measure(dataset, with_loss=True)
+    initial = EpochRecord(0, config.lr0, report.total, report.cls_part, report.cse_part, *measured)
     shuffle_rng = substream(config.seed, DOMAIN_TRAIN, _STREAM_SHUFFLE)
     history: list[EpochRecord] = []
     abort_reason = None
@@ -310,7 +344,7 @@ def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
         sum_cse = 0.0
         try:
             for indices in _epoch_batches(permutation, config.batch_size):
-                report, gradients = head.loss(dataset.batch(indices), need_grad=True)
+                report, gradients = head.loss(dataset.batch(indices))
                 if not math.isfinite(report.total):
                     raise NumericsError(f"abort run: non-finite loss at epoch {epoch}")
                 for params, gradient in zip(head.params, gradients, strict=True):
@@ -330,7 +364,7 @@ def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
                 sum_total / dataset.num_samples,
                 sum_cls / dataset.num_samples,
                 sum_cse / dataset.num_samples,
-                *(head.measure(dataset) if eval_now else (None, None)),
+                *(head.measure(dataset)[1:] if eval_now else (None, None)),
             )
         )
 
@@ -457,6 +491,24 @@ def refuse_nonempty_dir(out_dir, force: bool) -> Path:
     return out
 
 
+def _write_json_line(path: Path, doc: dict) -> None:
+    """Write json.dumps(doc) + "\n" to path without ever holding that text:
+    each value of doc is encoded alone, and a list one element at a time (a
+    context block of the prompts, a row of the probe's weights)."""
+    with path.open("w") as fh:
+        fh.write("{")
+        for i, (key, value) in enumerate(doc.items()):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            if isinstance(value, list):
+                fh.write("[")
+                for j, item in enumerate(value):
+                    fh.write(f"{', ' if j else ''}{json.dumps(item)}")
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value))
+        fh.write("}\n")
+
+
 def write_run_dir(out_dir, record: RunRecord, config_doc: dict, force: bool = False) -> Path:
     """Persist a run: config.json (echo), metrics.csv, prompts.ckpt.json, run.json.
 
@@ -476,8 +528,7 @@ def write_run_dir(out_dir, record: RunRecord, config_doc: dict, force: bool = Fa
         for epoch_record in record.history:
             writer.writerow(_metrics_row(epoch_record))
 
-    ckpt = checkpoint_to_dict(record)
-    (out / "prompts.ckpt.json").write_text(json.dumps(ckpt) + "\n")
+    _write_json_line(out / "prompts.ckpt.json", checkpoint_to_dict(record))
 
     (out / "run.json").write_text(json.dumps(run_record_to_dict(record), indent=2) + "\n")
     return out

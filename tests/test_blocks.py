@@ -8,6 +8,7 @@ draw in tests/oracles.py.
 
 from __future__ import annotations
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -18,11 +19,20 @@ from tailprompt import data_model, losses
 from tailprompt.data_model import Batch, ClassStats, MultiLabelDataset, block_rows, row_blocks
 from tailprompt.encoders import encode_all
 from tailprompt.errors import ConfigError
-from tailprompt.losses import LossConfig, cls_loss_on_logits, mean_positive_delta, total_loss
+from tailprompt.losses import (
+    LossConfig,
+    cls_loss_on_logits,
+    cosine_distances,
+    mean_positive_delta,
+    total_loss,
+)
 from tailprompt.synth import SynthConfig
 from tailprompt.train import TrainConfig, build_training_state, train
 
 from oracles import noisy_unit_whole
+
+# the package re-exports train() under the submodule's name
+train_mod = importlib.import_module("tailprompt.train")
 
 # 1000 rows of 200 classes: blocks of 327 rows and a ragged last block of 19
 N, C, D = 1000, 200, 32
@@ -182,14 +192,15 @@ class TestMeanPositiveDeltaInBlocks:
     def test_equals_whole_array_pass(self, dataset, whole, layout):
         ds = _fortran(dataset) if layout == "F" else dataset
         stats, enc, prompts = build_training_state(ds, TrainConfig())
-        got = mean_positive_delta(ds, prompts, enc)
-        assert got == whole(mean_positive_delta, ds, prompts, enc)
+        distances = cosine_distances(ds.captions, encode_all(enc, prompts).embeddings)
+        got = mean_positive_delta(distances, ds.labels)
+        assert got == whole(mean_positive_delta, distances, ds.labels)
 
     def test_no_positives_rejected(self, dataset):
         stats, enc, prompts = build_training_state(dataset, TrainConfig())
-        batch = Batch(dataset.images, np.zeros_like(dataset.labels), dataset.captions)
+        distances = cosine_distances(dataset.captions, encode_all(enc, prompts).embeddings)
         with pytest.raises(ConfigError, match="no positive labels"):
-            mean_positive_delta(batch, prompts, enc)
+            mean_positive_delta(distances, np.zeros_like(dataset.labels))
 
 
 class TestGenerateInBlocks:
@@ -219,9 +230,10 @@ class TestGenerateInBlocks:
 
 
 def test_value_passes_hold_one_score_matrix_at_most():
-    """At 20,000 x 200, the epoch-0 loss and the alignment diagnostic hold
-    one (N, C) score matrix and less than 8 MB of other temporaries above
-    their inputs. A whole-array pass holds about ten such matrices."""
+    """At 20,000 x 200, the full-data loss, the alignment diagnostic and the
+    epoch record's one pass (both, plus the ranking) hold one (N, C) score
+    matrix and less than 8 MB of other temporaries above their inputs. A
+    whole-array pass holds about ten such matrices."""
     n, c, d = 20_000, 200, 16
     rng = np.random.default_rng(9)
     images = rng.standard_normal((n, d))
@@ -233,9 +245,14 @@ def test_value_passes_hold_one_score_matrix_at_most():
     ds = MultiLabelDataset(images, labels, captions, tuple(f"c{i}" for i in range(c)))
     stats, enc, prompts = build_training_state(ds, TrainConfig())
     score_matrix = n * c * 8
+    embeddings = encode_all(enc, prompts).embeddings
+    head = train_mod._PromptHead(prompts, enc, stats, TrainConfig())
     passes = {
         "total_loss": lambda: total_loss(ds, prompts, enc, stats, LossConfig(), need_grad=False),
-        "mean_positive_delta": lambda: mean_positive_delta(ds, prompts, enc),
+        "mean_positive_delta": lambda: mean_positive_delta(
+            cosine_distances(ds.captions, embeddings), ds.labels
+        ),
+        "epoch record": lambda: head.measure(ds, with_loss=True),
     }
     tracemalloc.start()
     try:

@@ -251,14 +251,25 @@ class TestCheckTrainingState:
             c for c in sweep_cases(24)
             if c.prompts.mode == mode and c.prompts.num_context_tokens > 1
         )
-        calls = {True: 0, False: 0}
+        calls = {True: 0, False: 0, "kinks": 0, "checks": 0}
         real = gradcheck.total_loss
 
         def counting(*args, need_grad=True, **kwargs):
             calls[need_grad] += 1
             return real(*args, need_grad=need_grad, **kwargs)
 
+        def count(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
         monkeypatch.setattr(gradcheck, "total_loss", counting)
+        monkeypatch.setattr(gradcheck, "hinge_kink_mask", count("kinks", gradcheck.hinge_kink_mask))
+        monkeypatch.setattr(
+            gradcheck, "check_total_loss", count("checks", gradcheck.check_total_loss)
+        )
         report = check_training_state(
             case.batch, case.prompts, case.encoder, case.stats, case.config, case.tau
         )
@@ -266,6 +277,9 @@ class TestCheckTrainingState:
         blocks, _, token_dim = case.prompts.contexts.shape
         assert blocks == (1 if mode == MODE_SHARED else case.prompts.num_classes)
         assert calls[False] == 2 * blocks * token_dim
+        # one gradient of the pooled set and one of the training state, one
+        # pooled kink mask, all shared with the one check_total_loss call
+        assert (calls[True], calls["kinks"], calls["checks"]) == (2, 1, 1)
 
     def test_shared_mode_train_passes_the_gate(self, tmp_path, capsys):
         config = tmp_path / "config.json"

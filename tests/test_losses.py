@@ -12,6 +12,7 @@ from tailprompt.losses import (
     class_margins,
     class_weights,
     cls_loss_on_logits,
+    cosine_distances,
     db_bias,
     db_rebalance,
     hinge_kink_mask,
@@ -42,6 +43,12 @@ def _cse(batch, prompts, enc, counts, cfg, need_grad=True):
     """The embedding loss alone, as total_loss computes it at cls_loss_weight 0."""
     cfg = replace(cfg, cls_loss_weight=0.0)
     return total_loss(batch, prompts, enc, _stats(counts), cfg, need_grad=need_grad)
+
+
+def _delta(batch, prompts, enc):
+    """mean_positive_delta of batch against the prompts' embeddings."""
+    distances = cosine_distances(batch.captions, encode_all(enc, prompts).embeddings)
+    return mean_positive_delta(distances, batch.labels)
 
 
 BCE = LossConfig(cls_loss_kind="bce")
@@ -571,7 +578,7 @@ class TestClassCountMismatch:
         with pytest.raises(ConfigError, match="class counts disagree"):
             hinge_kink_mask(batch, prompts, enc, stats, cfg)
         with pytest.raises(ConfigError, match="class counts disagree"):
-            mean_positive_delta(batch, prompts, enc)
+            _delta(batch, prompts, enc)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     def test_stats_against_prompts(self, lam):
@@ -700,7 +707,7 @@ class TestMeanPositiveDelta:
         emb = encode_all(enc, prompts).embeddings
         # every caption sits exactly on its positive prompt embedding
         batch = Batch(emb.copy(), np.array([[1, 0], [0, 1]]), emb.copy())
-        assert mean_positive_delta(batch, prompts, enc) == pytest.approx(0.0, abs=1e-12)
+        assert _delta(batch, prompts, enc) == pytest.approx(0.0, abs=1e-12)
 
     def test_averages_over_positives_only(self):
         d = 4
@@ -710,7 +717,7 @@ class TestMeanPositiveDelta:
         cap = emb[0]
         batch = Batch(cap[None, :], np.array([[1, 1]]), cap[None, :])
         want = 0.5 * ((1.0 - cap @ emb[0]) + (1.0 - cap @ emb[1]))
-        assert mean_positive_delta(batch, prompts, enc) == pytest.approx(float(want), abs=1e-12)
+        assert _delta(batch, prompts, enc) == pytest.approx(float(want), abs=1e-12)
 
     def test_no_positives_rejected(self):
         d = 4
@@ -720,7 +727,7 @@ class TestMeanPositiveDelta:
         cap[0] = 1.0
         batch = Batch(cap[None, :], np.array([[0]]), cap[None, :])
         with pytest.raises(ConfigError):
-            mean_positive_delta(batch, prompts, enc)
+            _delta(batch, prompts, enc)
 
 
 class TestLossConfigValidation:
@@ -753,7 +760,7 @@ class TestBoolLabels:
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("kind", ["db", "bce", "focal"])
     def test_int64_and_bool_labels_give_equal_results(self, kind, layout):
-        from tailprompt.metrics import evaluate_scores
+        from tailprompt.metrics import evaluate
 
         batch, prompts, enc, stats = _random_instance(41, b=48, c=9, d=16, dt=8, m=3)
         cfg = LossConfig(cls_loss_kind=kind, mu_base=0.9, use_class_aware_margin=False)
@@ -766,7 +773,7 @@ class TestBoolLabels:
             value = total_loss(one, prompts, enc, stats, cfg, need_grad=False)
             graded = total_loss(one, prompts, enc, stats, cfg)
             logits = cls_loss_on_logits(z, labels, stats, cfg)
-            ev = evaluate_scores(z, labels, stats)
+            ev = evaluate(z, labels, stats)
             results.append(
                 (
                     (value.total, value.cls_part, value.cse_part),
@@ -774,7 +781,7 @@ class TestBoolLabels:
                     graded.gradient,
                     logits.total,
                     logits.gradient,
-                    mean_positive_delta(one, prompts, enc),
+                    _delta(one, prompts, enc),
                     hinge_kink_mask(one, prompts, enc, stats, cfg),
                     ev.per_class_ap,
                     ev.maps(),

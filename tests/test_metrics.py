@@ -6,7 +6,9 @@ import pytest
 from tailprompt.data_model import ClassStats, group_classes
 from tailprompt.encoders import FrozenTextEncoder, init_prompt_set
 from tailprompt.errors import ConfigError
-from tailprompt.metrics import average_precision, evaluate, evaluate_scores
+from tailprompt.losses import class_scores
+from tailprompt.metrics import average_precision, evaluate
+from tailprompt.train import TrainConfig
 
 from oracles import (
     all_binary_label_patterns,
@@ -149,7 +151,7 @@ class TestMatchesStableArgsort:
         )
 
     def test_strided_column_views(self):
-        # evaluate_scores passes column views of a row-major score matrix
+        # evaluate passes column views of a row-major score matrix
         rng = np.random.default_rng(14)
         scores = np.round(rng.standard_normal((3000, 7)), 1)
         labels = (rng.random((3000, 7)) < 0.2).astype(np.int64)
@@ -195,7 +197,7 @@ class TestEvaluateScores:
     def test_perfect_scores_give_unit_map(self):
         labels = np.array([[1, 0], [0, 1], [1, 0]])
         scores = labels.astype(np.float64)
-        result = evaluate_scores(scores, labels, _stats([12, 2]))
+        result = evaluate(scores, labels, _stats([12, 2]))
         assert result.map_total == 1.0
         assert result.map_head == 1.0
         assert result.map_tail == 1.0
@@ -205,7 +207,7 @@ class TestEvaluateScores:
     def test_zero_positive_class_excluded(self):
         labels = np.array([[1, 0], [1, 0]])
         scores = np.array([[0.9, 0.1], [0.8, 0.3]])
-        result = evaluate_scores(scores, labels, _stats([5, 4]))
+        result = evaluate(scores, labels, _stats([5, 4]))
         assert result.excluded == (1,)
         assert np.isnan(result.per_class_ap[1])
         assert result.map_total == result.per_class_ap[0]
@@ -213,7 +215,7 @@ class TestEvaluateScores:
     def test_all_excluded_rejected(self):
         labels = np.zeros((3, 2), dtype=np.int64)
         with pytest.raises(ConfigError, match="nothing to evaluate"):
-            evaluate_scores(np.zeros((3, 2)), labels, _stats([5, 4]))
+            evaluate(np.zeros((3, 2)), labels, _stats([5, 4]))
 
     def test_group_means_and_weighted_total(self):
         rng = np.random.default_rng(3)
@@ -223,7 +225,7 @@ class TestEvaluateScores:
         scores = rng.standard_normal((n, c))
         counts = np.array([50, 30, 8, 7, 2, 1])
         stats = _stats(counts)
-        result = evaluate_scores(scores, labels, stats)
+        result = evaluate(scores, labels, stats)
         # total equals the group-size-weighted mean of the group means
         sizes = {g: sum(1 for t in stats.group if t == g) for g in ("head", "medium", "tail")}
         acc = 0.0
@@ -237,9 +239,9 @@ class TestEvaluateScores:
 
     def test_shape_checks(self):
         with pytest.raises(ConfigError):
-            evaluate_scores(np.zeros((3, 2)), np.zeros((3, 3), dtype=np.int64), _stats([5, 4]))
+            evaluate(np.zeros((3, 2)), np.zeros((3, 3), dtype=np.int64), _stats([5, 4]))
         with pytest.raises(ConfigError):
-            evaluate_scores(np.zeros((3, 2)), np.zeros((3, 2), dtype=np.int64), _stats([5, 4, 3]))
+            evaluate(np.zeros((3, 2)), np.zeros((3, 2), dtype=np.int64), _stats([5, 4, 3]))
 
     def test_large_matrix_matches_per_class_oracle(self):
         rng = np.random.default_rng(15)
@@ -249,7 +251,7 @@ class TestEvaluateScores:
         labels = (rng.random((n, c)) < 0.3 / np.arange(1, c + 1)).astype(np.int64)
         labels[rng.integers(0, n, size=c), np.arange(c)] = 1
         labels[:, 7] = 0
-        result = evaluate_scores(scores, labels, _stats(np.maximum(labels.sum(axis=0), 1)))
+        result = evaluate(scores, labels, _stats(np.maximum(labels.sum(axis=0), 1)))
         want = [
             average_precision_stable_argsort(scores[:, i], labels[:, i]) if i != 7 else np.nan
             for i in range(c)
@@ -286,11 +288,12 @@ class TestEvaluateEndToEnd:
         labels = np.tile(np.eye(3, dtype=np.int64), (reps, 1))
         ds = MultiLabelDataset(images, labels, images.copy(), tuple(f"c{i}" for i in range(3)))
         stats = ClassStats.from_dataset(ds, head_min=3, tail_max=1)
-        result = evaluate(ds, prompts, enc, 1.0, stats)
+        result = evaluate(class_scores(ds.images, emb, 1.0), ds.labels, stats)
         assert result.map_total == 1.0
 
     def test_temperature_only_scales_scores(self):
         from tailprompt.data_model import MultiLabelDataset
+        from tailprompt.encoders import encode_all
 
         rng = np.random.default_rng(5)
         d = 8
@@ -305,8 +308,9 @@ class TestEvaluateEndToEnd:
         labels[2] = [0, 1]
         ds = MultiLabelDataset(images, labels, images.copy(), ("a", "b"))
         stats = ClassStats.from_dataset(ds, head_min=6, tail_max=2)
-        a = evaluate(ds, prompts, enc, 1.0, stats)
-        b = evaluate(ds, prompts, enc, 0.07, stats)
+        emb = encode_all(enc, prompts).embeddings
+        a = evaluate(class_scores(ds.images, emb, 1.0), ds.labels, stats)
+        b = evaluate(class_scores(ds.images, emb, 0.07), ds.labels, stats)
         assert np.allclose(a.per_class_ap, b.per_class_ap, equal_nan=True)
         with pytest.raises(ConfigError):
-            evaluate(ds, prompts, enc, 0.0, stats)
+            TrainConfig(tau=0.0)

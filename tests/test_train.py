@@ -22,6 +22,7 @@ from tailprompt.train import (
     RunRecord,
     TrainConfig,
     build_training_state,
+    checkpoint_to_dict,
     cosine_lr,
     run_record_to_dict,
     sgd_step,
@@ -440,6 +441,22 @@ class TestRunDir:
         ckpt = json.loads((tmp_path / "probe" / "prompts.ckpt.json").read_text())
         assert ckpt["kind"] == "linear_probe"
         assert np.asarray(ckpt["weights"]).shape == (4, 16)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"prompt": PromptSpec(mode="class_specific", num_context_tokens=3)},
+            {"prompt": PromptSpec(mode="shared", num_context_tokens=2)},
+            {"baseline": "linear_probe"},
+        ],
+        ids=["class-specific", "shared", "linear-probe"],
+    )
+    def test_checkpoint_bytes_are_one_json_dumps(self, tmp_path, overrides):
+        # the file is written a value or list element at a time
+        record = train(_dataset(), _config(epochs=1, **overrides))
+        out = write_run_dir(tmp_path / "run", record, {})
+        want = json.dumps(checkpoint_to_dict(record)) + "\n"
+        assert (out / "prompts.ckpt.json").read_bytes() == want.encode()
 
     def test_collision_refused_until_forced(self, tmp_path):
         ds = _dataset()

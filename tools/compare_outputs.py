@@ -10,12 +10,15 @@ prompts, the 120-case gradcheck, a sweep of every variant over seeds 1 and
 2, and eval of the linear-probe checkpoint that sweep writes. Then three more
 on a 3000 x 60 x 32 split, large enough that value-only passes run in
 several row blocks: synth, train with --skip-gradcheck and --loss focal, and
-a sweep of linear-probe and bce. Every output file is then compared byte for
+a sweep of linear-probe and bce. Three more run at 1000 x 201 x 32, a class
+count at which some BLAS kernels give a product's row block computed alone
+other bits: synth, train with --skip-gradcheck, and a linear-probe sweep.
+Every output file is then compared byte for
 byte, except run.json, which is compared without its wall_seconds; for a
 differing .npz archive, the members that differ are named. Exit
 codes, stdout and stderr are compared with the output root and the train
 wall time masked. Prints each difference and exits 1 if there is any, 0
-otherwise. Uses the standard library only; one comparison takes about 45 s
+otherwise. Uses the standard library only; one comparison takes about 60 s
 on a 2-core x86 VM.
 """
 
@@ -93,6 +96,22 @@ COMMANDS = (
         "linear-probe",
         "--variant",
         "bce",
+    ),
+    # 201 classes: a width at which a row block of a product computed alone
+    # can give other bits than the same rows of the whole product, over
+    # 1000 rows, which value-only passes cover in four row blocks
+    ("synth", "--out", "edge.npz", "--samples", "1000", "--classes", "201", "--dim", "32"),
+    ("train", "--data", "edge.npz", "--out", "edge-train", "--skip-gradcheck"),
+    (
+        "sweep",
+        "--data",
+        "edge.npz",
+        "--out",
+        "edge-sweep",
+        "--seeds",
+        "1",
+        "--variant",
+        "linear-probe",
     ),
 )
 
