@@ -104,12 +104,6 @@ def _refuse_existing_file(path: Path, force: bool) -> None:
     refuse_nonempty_dir(path.parent, force=True)  # no file where its directory goes
 
 
-def _refuse_nonempty_dir(path: Path, force: bool) -> None:
-    refuse_nonempty_dir(path, force=True)  # not a file, nor under one
-    if not force and path.is_dir() and any(path.iterdir()):
-        raise ConfigError(f"output directory {path} is not empty (use --force to overwrite)")
-
-
 def _fmt(value) -> str:
     return "absent" if value is None else f"{value:.4f}"
 
@@ -204,7 +198,7 @@ def _pretrain_gradcheck(dataset, config: RunConfigFile) -> int:
 
 def cmd_train(args) -> int:
     config = _apply_train_flags(args, _load_or_default_config(args.config))
-    _refuse_nonempty_dir(Path(args.out), args.force)
+    refuse_nonempty_dir(args.out, args.force)
     dataset = _resolve_dataset(args, config)
 
     if not args.skip_gradcheck and config.train.baseline == "none":
@@ -377,7 +371,7 @@ def cmd_sweep(args) -> int:
     for name in variants:
         for seed in seeds:
             run_dir = out_root / name / f"seed-{seed}"
-            _refuse_nonempty_dir(run_dir, args.force)
+            refuse_nonempty_dir(run_dir, args.force)
             jobs.append((run_dir, with_train(VARIANTS[name](config), seed=seed)))
     dataset = _resolve_dataset(args, config)
 

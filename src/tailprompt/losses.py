@@ -159,12 +159,10 @@ def _cse_parts(dl: np.ndarray, labels: np.ndarray, weights, margins, need_grad: 
 
 def db_rebalance(counts, alpha: float, beta: float, theta: float) -> np.ndarray:
     """Per-class rebalance factor r = alpha + sigmoid(beta * (share - theta)),
-    where share is the class's normalized inverse frequency. r lies in
+    where share is the class's normalized inverse frequency (class_weights at
+    exponent 1). r lies in
     (alpha, alpha+1) and never increases with n_i."""
-    arr = _checked_counts(counts)
-    inv = 1.0 / arr.astype(np.float64)
-    share = inv / inv.sum()
-    return alpha + _sigmoid(beta * (share - theta))
+    return alpha + _sigmoid(beta * (class_weights(counts, 1.0) - theta))
 
 
 def db_bias(counts, num_samples: int, kappa: float) -> np.ndarray:
@@ -194,11 +192,6 @@ def _per_entry(row: np.ndarray, shape: tuple) -> np.ndarray:
     return np.ndarray(shape, row.dtype, row, 0, (0, row.itemsize))
 
 
-def _split(a: np.ndarray, positive: np.ndarray, negative: np.ndarray):
-    """a's entries at the positive and at the negative labels, row-major."""
-    return a[positive], a[negative]
-
-
 def _by_label(positive: np.ndarray, negative: np.ndarray, z: np.ndarray, pos_values, neg_values):
     """np.where(positive, ., .) over z-shaped arrays, assembled from values
     computed on the positive and the negative entries only (row-major mask
@@ -216,21 +209,27 @@ def _by_label(positive: np.ndarray, negative: np.ndarray, z: np.ndarray, pos_val
     return out
 
 
-def _db_parts(
+def _focal_form_parts(
     z: np.ndarray,
     labels: np.ndarray,
     rebal: np.ndarray,
     bias: np.ndarray,
-    config: LossConfig,
+    zeta: float,
+    gamma: float,
     need_grad: bool,
 ):
-    g = config.gamma_focal
-    zeta = config.db_zeta
+    """(B, C) terms of the distribution-balanced loss on logits z and their
+    derivatives w.r.t. z, neither averaged (see _cls_parts). Focal is the
+    same loss at r = 1, v = 0, zeta = 1: each of those enters by an exact
+    operation, so it gives focal's own bits."""
+    g = gamma
     positive = positive_mask(labels)
     negative = ~positive
-    r_pos, r_neg = _split(_per_entry(rebal, z.shape), positive, negative)
-    # x = z - bias; the (B, C) x itself is not kept
-    x_pos, zx = _split(z - bias, positive, negative)
+    r = _per_entry(rebal, z.shape)
+    r_pos, r_neg = r[positive], r[negative]
+    x = z - bias
+    x_pos, zx = x[positive], x[negative]
+    del x  # the (B, C) x is not kept
 
     # positives: -r (1-q)^g log q, q = sigmoid(x); log q = -softplus(-x)
     sp_neg_x = _softplus(-x_pos)
@@ -247,53 +246,25 @@ def _db_parts(
         positive, negative, z, r_pos * mod_pos * sp_neg_x, (r_neg / zeta) * mod_neg * sp_zx
     )
     if not need_grad:
-        return terms.sum(axis=1), None
+        return terms, None
     log_q = -sp_neg_x
     log_1mq = -sp_zx
     grad_pos = r_pos * g * q_pos * mod_pos * log_q - r_pos * np.power(one_minus_q, g + 1.0)
     grad_neg = r_neg * np.power(q_neg, g + 1.0) - r_neg * g * mod_neg * (1.0 - q_neg) * log_1mq
-    grad_z = _by_label(positive, negative, z, grad_pos / z.shape[0], grad_neg / z.shape[0])
-    return terms.sum(axis=1), grad_z
+    return terms, _by_label(positive, negative, z, grad_pos, grad_neg)
 
 
 def _bce_parts(z: np.ndarray, labels: np.ndarray, need_grad: bool):
+    """(B, C) binary cross-entropy terms on logits z and their derivatives
+    w.r.t. z, neither averaged. Not the focal form at gamma = 0: at +-inf
+    logits that form's gradient is NaN, where this one is -1 or +1."""
     positive = positive_mask(labels)
     negative = ~positive
-    z_pos, z_neg = _split(z, positive, negative)
+    z_pos, z_neg = z[positive], z[negative]
     terms = _by_label(positive, negative, z, _softplus(-z_pos), _softplus(z_neg))
     if not need_grad:
         return terms, None
-    grad_z = _by_label(
-        positive,
-        negative,
-        z,
-        (_sigmoid(z_pos) - 1.0) / terms.size,
-        _sigmoid(z_neg) / terms.size,
-    )
-    return terms, grad_z
-
-
-def _focal_parts(z: np.ndarray, labels: np.ndarray, gamma_focal: float, need_grad: bool):
-    positive = positive_mask(labels)
-    negative = ~positive
-    g = gamma_focal
-    z_pos, z_neg = _split(z, positive, negative)
-    sp_neg = _softplus(-z_pos)
-    q_pos = _sigmoid(z_pos)
-    one_minus_q = 1.0 - q_pos
-    mod_pos = np.power(one_minus_q, g)
-    sp_pos = _softplus(z_neg)
-    q_neg = _sigmoid(z_neg)
-    mod_neg = np.power(q_neg, g)
-    terms = _by_label(positive, negative, z, mod_pos * sp_neg, mod_neg * sp_pos)
-    if not need_grad:
-        return terms, None
-    log_q = -sp_neg
-    log_1mq = -sp_pos
-    grad_pos = g * q_pos * mod_pos * log_q - np.power(one_minus_q, g + 1.0)
-    grad_neg = np.power(q_neg, g + 1.0) - g * mod_neg * (1.0 - q_neg) * log_1mq
-    grad_z = _by_label(positive, negative, z, grad_pos / terms.size, grad_neg / terms.size)
-    return terms, grad_z
+    return terms, _by_label(positive, negative, z, _sigmoid(z_pos) - 1.0, _sigmoid(z_neg))
 
 
 class LossConstants:
@@ -319,11 +290,15 @@ class LossConstants:
         return weights, margins
 
     @cached_property
-    def db(self):
-        """(rebalance, bias) of the distribution-balanced loss."""
+    def focal_form(self):
+        """(rebalance r, logit bias v, negative tolerance zeta) of the
+        focal-form classification loss: db's, from the counts, or focal's
+        r = 1, v = 0 and zeta = 1, which read no counts."""
         cfg, counts = self._config, self._counts
+        if cfg.cls_loss_kind == "focal":
+            return np.ones(len(counts)), np.zeros(len(counts)), 1.0
         rebal = db_rebalance(counts, cfg.db_alpha, cfg.db_beta, cfg.db_theta)
-        return rebal, db_bias(counts, self._num_samples, cfg.db_kappa)
+        return rebal, db_bias(counts, self._num_samples, cfg.db_kappa), cfg.db_zeta
 
 
 def loss_constants(stats: ClassStats, config: LossConfig) -> LossConstants:
@@ -340,13 +315,18 @@ def _cls_parts(
 ):
     """The configured classification part: the terms it averages and the
     gradient w.r.t. z. db averages per-sample sums over the samples; bce
-    and focal average their (B, C) terms over every entry."""
-    if config.cls_loss_kind == "db":
-        rebal, bias = constants.db
-        return _db_parts(z, labels, rebal, bias, config, need_grad)
+    and focal average their (B, C) terms over every entry. The kernels
+    return both unaveraged, and this is the one place that divides."""
     if config.cls_loss_kind == "bce":
-        return _bce_parts(z, labels, need_grad)
-    return _focal_parts(z, labels, config.gamma_focal, need_grad)
+        terms, grad_z = _bce_parts(z, labels, need_grad)
+    else:
+        rebal, bias, zeta = constants.focal_form
+        terms, grad_z = _focal_form_parts(z, labels, rebal, bias, zeta, config.gamma_focal, need_grad)
+    if config.cls_loss_kind == "db":
+        terms = terms.sum(axis=1)
+    if need_grad:
+        grad_z /= terms.size  # in place: the same bits per entry, and the same layout
+    return terms, grad_z
 
 
 def _mean_of_terms(
@@ -514,7 +494,7 @@ def hinge_kink_mask(
     weights, margins = loss_constants(stats, config).cse
     dl = cosine_distances(batch.captions, encoding.embeddings)
     hinge = weights * (margins - dl)
-    near = (np.abs(hinge) < KINK_GUARD) & (batch.labels == 0)
+    near = (np.abs(hinge) < KINK_GUARD) & ~positive_mask(batch.labels)
     per_class = near.any(axis=0)  # (C,)
     if prompts.mode == MODE_SHARED:
         mask[:] = per_class.any()
@@ -526,16 +506,12 @@ def hinge_kink_mask(
 def mean_positive_delta(distances: np.ndarray, labels: np.ndarray) -> float:
     """Mean cosine distance between captions and the prompt embeddings of
     their positive classes, read off a (B, C) cosine_distances matrix; the
-    caption-alignment diagnostic. The positive entries are gathered a row
-    block at a time, in the row-major order of one whole-array gather, and
-    averaged once."""
+    caption-alignment diagnostic."""
     if distances.shape != np.shape(labels):
         raise ConfigError(
             f"class counts disagree: distances {distances.shape}, labels {np.shape(labels)}"
         )
-    deltas = np.concatenate(
-        [distances[rows][positive_mask(labels[rows])] for rows in row_blocks(*distances.shape)]
-    )
+    deltas = distances[positive_mask(labels)]
     if deltas.size == 0:
         raise ConfigError("batch has no positive labels")
     return float(deltas.mean())

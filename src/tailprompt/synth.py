@@ -58,30 +58,15 @@ class SynthConfig:
             raise ConfigError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class ClassPrototypes:
-    """C unit vectors spanning the shared embedding space."""
-
-    vectors: np.ndarray  # (C, dim)
-
-    def __post_init__(self):
-        vecs = np.asarray(self.vectors, dtype=np.float64)
-        vecs.flags.writeable = False
-        object.__setattr__(self, "vectors", vecs)
-
-    @property
-    def num_classes(self) -> int:
-        return self.vectors.shape[0]
-
-
 def class_probs(config: SynthConfig) -> np.ndarray:
     """Target label distribution: p_i proportional to (i+1)^(-s)."""
     raw = np.arange(1, config.num_classes + 1, dtype=np.float64) ** (-config.powerlaw_exponent)
     return raw / raw.sum()
 
 
-def make_prototypes(config: SynthConfig) -> ClassPrototypes:
-    """Deterministic unit prototypes for each class.
+def make_prototypes(config: SynthConfig) -> np.ndarray:
+    """Deterministic unit prototypes for each class, as a read-only (C, dim)
+    array.
 
     With d >= 4C, random unit rows are drawn and redrawn until all pairwise
     |cos| < 0.5 (one draw almost always suffices at that aspect ratio). With
@@ -91,23 +76,25 @@ def make_prototypes(config: SynthConfig) -> ClassPrototypes:
     """
     c, d = config.num_classes, config.dim
     rng = substream(config.seed, DOMAIN_SYNTH, _STREAM_PROTOTYPES)
-    if c == 1:
-        return ClassPrototypes(unit_rows(rng, 1, d))
-    if d >= 4 * c:
+    if c == 1 or c > d:
+        vecs = unit_rows(rng, c, d)
+    elif d >= 4 * c:
         for _ in range(_MAX_PROTOTYPE_RETRIES):
             vecs = unit_rows(rng, c, d)
             gram = np.abs(vecs @ vecs.T)
             np.fill_diagonal(gram, 0.0)
             if gram.max() < 0.5:
-                return ClassPrototypes(vecs)
-        raise NumericsError("could not draw near-orthogonal prototypes; increase dim")
-    if c <= d:
+                break
+        else:
+            raise NumericsError("could not draw near-orthogonal prototypes; increase dim")
+    else:
         raw = rng.standard_normal((c, d))
         q, r = np.linalg.qr(raw.T)  # columns of q span the rows of raw
         signs = np.sign(np.diag(r))
         signs[signs == 0] = 1.0
-        return ClassPrototypes((q * signs).T)
-    return ClassPrototypes(unit_rows(rng, c, d))
+        vecs = (q * signs).T
+    vecs.flags.writeable = False
+    return vecs
 
 
 def sample_label_sets(
@@ -171,15 +158,16 @@ def _repair_zero_counts(labels: np.ndarray, rng: np.random.Generator) -> None:
         labels[pick, missing[0]] = True
 
 
-def generate_with_prototypes(config: SynthConfig) -> tuple[MultiLabelDataset, ClassPrototypes]:
-    """Generate a dataset and the prototypes aligned with its class indices.
+def generate_with_prototypes(config: SynthConfig) -> tuple[MultiLabelDataset, np.ndarray]:
+    """Generate a dataset and the read-only (C, dim) prototypes aligned with
+    its class indices.
 
     Classes are indexed in order of decreasing empirical frequency: after
     sampling and repair, label columns and prototype rows are permuted by a
     stable descending-count sort, so class 0 is always the most frequent.
     """
     c = config.num_classes
-    protos = make_prototypes(config).vectors
+    protos = make_prototypes(config)
     probs = class_probs(config)
 
     label_rng = substream(config.seed, DOMAIN_SYNTH, _STREAM_LABELS)
@@ -198,8 +186,8 @@ def generate_with_prototypes(config: SynthConfig) -> tuple[MultiLabelDataset, Cl
     del signal  # not held while the dataset checks its arrays
 
     names = tuple(f"class_{i:02d}" for i in range(c))
-    dataset = MultiLabelDataset(images, labels, captions, names)
-    return dataset, ClassPrototypes(protos)
+    protos.flags.writeable = False
+    return MultiLabelDataset(images, labels, captions, names), protos
 
 
 def generate(config: SynthConfig) -> MultiLabelDataset:

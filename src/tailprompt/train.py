@@ -290,7 +290,12 @@ class _ProbeHead:
         self.record_fields = {"probe_weights": weights, "probe_bias": bias}
 
     def scores(self, images: np.ndarray) -> np.ndarray:
-        return images @ self.weights.T / self.config.tau + self.bias
+        """images @ W.T / tau + bias, divided and shifted in place: one
+        (N, C) matrix is held, with the bits of the three-operation form."""
+        z = images @ self.weights.T
+        z /= self.config.tau
+        z += self.bias
+        return z
 
     def loss(self, batch: Batch):
         """(LossReport, one gradient per array of params)."""
@@ -487,7 +492,7 @@ def refuse_nonempty_dir(out_dir, force: bool) -> Path:
     if not nearest.is_dir():
         raise ConfigError(f"output directory {out} is not a directory ({nearest} is a file)")
     if not force and out.is_dir() and any(out.iterdir()):
-        raise ConfigError(f"output directory {out} is not empty (use force to overwrite)")
+        raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
     return out
 
 

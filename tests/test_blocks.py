@@ -231,9 +231,10 @@ class TestGenerateInBlocks:
 
 def test_value_passes_hold_one_score_matrix_at_most():
     """At 20,000 x 200, the full-data loss, the alignment diagnostic and the
-    epoch record's one pass (both, plus the ranking) hold one (N, C) score
-    matrix and less than 8 MB of other temporaries above their inputs. A
-    whole-array pass holds about ten such matrices."""
+    epoch record's one pass (both, plus the ranking), for the prompts and for
+    the linear probe, hold one (N, C) score matrix and less than 8 MB of
+    other temporaries above their inputs. A whole-array pass holds about ten
+    such matrices."""
     n, c, d = 20_000, 200, 16
     rng = np.random.default_rng(9)
     images = rng.standard_normal((n, d))
@@ -247,12 +248,15 @@ def test_value_passes_hold_one_score_matrix_at_most():
     score_matrix = n * c * 8
     embeddings = encode_all(enc, prompts).embeddings
     head = train_mod._PromptHead(prompts, enc, stats, TrainConfig())
+    probe_config = TrainConfig(baseline="linear_probe")
+    probe = train_mod._ProbeHead(rng.standard_normal((c, d)), np.zeros(c), stats, probe_config)
     passes = {
         "total_loss": lambda: total_loss(ds, prompts, enc, stats, LossConfig(), need_grad=False),
         "mean_positive_delta": lambda: mean_positive_delta(
             cosine_distances(ds.captions, embeddings), ds.labels
         ),
         "epoch record": lambda: head.measure(ds, with_loss=True),
+        "probe epoch record": lambda: probe.measure(ds, with_loss=True),
     }
     tracemalloc.start()
     try:

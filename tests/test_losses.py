@@ -650,7 +650,11 @@ class TestLossConstants:
             with pytest.raises(NumericsError, match="infinite bias"):
                 total_loss(batch, prompts, enc, saturated, LossConfig())
         # configs that never use the bias still evaluate on the saturated counts
-        for cfg in (LossConfig(cls_loss_kind="bce"), LossConfig(cls_loss_weight=0.0)):
+        for cfg in (
+            LossConfig(cls_loss_kind="bce"),
+            LossConfig(cls_loss_kind="focal"),
+            LossConfig(cls_loss_weight=0.0),
+        ):
             assert np.isfinite(total_loss(batch, prompts, enc, saturated, cfg).total)
 
 

@@ -4,7 +4,6 @@ import pytest
 from tailprompt.data_model import class_counts, group_classes
 from tailprompt.errors import ConfigError
 from tailprompt.synth import (
-    ClassPrototypes,
     SynthConfig,
     class_probs,
     generate,
@@ -65,37 +64,37 @@ class TestClassProbs:
 class TestPrototypes:
     def test_single_class_unit(self):
         cfg = SynthConfig(num_classes=1, num_samples=10, dim=16)
-        vecs = make_prototypes(cfg).vectors
+        vecs = make_prototypes(cfg)
         assert vecs.shape == (1, 16)
         assert np.linalg.norm(vecs[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_in_two_dims_orthogonal(self):
         # C <= d < 4C path: exact orthonormalization
         cfg = SynthConfig(num_classes=2, num_samples=10, dim=2)
-        vecs = make_prototypes(cfg).vectors
+        vecs = make_prototypes(cfg)
         assert abs(np.dot(vecs[0], vecs[1])) < 1e-12
 
     def test_default_scale_separation(self):
         # C=20, d=128, seed 7: all 190 pairs below the redraw threshold
         cfg = SynthConfig()
-        vecs = make_prototypes(cfg).vectors
+        vecs = make_prototypes(cfg)
         gram = np.abs(vecs @ vecs.T)
         np.fill_diagonal(gram, 0.0)
         assert gram.max() < 0.5
 
     def test_qr_branch_orthonormal(self):
         cfg = SynthConfig(num_classes=8, num_samples=50, dim=16)
-        vecs = make_prototypes(cfg).vectors
+        vecs = make_prototypes(cfg)
         assert np.allclose(vecs @ vecs.T, np.eye(8), atol=1e-10)
 
     def test_overfull_branch_unit_rows(self):
         cfg = SynthConfig(num_classes=10, num_samples=50, dim=4)
-        vecs = make_prototypes(cfg).vectors
+        vecs = make_prototypes(cfg)
         assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)
 
     def test_deterministic(self):
         cfg = SynthConfig(num_classes=6, num_samples=30, dim=32, seed=9)
-        assert np.array_equal(make_prototypes(cfg).vectors, make_prototypes(cfg).vectors)
+        assert np.array_equal(make_prototypes(cfg), make_prototypes(cfg))
 
 
 def _reference_label_sets(config, probs, rng):
@@ -208,10 +207,10 @@ class TestGenerate:
         if ds.labels.sum() != ds.num_samples:
             pytest.skip("repair added a label; pick a different seed")
         owners = ds.labels.argmax(axis=1)
-        cos_true = np.einsum("nd,nd->n", ds.images, protos.vectors[owners])
+        cos_true = np.einsum("nd,nd->n", ds.images, protos[owners])
         assert np.allclose(cos_true, 1.0, atol=1e-9)
         # and separation from every other prototype
-        gram = ds.images @ protos.vectors.T
+        gram = ds.images @ protos.T
         gram[np.arange(ds.num_samples), owners] = 0.0
         assert np.abs(gram).max() < 0.5
 
@@ -238,10 +237,11 @@ class TestGenerate:
         pos_cos = []
         for k in range(ds.num_samples):
             members = np.flatnonzero(ds.labels[k])
-            pos_cos.append((ds.captions[k] @ protos.vectors[members].T).mean())
+            pos_cos.append((ds.captions[k] @ protos[members].T).mean())
         assert np.mean(pos_cos) > 0.7
 
     def test_prototype_vectors_immutable(self):
-        protos = ClassPrototypes(np.eye(3))
-        with pytest.raises(ValueError):
-            protos.vectors[0, 0] = 2.0
+        cfg = SynthConfig(num_classes=3, num_samples=12, dim=16, seed=2)
+        for protos in (make_prototypes(cfg), generate_with_prototypes(cfg)[1]):
+            with pytest.raises(ValueError):
+                protos[0, 0] = 2.0

@@ -324,7 +324,7 @@ class TestTrainLoop:
 class TestLinearProbe:
     def _separable(self):
         cfg = SynthConfig(num_classes=3, num_samples=19, dim=8, seed=4)
-        protos = make_prototypes(cfg).vectors
+        protos = make_prototypes(cfg)
         owners = np.array([0] * 10 + [1] * 6 + [2] * 3)
         images = protos[owners]
         labels = np.zeros((19, 3), dtype=np.int64)
