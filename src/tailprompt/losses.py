@@ -17,6 +17,12 @@ Each part's value is also reachable from a score matrix the caller already
 holds (classification_part on class_scores, embedding_part on
 cosine_distances, combined by blend), so a training epoch's record can share
 each (N, C) product with the ranking and the alignment diagnostic.
+
+objective_core is the one evaluation of the blended objective and its
+gradient w.r.t. the prompt embeddings, given an Objective: everything a
+call would re-derive from (ClassStats, LossConfig, tau), resolved once.
+total_loss is its argument checks around that core, and a training step
+calls the same core on the rows it gathers.
 """
 
 from __future__ import annotations
@@ -185,10 +191,10 @@ def _column_major(a: np.ndarray) -> bool:
 
 
 def _per_entry(row: np.ndarray, shape: tuple) -> np.ndarray:
-    """row[c] at every (b, c) of shape, as a zero-copy view. It is what
-    np.broadcast_to(row, shape) returns, without that call's iterator set-up,
-    which costs more than the gathers from it at small batch sizes."""
-    row = np.ascontiguousarray(row)
+    """row[c] at every (b, c) of shape, as a zero-copy view of the contiguous
+    row (LossConstants.focal_form's is). It is what np.broadcast_to(row,
+    shape) returns, without that call's iterator set-up, which costs more
+    than the gathers from it at small batch sizes."""
     return np.ndarray(shape, row.dtype, row, 0, (0, row.itemsize))
 
 
@@ -293,7 +299,8 @@ class LossConstants:
     def focal_form(self):
         """(rebalance r, logit bias v, negative tolerance zeta) of the
         focal-form classification loss: db's, from the counts, or focal's
-        r = 1, v = 0 and zeta = 1, which read no counts."""
+        r = 1, v = 0 and zeta = 1, which read no counts. r is a contiguous
+        row, as _per_entry needs."""
         cfg, counts = self._config, self._counts
         if cfg.cls_loss_kind == "focal":
             return np.ones(len(counts)), np.zeros(len(counts)), 1.0
@@ -307,26 +314,28 @@ def loss_constants(stats: ClassStats, config: LossConfig) -> LossConstants:
 
 
 def _cls_parts(
-    z: np.ndarray,
-    labels: np.ndarray,
-    constants: LossConstants,
-    config: LossConfig,
-    need_grad: bool,
+    z: np.ndarray, labels: np.ndarray, kind: str, focal_form, gamma: float, need_grad: bool
 ):
-    """The configured classification part: the terms it averages and the
-    gradient w.r.t. z. db averages per-sample sums over the samples; bce
+    """The classification part of the given kind: the terms it averages and
+    the gradient w.r.t. z. db averages per-sample sums over the samples; bce
     and focal average their (B, C) terms over every entry. The kernels
-    return both unaveraged, and this is the one place that divides."""
-    if config.cls_loss_kind == "bce":
+    return both unaveraged, and this is the one place that divides.
+    focal_form is LossConstants.focal_form, None for bce."""
+    if kind == "bce":
         terms, grad_z = _bce_parts(z, labels, need_grad)
     else:
-        rebal, bias, zeta = constants.focal_form
-        terms, grad_z = _focal_form_parts(z, labels, rebal, bias, zeta, config.gamma_focal, need_grad)
-    if config.cls_loss_kind == "db":
+        terms, grad_z = _focal_form_parts(z, labels, *focal_form, gamma, need_grad)
+    if kind == "db":
         terms = terms.sum(axis=1)
     if need_grad:
         grad_z /= terms.size  # in place: the same bits per entry, and the same layout
     return terms, grad_z
+
+
+def _cls_constants(constants: LossConstants, config: LossConfig) -> tuple:
+    """_cls_parts's (kind, focal_form, gamma) for config; bce reads no counts."""
+    kind = config.cls_loss_kind
+    return kind, None if kind == "bce" else constants.focal_form, config.gamma_focal
 
 
 def _mean_of_terms(
@@ -369,7 +378,7 @@ def classification_part(
     """(value, gradient w.r.t. scores) of the configured classification part
     on (B, C) scores; a value-only call on a whole split runs in row blocks.
     constants is loss_constants(stats, config)."""
-    return _mean_of_terms(_cls_parts, scores, labels, (constants, config), need_grad)
+    return _mean_of_terms(_cls_parts, scores, labels, _cls_constants(constants, config), need_grad)
 
 
 def embedding_part(
@@ -388,12 +397,10 @@ def active_parts(config: LossConfig) -> tuple[bool, bool]:
     return lam > 0.0, config.use_embedding_loss and lam < 1.0
 
 
-def blend(config: LossConfig, cls_value: float, cse_value: float, gradient=None) -> LossReport:
-    """The report of cls_loss_weight * cls_value + (1 - cls_loss_weight) * cse_value;
-    a part active_parts skips enters as 0.0."""
-    lam = config.cls_loss_weight
-    total = lam * cls_value + (1.0 - lam) * cse_value
-    return LossReport(total=total, cls_part=cls_value, cse_part=cse_value, gradient=gradient)
+def blend(lam: float, cls_value: float, cse_value: float) -> float:
+    """lam * cls_value + (1 - lam) * cse_value, lam being cls_loss_weight; a
+    part active_parts skips enters as 0.0."""
+    return lam * cls_value + (1.0 - lam) * cse_value
 
 
 def cls_loss_on_logits(
@@ -415,10 +422,89 @@ def cls_loss_on_logits(
     return LossReport(total=value, cls_part=value, cse_part=0.0, gradient=grad_z)
 
 
-def _check_classes(batch: Batch, prompts: PromptSet, stats: ClassStats) -> None:
+def check_classes(batch: Batch, prompts: PromptSet, stats: ClassStats) -> None:
+    """Raise ConfigError unless batch, prompts and stats count the same classes."""
     sizes = {"batch": batch.num_classes, "prompts": prompts.num_classes, "stats": stats.num_classes}
     if len(set(sizes.values())) > 1:
         raise ConfigError(f"class counts disagree: {sizes}")
+
+
+class Objective:
+    """The blended objective of one (ClassStats, LossConfig, tau), with what
+    every evaluation would re-derive resolved once: the blend weight lam,
+    which parts active_parts computes, and each active part's constants as
+    the kernels take them. Building it raises what the first evaluation of
+    an active part would (an invalid count, an infinite bias), classification
+    part first; see loss_objective."""
+
+    def __init__(self, stats: ClassStats, config: LossConfig, tau: float):
+        constants = loss_constants(stats, config)
+        self.lam = config.cls_loss_weight
+        self.tau = tau
+        self.compute_cls, self.compute_cse = active_parts(config)
+        self.cls_constants = _cls_constants(constants, config) if self.compute_cls else None
+        self.cse_constants = constants.cse if self.compute_cse else None
+
+
+def loss_objective(stats: ClassStats, config: LossConfig, tau: float) -> Objective:
+    """The Objective of (stats, config, tau), kept on stats and keyed by (config, tau)."""
+    return stats.derived((config, tau), lambda: Objective(stats, config, tau))
+
+
+def objective_core(
+    objective: Objective,
+    images: np.ndarray,
+    labels: np.ndarray,
+    captions: np.ndarray,
+    embeddings: np.ndarray,
+    need_grad: bool,
+):
+    """(total, cls value, cse value, gradient w.r.t. embeddings or None) of
+    the blended objective on the rows (images, labels, captions), scored
+    against the unit prompt embeddings.
+
+    The parts the objective skips are not computed; with neither active the
+    gradient is zero. A zero-filled array accumulating the parts' gradients
+    a and b would hold (0.0 + a) + b. This returns (a + b) + 0.0 instead,
+    the same in every bit: adding +0.0 changes only a -0.0 into +0.0, and
+    neither form can end at -0.0.
+    """
+    cls_value = cse_value = 0.0
+    # each (B, C) matrix is passed on unnamed, so it is freed before the next is built
+    if objective.compute_cls:
+        cls_value, grad_z = _mean_of_terms(
+            _cls_parts,
+            class_scores(images, embeddings, objective.tau),
+            labels,
+            objective.cls_constants,
+            need_grad,
+        )
+    if objective.compute_cse:
+        cse_value, coef = _mean_of_terms(
+            _cse_parts,
+            cosine_distances(captions, embeddings),
+            labels,
+            objective.cse_constants,
+            need_grad,
+        )
+    lam = objective.lam
+    total = blend(lam, cls_value, cse_value)
+    if not need_grad:
+        return total, cls_value, cse_value, None
+
+    gradient = None
+    if objective.compute_cls:
+        gradient = lam * (grad_z.T @ images) / objective.tau
+    if objective.compute_cse:
+        cse_gradient = (1.0 - lam) * (-(coef.T @ captions) / images.shape[0])
+        if gradient is None:
+            gradient = cse_gradient
+        else:
+            gradient += cse_gradient
+    if gradient is None:
+        return total, cls_value, cse_value, np.zeros_like(embeddings)
+    gradient += 0.0
+    return total, cls_value, cse_value, gradient
 
 
 def total_loss(
@@ -432,44 +518,25 @@ def total_loss(
 ) -> LossReport:
     """Blended objective: cls_loss_weight * L_cls + (1 - cls_loss_weight) * L_cse.
 
-    The parts active_parts skips are not computed. The gradient (same convex
-    combination) is encode_backward's, shaped (C or 1, 1, d_token).
+    The argument checks, then objective_core between the encoder's forward
+    and backward pass. The gradient is encode_backward's, shaped (C or 1,
+    1, d_token).
     """
     if tau <= 0:
         raise ConfigError("temperature must be > 0")
-    _check_classes(batch, prompts, stats)
-    compute_cls, compute_cse = active_parts(config)
-    constants = loss_constants(stats, config)
+    check_classes(batch, prompts, stats)
     encoding = encode_all(encoder, prompts)
-    cls_value = 0.0
-    cse_value = 0.0
-    # each (B, C) matrix is passed on unnamed, so it is freed before the next is built
-    if compute_cls:
-        cls_value, grad_z = classification_part(
-            class_scores(batch.images, encoding.embeddings, tau),
-            batch.labels,
-            constants,
-            config,
-            need_grad,
-        )
-    if compute_cse:
-        cse_value, coef = embedding_part(
-            cosine_distances(batch.captions, encoding.embeddings),
-            batch.labels,
-            constants,
-            need_grad,
-        )
-    if not need_grad:
-        return blend(config, cls_value, cse_value)
-
-    lam = config.cls_loss_weight
-    grad_embeddings = np.zeros_like(encoding.embeddings)
-    if compute_cls:
-        grad_embeddings += lam * (grad_z.T @ batch.images) / tau
-    if compute_cse:
-        grad_embeddings += (1.0 - lam) * (-(coef.T @ batch.captions) / batch.num_samples)
-    gradient = encode_backward(encoder, prompts, encoding, grad_embeddings)
-    return blend(config, cls_value, cse_value, gradient)
+    total, cls_value, cse_value, gradient = objective_core(
+        loss_objective(stats, config, tau),
+        batch.images,
+        batch.labels,
+        batch.captions,
+        encoding.embeddings,
+        need_grad,
+    )
+    if need_grad:
+        gradient = encode_backward(encoder, prompts, encoding, gradient)
+    return LossReport(total, cls_value, cse_value, gradient)
 
 
 def hinge_kink_mask(
@@ -486,7 +553,7 @@ def hinge_kink_mask(
     hinge argument w_i*(margin_i - delta) of that class lies within KINK_GUARD of
     zero; in shared mode every coordinate feeds every class.
     """
-    _check_classes(batch, prompts, stats)
+    check_classes(batch, prompts, stats)
     mask = np.zeros(prompts.contexts.shape, dtype=bool)
     if not active_parts(config)[1]:
         return mask

@@ -15,12 +15,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .data_model import (
-    Batch,
     ClassStats,
     HEAD_MIN_DEFAULT,
     MultiLabelDataset,
@@ -32,6 +32,7 @@ from .encoders import (
     PROMPT_MODES,
     PromptSet,
     encode_all,
+    encode_backward,
     init_prompt_set,
     prompts_from_dict,
     prompts_to_dict,
@@ -39,16 +40,20 @@ from .encoders import (
 from .errors import ConfigError, NumericsError
 from .losses import (
     LossConfig,
+    LossReport,
+    Objective,
     active_parts,
     blend,
+    check_classes,
     class_scores,
     classification_part,
     cls_loss_on_logits,
     cosine_distances,
     embedding_part,
     loss_constants,
+    loss_objective,
     mean_positive_delta,
-    total_loss,
+    objective_core,
 )
 from .metrics import MAP_KEYS, EvalResult, evaluate
 from .seeding import DOMAIN_TRAIN, substream
@@ -223,31 +228,64 @@ def build_training_state(
 
 class _PromptHead:
     """Prompt contexts scored through the frozen text encoder under the
-    blended objective."""
+    blended objective, on one split."""
 
     def __init__(
-        self, prompts: PromptSet, encoder: FrozenTextEncoder, stats: ClassStats, config: TrainConfig
+        self,
+        dataset: MultiLabelDataset,
+        prompts: PromptSet,
+        encoder: FrozenTextEncoder,
+        stats: ClassStats,
+        config: TrainConfig,
     ):
+        self.dataset = dataset
         self.prompts = prompts
         self.encoder = encoder
         self.stats = stats
         self.config = config
-        self.params = (prompts.contexts,)
         self.record_fields = {"prompts": prompts, "encoder": encoder}
 
-    def loss(self, batch: Batch):
-        """(LossReport, one gradient per array of params)."""
-        report = total_loss(
-            batch, self.prompts, self.encoder, self.stats, self.config.loss, self.config.tau
+    @cached_property
+    def _objective(self) -> Objective:
+        """The steps' Objective, built at the first step, after the epoch-0
+        record has resolved the same constants. The split, the prompts and
+        the stats are checked to agree on the classes here, once a run."""
+        check_classes(self.dataset, self.prompts, self.stats)
+        return loss_objective(self.stats, self.config.loss, self.config.tau)
+
+    def step(self, indices: np.ndarray, lr: float):
+        """One SGD step on the split's rows indices; (total, cls part, cse
+        part) of their loss, the bits of total_loss on dataset.batch(indices).
+
+        The rows are gathered directly and scored by objective_core, the
+        core that total_loss, and so the pre-training gradcheck, runs. It and
+        encode_all, encode_backward and sgd_step are looked up by module name
+        on every call, where the traced benchmark wraps them (it counts steps
+        by sgd_step). sgd_step checks the gradient before it writes, and a
+        loss that is not finite leaves the contexts untouched, for train()
+        to abort on.
+        """
+        data = self.dataset
+        encoding = encode_all(self.encoder, self.prompts)
+        total, cls_value, cse_value, gradient = objective_core(
+            self._objective,
+            data.images[indices],
+            data.labels[indices],
+            data.captions[indices],
+            encoding.embeddings,
+            True,
         )
-        return report, (report.gradient,)
+        gradient = encode_backward(self.encoder, self.prompts, encoding, gradient)
+        if math.isfinite(total):
+            sgd_step(self.prompts.contexts, gradient, lr)
+        return total, cls_value, cse_value
 
-    def evaluate(self, dataset: MultiLabelDataset) -> EvalResult:
+    def evaluate(self) -> EvalResult:
         embeddings = encode_all(self.encoder, self.prompts).embeddings
-        scores = class_scores(dataset.images, embeddings, self.config.tau)
-        return evaluate(scores, dataset.labels, self.stats)
+        scores = class_scores(self.dataset.images, embeddings, self.config.tau)
+        return evaluate(scores, self.dataset.labels, self.stats)
 
-    def measure(self, dataset: MultiLabelDataset, with_loss: bool = False):
+    def measure(self, with_loss: bool = False):
         """(LossReport or None, mean positive delta, EvalResult) for an epoch
         record, from one encoding of the prompts.
 
@@ -257,7 +295,8 @@ class _PromptHead:
         value and the alignment diagnostic. The report, asked for at epoch 0,
         has the bits of total_loss(dataset, need_grad=False).
         """
-        loss, labels = self.config.loss, dataset.labels
+        dataset, loss = self.dataset, self.config.loss
+        labels = dataset.labels
         compute_cls, compute_cse = active_parts(loss) if with_loss else (False, False)
         constants = loss_constants(self.stats, loss)
         embeddings = encode_all(self.encoder, self.prompts).embeddings
@@ -271,22 +310,30 @@ class _PromptHead:
         if compute_cse:
             cse_value, _ = embedding_part(distances, labels, constants, need_grad=False)
         delta = mean_positive_delta(distances, labels)
-        return (blend(loss, cls_value, cse_value) if with_loss else None), delta, result
+        if not with_loss:
+            return None, delta, result
+        total = blend(loss.cls_loss_weight, cls_value, cse_value)
+        return LossReport(total, cls_value, cse_value, None), delta, result
 
 
 class _ProbeHead:
     """The linear-probe reference: a C x d linear head (plus bias) on the
-    frozen image embeddings, trained with the configured classification loss
-    alone. No prompts, no embedding loss."""
+    frozen image embeddings of one split, trained with the configured
+    classification loss alone. No prompts, no embedding loss."""
 
     def __init__(
-        self, weights: np.ndarray, bias: np.ndarray, stats: ClassStats, config: TrainConfig
+        self,
+        dataset: MultiLabelDataset,
+        weights: np.ndarray,
+        bias: np.ndarray,
+        stats: ClassStats,
+        config: TrainConfig,
     ):
+        self.dataset = dataset
         self.weights = weights
         self.bias = bias
         self.stats = stats
         self.config = config
-        self.params = (weights, bias)
         self.record_fields = {"probe_weights": weights, "probe_bias": bias}
 
     def scores(self, images: np.ndarray) -> np.ndarray:
@@ -297,26 +344,35 @@ class _ProbeHead:
         z += self.bias
         return z
 
-    def loss(self, batch: Batch):
-        """(LossReport, one gradient per array of params)."""
-        z = self.scores(batch.images)
-        report = cls_loss_on_logits(z, batch.labels, self.stats, self.config.loss)
+    def step(self, indices: np.ndarray, lr: float):
+        """One SGD step on the split's rows indices, as the prompt head's:
+        (total, cls part, cse part) of their loss from cls_loss_on_logits,
+        then sgd_step on the weights and on the bias. A loss that is not
+        finite leaves both untouched."""
+        images = self.dataset.images[indices]
+        report = cls_loss_on_logits(
+            self.scores(images), self.dataset.labels[indices], self.stats, self.config.loss
+        )
         grad_z = report.gradient
-        return report, (grad_z.T @ batch.images / self.config.tau, grad_z.sum(axis=0))
+        gradients = (grad_z.T @ images / self.config.tau, grad_z.sum(axis=0))
+        if math.isfinite(report.total):
+            for params, gradient in zip((self.weights, self.bias), gradients):
+                sgd_step(params, gradient, lr)
+        return report.total, report.cls_part, report.cse_part
 
-    def evaluate(self, dataset: MultiLabelDataset) -> EvalResult:
-        return evaluate(self.scores(dataset.images), dataset.labels, self.stats)
+    def evaluate(self) -> EvalResult:
+        return evaluate(self.scores(self.dataset.images), self.dataset.labels, self.stats)
 
-    def measure(self, dataset: MultiLabelDataset, with_loss: bool = False):
+    def measure(self, with_loss: bool = False):
         """(LossReport or None, None, EvalResult) for an epoch record, from
         one product of the scores; a probe has no prompts to align."""
-        z = self.scores(dataset.images)
+        z = self.scores(self.dataset.images)
         report = None
         if with_loss:
             report = cls_loss_on_logits(
-                z, dataset.labels, self.stats, self.config.loss, need_grad=False
+                z, self.dataset.labels, self.stats, self.config.loss, need_grad=False
             )
-        return report, None, evaluate(z, dataset.labels, self.stats)
+        return report, None, evaluate(z, self.dataset.labels, self.stats)
 
 
 def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
@@ -330,12 +386,12 @@ def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
     if config.baseline == "linear_probe":
         stats = ClassStats.from_dataset(dataset, config.head_min, config.tail_max)
         weights = np.zeros((dataset.num_classes, dataset.dim))
-        head = _ProbeHead(weights, np.zeros(dataset.num_classes), stats, config)
+        head = _ProbeHead(dataset, weights, np.zeros(dataset.num_classes), stats, config)
     else:
         stats, encoder, prompts = build_training_state(dataset, config)
-        head = _PromptHead(prompts, encoder, stats, config)
+        head = _PromptHead(dataset, prompts, encoder, stats, config)
 
-    report, *measured = head.measure(dataset, with_loss=True)
+    report, *measured = head.measure(with_loss=True)
     initial = EpochRecord(0, config.lr0, report.total, report.cls_part, report.cse_part, *measured)
     shuffle_rng = substream(config.seed, DOMAIN_TRAIN, _STREAM_SHUFFLE)
     history: list[EpochRecord] = []
@@ -349,14 +405,12 @@ def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
         sum_cse = 0.0
         try:
             for indices in _epoch_batches(permutation, config.batch_size):
-                report, gradients = head.loss(dataset.batch(indices))
-                if not math.isfinite(report.total):
+                total, cls_part, cse_part = head.step(indices, lr)
+                if not math.isfinite(total):
                     raise NumericsError(f"abort run: non-finite loss at epoch {epoch}")
-                for params, gradient in zip(head.params, gradients, strict=True):
-                    sgd_step(params, gradient, lr)
-                sum_total += report.total * indices.size
-                sum_cls += report.cls_part * indices.size
-                sum_cse += report.cse_part * indices.size
+                sum_total += total * indices.size
+                sum_cls += cls_part * indices.size
+                sum_cse += cse_part * indices.size
         except NumericsError as err:
             abort_reason = str(err)
             break
@@ -369,7 +423,7 @@ def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
                 sum_total / dataset.num_samples,
                 sum_cls / dataset.num_samples,
                 sum_cse / dataset.num_samples,
-                *(head.measure(dataset)[1:] if eval_now else (None, None)),
+                *(head.measure()[1:] if eval_now else (None, None)),
             )
         )
 
@@ -465,7 +519,7 @@ def checkpoint_from_dict(doc, dataset: MultiLabelDataset, config: TrainConfig):
         prompts = prompts_from_dict(doc)
         seed = prompts.encoder_seed if prompts.encoder_seed is not None else config.encoder_seed
         encoder = FrozenTextEncoder.create(seed, prompts.token_dim, dataset.dim)
-        return _PromptHead(prompts, encoder, stats, config)
+        return _PromptHead(dataset, prompts, encoder, stats, config)
     if kind == "linear_probe":
         try:
             weights = np.asarray(doc["weights"], dtype=np.float64)
@@ -480,7 +534,7 @@ def checkpoint_from_dict(doc, dataset: MultiLabelDataset, config: TrainConfig):
                 f"linear_probe checkpoint holds weights {weights.shape} and bias {bias.shape}; "
                 f"the dataset needs {shape} and {shape[:1]}"
             )
-        return _ProbeHead(weights, bias, stats, config)
+        return _ProbeHead(dataset, weights, bias, stats, config)
     raise ConfigError(f"unknown checkpoint kind {kind!r}")
 
 

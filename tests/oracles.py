@@ -21,8 +21,27 @@ import numpy as np
 
 from tailprompt.data_model import ClassStats
 from tailprompt.encoders import encode_all, encode_backward
-from tailprompt.errors import ConfigError
-from tailprompt.losses import LossReport, _cse_parts, cls_loss_on_logits, loss_constants
+from tailprompt.errors import ConfigError, NumericsError
+from tailprompt.losses import (
+    LossReport,
+    _cse_parts,
+    active_parts,
+    class_scores,
+    classification_part,
+    cls_loss_on_logits,
+    cosine_distances,
+    embedding_part,
+    loss_constants,
+)
+from tailprompt.seeding import DOMAIN_TRAIN, substream
+from tailprompt.train import (
+    _STREAM_SHUFFLE,
+    EpochRecord,
+    _PromptHead,
+    build_training_state,
+    cosine_lr,
+    sgd_step,
+)
 
 
 def _stats(counts, num_samples: int) -> ClassStats:
@@ -367,3 +386,61 @@ def encode_backward_per_token(encoder, prompts, encoding, grad_embeddings):
         block = per_token.sum(axis=0)
         return np.tile(block, (1, m, 1))
     return np.repeat(per_token[:, None, :], m, axis=1)
+
+
+def total_loss_accumulated(batch, prompts, encoder, stats, config, tau: float = 1.0) -> LossReport:
+    """total_loss with its gradient, as the package computed it before
+    objective_core: each active part through classification_part and
+    embedding_part, and the gradient w.r.t. the embeddings accumulated into a
+    zero-filled array."""
+    compute_cls, compute_cse = active_parts(config)
+    constants = loss_constants(stats, config)
+    encoding = encode_all(encoder, prompts)
+    cls_value = cse_value = 0.0
+    if compute_cls:
+        scores = class_scores(batch.images, encoding.embeddings, tau)
+        cls_value, grad_z = classification_part(scores, batch.labels, constants, config, True)
+    if compute_cse:
+        distances = cosine_distances(batch.captions, encoding.embeddings)
+        cse_value, coef = embedding_part(distances, batch.labels, constants, True)
+    lam = config.cls_loss_weight
+    grad_embeddings = np.zeros_like(encoding.embeddings)
+    if compute_cls:
+        grad_embeddings += lam * (grad_z.T @ batch.images) / tau
+    if compute_cse:
+        grad_embeddings += (1.0 - lam) * (-(coef.T @ batch.captions) / batch.num_samples)
+    gradient = encode_backward(encoder, prompts, encoding, grad_embeddings)
+    return LossReport(lam * cls_value + (1.0 - lam) * cse_value, cls_value, cse_value, gradient)
+
+
+def train_step_by_step(dataset, config):
+    """(final contexts, epoch records) of a prompt run trained by the loop
+    train() ran before its step was built once a run: per minibatch,
+    total_loss_accumulated on dataset.batch(indices), then sgd_step. The
+    records' evaluation fields come from the head's epoch pass, which that
+    change left as it was."""
+    stats, encoder, prompts = build_training_state(dataset, config)
+    head = _PromptHead(dataset, prompts, encoder, stats, config)
+    report, *measured = head.measure(with_loss=True)
+    losses = (report.total, report.cls_part, report.cse_part)
+    records = [EpochRecord(0, config.lr0, *losses, *measured)]
+    shuffle_rng = substream(config.seed, DOMAIN_TRAIN, _STREAM_SHUFFLE)
+    n = dataset.num_samples
+    for epoch in range(1, config.epochs + 1):
+        lr = cosine_lr(epoch - 1, config.epochs, config.lr0)
+        permutation = shuffle_rng.permutation(n)
+        sums = [0.0, 0.0, 0.0]
+        for start in range(0, n, config.batch_size):
+            indices = permutation[start : start + config.batch_size]
+            report = total_loss_accumulated(
+                dataset.batch(indices), prompts, encoder, stats, config.loss, config.tau
+            )
+            if not math.isfinite(report.total):
+                raise NumericsError(f"abort run: non-finite loss at epoch {epoch}")
+            sgd_step(prompts.contexts, report.gradient, lr)
+            for i, value in enumerate((report.total, report.cls_part, report.cse_part)):
+                sums[i] += value * indices.size
+        eval_now = epoch % config.eval_every == 0 or epoch == config.epochs
+        measured = head.measure()[1:] if eval_now else (None, None)
+        records.append(EpochRecord(epoch, lr, *(value / n for value in sums), *measured))
+    return prompts.contexts, records

@@ -189,12 +189,21 @@ class TestLogitsInBlocks:
 
 class TestMeanPositiveDeltaInBlocks:
     @pytest.mark.parametrize("layout", ["C", "F"])
-    def test_equals_whole_array_pass(self, dataset, whole, layout):
-        ds = _fortran(dataset) if layout == "F" else dataset
+    def test_equals_whole_array_pass(self, dataset, layout):
+        # mean_positive_delta runs in no row blocks: its one gather must give
+        # the plain whole-array mean of the positive distances, whatever the
+        # labels' layout (synth draws them column-major)
+        if layout == "F":
+            ds = _fortran(dataset)
+        else:
+            names = ("images", "labels", "captions")
+            arrays = [np.ascontiguousarray(getattr(dataset, name)) for name in names]
+            ds = MultiLabelDataset(*arrays, dataset.class_names)
         stats, enc, prompts = build_training_state(ds, TrainConfig())
         distances = cosine_distances(ds.captions, encode_all(enc, prompts).embeddings)
+        assert ds.labels.flags.f_contiguous == (layout == "F")
         got = mean_positive_delta(distances, ds.labels)
-        assert got == whole(mean_positive_delta, distances, ds.labels)
+        assert got == float(distances[ds.labels == 1].mean())
 
     def test_no_positives_rejected(self, dataset):
         stats, enc, prompts = build_training_state(dataset, TrainConfig())
@@ -247,16 +256,16 @@ def test_value_passes_hold_one_score_matrix_at_most():
     stats, enc, prompts = build_training_state(ds, TrainConfig())
     score_matrix = n * c * 8
     embeddings = encode_all(enc, prompts).embeddings
-    head = train_mod._PromptHead(prompts, enc, stats, TrainConfig())
+    head = train_mod._PromptHead(ds, prompts, enc, stats, TrainConfig())
     probe_config = TrainConfig(baseline="linear_probe")
-    probe = train_mod._ProbeHead(rng.standard_normal((c, d)), np.zeros(c), stats, probe_config)
+    probe = train_mod._ProbeHead(ds, rng.standard_normal((c, d)), np.zeros(c), stats, probe_config)
     passes = {
         "total_loss": lambda: total_loss(ds, prompts, enc, stats, LossConfig(), need_grad=False),
         "mean_positive_delta": lambda: mean_positive_delta(
             cosine_distances(ds.captions, embeddings), ds.labels
         ),
-        "epoch record": lambda: head.measure(ds, with_loss=True),
-        "probe epoch record": lambda: probe.measure(ds, with_loss=True),
+        "epoch record": lambda: head.measure(with_loss=True),
+        "probe epoch record": lambda: probe.measure(with_loss=True),
     }
     tracemalloc.start()
     try:

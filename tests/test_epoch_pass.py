@@ -124,7 +124,7 @@ class TestPromptEpochPass:
             monkeypatch.setattr(train_mod, name, spy(name))
         config = TrainConfig(tau=TAU)
         stats, encoder, prompts = build_training_state(dataset, config)
-        train_mod._PromptHead(prompts, encoder, stats, config).measure(dataset, with_loss=True)
+        train_mod._PromptHead(dataset, prompts, encoder, stats, config).measure(with_loss=True)
 
         embeddings = encode_all(encoder, prompts).embeddings
         assert seen["evaluate"] is seen["classification_part"]

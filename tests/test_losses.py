@@ -10,13 +10,19 @@ from tailprompt.errors import ConfigError, NumericsError
 from tailprompt.losses import (
     LossConfig,
     class_margins,
+    class_scores,
     class_weights,
+    classification_part,
     cls_loss_on_logits,
     cosine_distances,
     db_bias,
     db_rebalance,
+    embedding_part,
     hinge_kink_mask,
+    loss_constants,
+    loss_objective,
     mean_positive_delta,
+    objective_core,
     total_loss,
 )
 
@@ -558,6 +564,33 @@ class TestTotalLoss:
         batch, prompts, enc, stats = _random_instance(47)
         with pytest.raises(ConfigError):
             total_loss(batch, prompts, enc, stats, LossConfig(), tau=0.0)
+
+
+class TestObjectiveCore:
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_gradient_has_the_bits_of_a_zero_filled_sum(self, lam):
+        # at a flat margin of 0 no hinge is active, so the embedding part's
+        # row of a class with no positive in the batch is -(0 @ captions),
+        # all -0.0; a zero-filled array accumulating the parts holds +0.0
+        batch, prompts, enc, stats = _random_instance(53, b=2, c=6)
+        cfg = LossConfig(cls_loss_weight=lam, use_class_aware_margin=False, mu_base=0.0)
+        tau, b = 0.8, batch.num_samples
+        emb = encode_all(enc, prompts).embeddings
+        *_, got = objective_core(
+            loss_objective(stats, cfg, tau), batch.images, batch.labels, batch.captions, emb, True
+        )
+
+        constants = loss_constants(stats, cfg)
+        want = np.zeros_like(emb)
+        if lam > 0:
+            scores = class_scores(batch.images, emb, tau)
+            _, grad_z = classification_part(scores, batch.labels, constants, cfg, True)
+            want += lam * (grad_z.T @ batch.images) / tau
+        _, coef = embedding_part(cosine_distances(batch.captions, emb), batch.labels, constants, True)
+        cse_product = -(coef.T @ batch.captions)
+        assert (np.signbit(cse_product) & (cse_product == 0)).all(axis=1).any()
+        want += (1.0 - lam) * (cse_product / b)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestClassCountMismatch:

@@ -10,6 +10,7 @@ import pytest
 # the package re-exports the train() function under the same name as the
 # submodule, so fetch the module object explicitly for monkeypatching
 train_mod = importlib.import_module("tailprompt.train")
+from oracles import train_step_by_step
 from tailprompt.data_model import MultiLabelDataset
 from tailprompt.encoders import FrozenTextEncoder, encode_all, init_prompt_set
 from tailprompt.errors import ConfigError, NumericsError
@@ -45,18 +46,56 @@ def _config(**overrides):
 
 def _patch_head_loss(monkeypatch, baseline, corrupt):
     """Pass every loss the head's training evaluates through
-    corrupt(report, need_grad): total_loss for prompts, cls_loss_on_logits for
-    the linear probe, both looked up in the train module."""
-    name = "total_loss" if baseline == "none" else "cls_loss_on_logits"
+    corrupt(report, need_grad), at the seam its step looks up in the train
+    module: objective_core for prompts (its total, parts and gradient w.r.t.
+    the prompt embeddings, as a LossReport), cls_loss_on_logits for the
+    linear probe."""
+    name = "objective_core" if baseline == "none" else "cls_loss_on_logits"
     real = getattr(train_mod, name)
     signature = inspect.signature(real)
 
     def wrapped(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        return corrupt(real(*args, **kwargs), bound.arguments["need_grad"])
+        need_grad = bound.arguments["need_grad"]
+        if baseline != "none":
+            return corrupt(real(*args, **kwargs), need_grad)
+        report = corrupt(LossReport(*real(*args, **kwargs)), need_grad)
+        return report.total, report.cls_part, report.cse_part, report.gradient
 
     monkeypatch.setattr(train_mod, name, wrapped)
+
+
+def _record_updates(monkeypatch) -> list:
+    """(id, copy) of the parameter array after every update the train
+    module's sgd_step completes, in order."""
+    updates = []
+    real = train_mod.sgd_step
+
+    def recording(params, gradient, lr):
+        out = real(params, gradient, lr)
+        updates.append((id(params), params.copy()))
+        return out
+
+    monkeypatch.setattr(train_mod, "sgd_step", recording)
+    return updates
+
+
+def _assert_abort_wrote_nothing(record, ds, config, updates, done):
+    """done updates had completed when the aborting step evaluated its loss.
+    None completed after that, and each of the record's parameter arrays is
+    bit-identical to its copy after its last update, or to its initial
+    value if it had none."""
+    assert len(updates) == done
+    if config.baseline == "none":
+        initial = {"contexts": build_training_state(ds, config)[2].contexts}
+        final = {"contexts": record.prompts.contexts}
+    else:
+        final = {"weights": record.probe_weights, "bias": record.probe_bias}
+        initial = {name: np.zeros_like(params) for name, params in final.items()}
+    for name, params in final.items():
+        copies = [copy for key, copy in updates if key == id(params)]
+        assert np.array_equal(params, copies[-1] if copies else initial[name]), name
 
 
 def _sha(arr: np.ndarray) -> str:
@@ -288,24 +327,33 @@ class TestTrainLoop:
     @pytest.mark.parametrize("baseline", BASELINES)
     def test_abort_on_non_finite_loss(self, monkeypatch, baseline):
         ds = _dataset()
+        updates = _record_updates(monkeypatch)
         calls = {"n": 0}
 
         def corrupt(report, need_grad):
             calls["n"] += need_grad
             if calls["n"] == 2 and need_grad:
+                calls["done"] = len(updates)
                 return LossReport(float("nan"), report.cls_part, report.cse_part, report.gradient)
             return report
 
         _patch_head_loss(monkeypatch, baseline, corrupt)
-        record = train(ds, _config(epochs=4, baseline=baseline))
+        config = _config(epochs=4, baseline=baseline)
+        record = train(ds, config)
         assert record.failed
         assert "non-finite loss" in record.abort_reason
         assert record.epochs_completed < 4
         assert record.final_eval is not None  # epoch-0 eval survives
+        assert calls["done"] > 0  # the first step updated
+        _assert_abort_wrote_nothing(record, ds, config, updates, calls["done"])
 
+    # the prompt head's corrupted gradient is w.r.t. the embeddings, and its
+    # inf meets an -inf in encode_backward's tangent projection
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("baseline", BASELINES)
     def test_abort_on_non_finite_gradient(self, monkeypatch, baseline):
         ds = _dataset()
+        updates = _record_updates(monkeypatch)
 
         def corrupt(report, need_grad):
             if need_grad:
@@ -315,10 +363,80 @@ class TestTrainLoop:
             return report
 
         _patch_head_loss(monkeypatch, baseline, corrupt)
-        record = train(ds, _config(epochs=2, baseline=baseline))
+        config = _config(epochs=2, baseline=baseline)
+        record = train(ds, config)
         assert record.failed
         assert "non-finite gradient" in record.abort_reason
         assert record.epochs_completed == 0
+        _assert_abort_wrote_nothing(record, ds, config, updates, 0)
+
+
+def _fortran(ds: MultiLabelDataset) -> MultiLabelDataset:
+    arrays = [np.asfortranarray(a) for a in (ds.images, ds.labels, ds.captions)]
+    return MultiLabelDataset(*arrays, ds.class_names)
+
+
+_STEP_CASES = [
+    *(
+        pytest.param("class_specific", kind, lam, emb, id=f"{kind}-lam{lam}-emb{int(emb)}")
+        for kind in ("db", "bce", "focal")
+        for lam in (0.0, 0.5, 1.0)
+        for emb in (True, False)
+    ),
+    *(
+        pytest.param("shared", kind, 0.5, True, id=f"shared-{kind}")
+        for kind in ("db", "bce", "focal")
+    ),
+]
+
+
+class TestStepBitIdentity:
+    """train()'s step, built once a run, trains to the bits of the loop it
+    replaced: total_loss with a zero-filled gradient on dataset.batch, then
+    sgd_step (oracles.train_step_by_step). 60 samples in batches of 16 end
+    each epoch on a ragged batch."""
+
+    @staticmethod
+    def _assert_same_run(ds, config):
+        record = train(ds, config)
+        assert not record.failed
+        contexts, records = train_step_by_step(ds, config)
+        # bytes, not ==, so that a -0.0 where the reference has +0.0 fails
+        assert np.array_equal(record.prompts.contexts, contexts)
+        assert record.prompts.contexts.tobytes() == contexts.tobytes()
+        got = [train_mod._epoch_to_dict(r) for r in (record.initial, *record.history)]
+        assert got == [train_mod._epoch_to_dict(r) for r in records]
+        assert len(got) == config.epochs + 1
+
+    @pytest.mark.parametrize("mode, kind, lam, emb", _STEP_CASES)
+    def test_three_epochs(self, mode, kind, lam, emb):
+        loss = LossConfig(cls_loss_kind=kind, cls_loss_weight=lam, use_embedding_loss=emb)
+        prompt = PromptSpec(mode=mode, num_context_tokens=3)
+        self._assert_same_run(_dataset(), _config(lr0=2.0, tau=0.5, loss=loss, prompt=prompt))
+
+    def test_no_active_part_leaves_the_contexts_as_they_were(self):
+        # lam = 0 with the embedding loss off skips both parts: the gradient
+        # is zero, and contexts drawn at init_std 0 hold -0.0 entries that a
+        # -0.0 in the gradient would turn into +0.0
+        loss = LossConfig(cls_loss_weight=0.0, use_embedding_loss=False)
+        config = _config(lr0=2.0, loss=loss, prompt=PromptSpec(init_std=0.0))
+        ds = _dataset()
+        self._assert_same_run(ds, config)
+        initial = build_training_state(ds, config)[2].contexts
+        assert np.signbit(initial).any()
+        assert train(ds, config).prompts.contexts.tobytes() == initial.tobytes()
+
+    @pytest.mark.parametrize("kind", ["db", "bce", "focal"])
+    def test_fortran_order_dataset(self, kind):
+        ds = _fortran(_dataset())
+        assert ds.labels.flags.f_contiguous and not ds.labels.flags.c_contiguous
+        self._assert_same_run(ds, _config(lr0=2.0, loss=LossConfig(cls_loss_kind=kind)))
+
+    @pytest.mark.parametrize("kind", ["db", "bce"])
+    def test_201_classes(self, kind):
+        ds = _dataset(num_classes=201, num_samples=300, dim=16)
+        config = _config(lr0=2.0, batch_size=64, loss=LossConfig(cls_loss_kind=kind))
+        self._assert_same_run(ds, config)
 
 
 class TestLinearProbe:
@@ -470,13 +588,12 @@ class TestRunDir:
     def test_failed_run_serializes(self, tmp_path, monkeypatch):
         ds = _dataset()
 
-        def always_nan(batch, prompts, encoder, stats, config, tau=1.0, need_grad=True):
-            report = total_loss(batch, prompts, encoder, stats, config, tau, need_grad)
+        def always_nan(report, need_grad):
             if need_grad:
                 return LossReport(float("nan"), 0.0, 0.0, report.gradient)
             return report
 
-        monkeypatch.setattr(train_mod, "total_loss", always_nan)
+        _patch_head_loss(monkeypatch, "none", always_nan)
         record = train(ds, _config(epochs=2))
         assert record.failed
         out = tmp_path / "failed"

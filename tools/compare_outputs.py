@@ -13,13 +13,18 @@ several row blocks: synth, train with --skip-gradcheck and --loss focal, and
 a sweep of linear-probe and bce. Three more run at 1000 x 201 x 32, a class
 count at which some BLAS kernels give a product's row block computed alone
 other bits: synth, train with --skip-gradcheck, and a linear-probe sweep.
+Last, a sweep of full, bce, coop and linear-probe with the config
+{"train": {"lr0": 1e308}}, written to the output root as abort.json: every
+run aborts at epoch 1 with a non-finite loss, so the abort messages, the
+partial run directories and the NumPy warnings on the way are compared.
 Every output file is then compared byte for
 byte, except run.json, which is compared without its wall_seconds; for a
 differing .npz archive, the members that differ are named. Exit
-codes, stdout and stderr are compared with the output root and the train
-wall time masked. Prints each difference and exits 1 if there is any, 0
-otherwise. Uses the standard library only; one comparison takes about 60 s
-on a 2-core x86 VM.
+codes, stdout and stderr are compared with the output root, the train
+wall time and each warning's path:line: location masked; a warning's
+category, message and source line are kept. Prints each difference and
+exits 1 if there is any, 0 otherwise. Uses the standard library only; one
+comparison takes about 60 s on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -113,9 +118,16 @@ COMMANDS = (
         "--variant",
         "linear-probe",
     ),
+    # a step size at which every run aborts in its first epoch
+    ("sweep", "--config", "abort.json", "--data", "data.npz", "--out", "abort-sweep", "--seeds", "1")
+    + tuple(arg for name in ("full", "bce", "coop", "linear-probe") for arg in ("--variant", name)),
 )
 
+ABORT_CONFIG = '{"train": {"lr0": 1e308}}\n'
+
 _WALL = re.compile(r"epochs in \d+\.\d+s")
+# where a warning was issued: the tree's own source path and line number
+_WARNING_AT = re.compile(r"^\S+:\d+: (?=\w+Warning: )", re.MULTILINE)
 
 
 def extract_src(base: str, dest: Path) -> Path:
@@ -135,6 +147,7 @@ def extract_src(base: str, dest: Path) -> Path:
 def run_all(src: Path, out_root: Path) -> list[tuple[int, str, str]]:
     """(exit code, masked stdout, masked stderr) of each command, run in out_root."""
     out_root.mkdir(parents=True)
+    (out_root / "abort.json").write_text(ABORT_CONFIG)
     env = dict(os.environ, PYTHONPATH=str(src))
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = "1"
@@ -148,7 +161,9 @@ def run_all(src: Path, out_root: Path) -> list[tuple[int, str, str]]:
             text=True,
         )
         masked = [
-            _WALL.sub("epochs in <wall>s", text.replace(str(out_root), "<root>"))
+            _WARNING_AT.sub(
+                "<path:line>: ", _WALL.sub("epochs in <wall>s", text.replace(str(out_root), "<root>"))
+            )
             for text in (proc.stdout, proc.stderr)
         ]
         results.append((proc.returncode, *masked))
