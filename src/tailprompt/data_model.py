@@ -4,6 +4,10 @@ Images exist only as frozen unit-norm embeddings (the image encoder is applied
 at generation time and never trained), each paired with a binary label vector
 and one pooled unit-norm caption embedding. A dataset is the batch of all its
 samples: a MultiLabelDataset is a Batch, so full-split passes take it as is.
+
+A dataset holds C-contiguous arrays, whatever the layout it was given. This
+is the one place memory layout is decided: the loss kernels and row blocks
+have no layout rules of their own.
 """
 
 from __future__ import annotations
@@ -28,24 +32,24 @@ BLOCK_ENTRIES = 2**16
 
 
 def block_rows(width: int) -> int:
-    """Rows in one block of a pass over width-wide rows (see BLOCK_ENTRIES).
-    At least two: a one-row block is contiguous along its row in every
-    layout, so numpy would sum that row in a different order than it sums
-    the same row of a column-major whole array."""
-    return max(2, BLOCK_ENTRIES // width)
+    """Rows in one block of a pass over width-wide rows (see BLOCK_ENTRIES),
+    at least one."""
+    return max(1, BLOCK_ENTRIES // width)
 
 
 def row_blocks(num_rows: int, width: int) -> list[slice]:
-    """Consecutive row slices that cover num_rows rows in blocks of
-    block_rows(width) rows; a one-row tail joins the block before it."""
-    starts = list(range(0, num_rows - 1, block_rows(width))) or [0]
-    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], num_rows])]
+    """Consecutive row slices of block_rows(width) rows that cover num_rows
+    rows; the last may be shorter. A row of a row-major array sums in the
+    same order in a block of any height, so a blocked pass keeps the bits
+    of a whole-array one."""
+    step = block_rows(width)
+    return [slice(start, min(start + step, num_rows)) for start in range(0, num_rows, step)]
 
 
 def positive_mask(labels: np.ndarray) -> np.ndarray:
-    """The bool mask of labels' positive entries, in labels' memory layout:
-    bool labels are their own mask, others are compared with 1. Comparing
-    bool labels with 1 would cast every entry to an integer first."""
+    """The bool mask of labels' positive entries: bool labels are their own
+    mask, others are compared with 1. Comparing bool labels with 1 would
+    cast every entry to an integer first."""
     return labels if labels.dtype == bool else labels == 1
 
 
@@ -85,15 +89,16 @@ class MultiLabelDataset(Batch):
 
     Invariants checked here (in place of Batch's shape checks, which they
     include): all rows unit-norm, labels binary with >= 1 positive per
-    sample, and every class positive in >= 1 sample. Labels given as 0/1
-    numbers of any dtype are stored as bool.
+    sample, and every class positive in >= 1 sample. Every array is stored
+    C-contiguous, whatever its input layout; labels given as 0/1 numbers of
+    any dtype are stored as bool.
     """
 
     class_names: tuple[str, ...]
 
     def __post_init__(self):
-        images = np.asarray(self.images, dtype=np.float64)
-        captions = np.asarray(self.captions, dtype=np.float64)
+        images = np.asarray(self.images, dtype=np.float64, order="C")
+        captions = np.asarray(self.captions, dtype=np.float64, order="C")
         labels = np.asarray(self.labels)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "captions", captions)
@@ -110,8 +115,8 @@ class MultiLabelDataset(Batch):
             raise ConfigError("caption embeddings must match image embeddings in shape")
         if not ((labels == 0) | (labels == 1)).all():
             raise ConfigError("invalid label: entries must be 0 or 1")
-        # a copy in the input's memory layout, one byte per entry
-        object.__setattr__(self, "labels", labels.astype(bool))
+        # a copy, one byte per entry
+        object.__setattr__(self, "labels", labels.astype(bool, order="C"))
 
         for name, vecs in (("image", images), ("caption", captions)):
             for rows in row_blocks(*vecs.shape):

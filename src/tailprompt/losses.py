@@ -184,12 +184,6 @@ def db_bias(counts, num_samples: int, kappa: float) -> np.ndarray:
     return kappa * np.log(num_samples / arr.astype(np.float64) - 1.0)
 
 
-def _column_major(a: np.ndarray) -> bool:
-    """Whether a ufunc result over the 2-d array a (order K) is column-major."""
-    rows, cols = a.strides
-    return 0 < abs(rows) < abs(cols)
-
-
 def _per_entry(row: np.ndarray, shape: tuple) -> np.ndarray:
     """row[c] at every (b, c) of shape, as a zero-copy view of the contiguous
     row (LossConstants.focal_form's is). It is what np.broadcast_to(row,
@@ -201,15 +195,9 @@ def _per_entry(row: np.ndarray, shape: tuple) -> np.ndarray:
 def _by_label(positive: np.ndarray, negative: np.ndarray, z: np.ndarray, pos_values, neg_values):
     """np.where(positive, ., .) over z-shaped arrays, assembled from values
     computed on the positive and the negative entries only (row-major mask
-    order, as z[positive] gathers them).
-
-    The result is laid out as np.where lays out its own: column-major only
-    when both the label mask and z's ufunc results are. Row and whole-array
-    sums add in memory order, so the layout fixes the bits of every value
-    reduced from it.
-    """
-    fortran = _column_major(positive) and _column_major(z)
-    out = np.empty(z.shape, order="F" if fortran else "C")
+    order, as z[positive] gathers them). The result is C-ordered, as
+    np.where's is on C-ordered z."""
+    out = np.empty(z.shape)
     out[positive] = pos_values
     out[negative] = neg_values
     return out
@@ -328,7 +316,7 @@ def _cls_parts(
     if kind == "db":
         terms = terms.sum(axis=1)
     if need_grad:
-        grad_z /= terms.size  # in place: the same bits per entry, and the same layout
+        grad_z /= terms.size  # in place: the same bits per entry
     return terms, grad_z
 
 
@@ -347,10 +335,9 @@ def _mean_of_terms(
     averages, (B,) per-sample sums or (B, C) entries, and its gradient. A
     value-only call on more rows than fit in one block runs part on each row
     block of the scores (data_model.row_blocks) and keeps only those terms,
-    in a buffer laid out as a block lays out its own; a block of two or more
-    rows has the whole array's layout. The one sum then adds the same
-    numbers in the same order as on the whole array, so the value is
-    bit-identical, while every other (B, C) temporary lives for one block.
+    in one row-major buffer. The one sum then adds the same numbers in the
+    same order as on the whole array, so the value is bit-identical, while
+    every other (B, C) temporary lives for one block.
 
     The scores themselves come in whole: with some BLAS kernels, a row block
     of a matrix product computed alone has other bits than the same rows of
@@ -363,7 +350,7 @@ def _mean_of_terms(
     for rows in row_blocks(*scores.shape):
         block, _ = part(scores[rows], labels[rows], *constants, False)
         if terms is None:
-            terms = np.empty_like(block, shape=(scores.shape[0], *block.shape[1:]))
+            terms = np.empty((scores.shape[0], *block.shape[1:]))
         terms[rows] = block
     return float(terms.sum() / terms.size), None
 
@@ -411,8 +398,9 @@ def cls_loss_on_logits(
     need_grad: bool = True,
 ) -> LossReport:
     """The configured classification loss applied to raw logits; used by
-    heads that are not prompts (e.g. the linear probe)."""
-    z = np.asarray(z, dtype=np.float64)
+    heads that are not prompts (e.g. the linear probe). The logits are read
+    in C order."""
+    z = np.asarray(z, dtype=np.float64, order="C")
     if z.ndim != 2 or np.shape(labels) != z.shape or z.shape[1] != stats.num_classes:
         raise ConfigError(
             f"logits {z.shape}, labels {np.shape(labels)} and stats of "

@@ -114,9 +114,10 @@ def evaluate(scores: np.ndarray, labels: np.ndarray, stats: ClassStats) -> EvalR
     per_class = np.full(num_classes, np.nan)
     excluded = []
     has_positive = positive_mask(labels).any(axis=0)
+    by_class = np.ascontiguousarray(labels.T)  # one read of every label column
     for i in range(num_classes):
         if has_positive[i]:
-            per_class[i] = average_precision(scores[:, i], labels[:, i])
+            per_class[i] = average_precision(scores[:, i], by_class[i])
         else:
             excluded.append(i)
     scoreable = ~np.isnan(per_class)

@@ -296,8 +296,9 @@ def sample_label_set(num_classes, probs, cooccur_prob, max_extra_labels, rng):
 
 # The classification-loss parts as they were before each branch's formula was
 # restricted to its own label entries: both formulas on every entry, one kept
-# by np.where. Values and gradients must match them bit for bit, including
-# the summation order that np.where's output layout sets.
+# by np.where. Values and gradients must match them bit for bit on C-ordered
+# logits, where np.where's output is C-ordered too and so sums each row in
+# the same order.
 
 
 def _softplus(x):

@@ -36,7 +36,7 @@ train_mod = importlib.import_module("tailprompt.train")
 
 # 1000 rows of 200 classes: blocks of 327 rows and a ragged last block of 19
 N, C, D = 1000, 200, 32
-# 3 * 327 + 1 rows: the one-row tail joins the third block
+# 3 * 327 + 1 rows: the last block is one row
 N_ONE_ROW_TAIL = 982
 
 
@@ -57,8 +57,9 @@ def dataset():
     return synth.generate(SynthConfig(num_samples=N, num_classes=C, dim=D, seed=4))
 
 
-def _fortran(ds: MultiLabelDataset, bool_labels: bool = False) -> MultiLabelDataset:
-    labels = np.asfortranarray(ds.labels.astype(bool) if bool_labels else ds.labels)
+def _fortran(ds: MultiLabelDataset, labels_dtype=bool) -> MultiLabelDataset:
+    """ds rebuilt from Fortran-order copies of its arrays."""
+    labels = np.asfortranarray(ds.labels.astype(labels_dtype))
     images, captions = np.asfortranarray(ds.images), np.asfortranarray(ds.captions)
     return MultiLabelDataset(images, labels, captions, ds.class_names)
 
@@ -75,17 +76,17 @@ class TestRowBlocks:
         for before, after in zip(blocks, blocks[1:]):
             assert before.stop == after.start
         sizes = [block.stop - block.start for block in blocks]
-        assert all(size <= block_rows(C) + 1 for size in sizes)
-        if num_rows > 1:
-            assert min(sizes) >= 2
+        assert all(size == block_rows(C) for size in sizes[:-1])
+        assert 1 <= sizes[-1] <= block_rows(C)
 
     def test_block_size_follows_the_width(self):
         assert block_rows(200) == 327
         assert block_rows(256) == 256
         assert block_rows(20) == 3276
-        assert block_rows(2**20) == 2
+        assert block_rows(2**20) == 1
         assert [b.stop for b in row_blocks(N, C)] == [327, 654, 981, 1000]
-        assert [b.stop for b in row_blocks(N_ONE_ROW_TAIL, C)] == [327, 654, 982]
+        assert [b.stop for b in row_blocks(N_ONE_ROW_TAIL, C)] == [327, 654, 981, 982]
+        assert row_blocks(3, 2**20) == [slice(0, 1), slice(1, 2), slice(2, 3)]
         assert row_blocks(2000, 20) == [slice(0, 2000)]
 
 
@@ -131,11 +132,14 @@ class TestTotalLossInBlocks:
     @pytest.mark.parametrize("bool_labels", [False, True], ids=["int-labels", "bool-labels"])
     @pytest.mark.parametrize("kind", ["db", "bce"])
     def test_fortran_images_and_labels(self, dataset, whole, kind, bool_labels):
-        ds = _fortran(dataset, bool_labels)
+        """A dataset built from Fortran-order arrays holds them C-ordered, so
+        its blocked values are those of the C-order dataset's whole pass."""
+        ds = _fortran(dataset, bool if bool_labels else np.int64)
+        assert ds.images.flags.c_contiguous and ds.labels.flags.c_contiguous
         stats, enc, prompts = build_training_state(ds, TrainConfig())
         cfg = LossConfig(cls_loss_kind=kind)
         got = total_loss(ds, prompts, enc, stats, cfg, tau=0.7, need_grad=False)
-        want = whole(total_loss, ds, prompts, enc, stats, cfg, tau=0.7, need_grad=False)
+        want = whole(total_loss, dataset, prompts, enc, stats, cfg, tau=0.7, need_grad=False)
         assert _values(got) == _values(want)
 
     def test_bool_labels_in_a_batch(self, dataset, whole):
@@ -167,10 +171,11 @@ class TestLogitsInBlocks:
 
     @pytest.mark.parametrize("kind", ["db", "bce"])
     def test_tail_row_keeps_its_summation_order(self, dataset, whole, kind):
-        """A column-major whole array has each row summed in column order,
-        where a one-row block would be summed pairwise. Every row but the
-        last scores its labels confidently here, so the last row's terms
-        decide the value's bits."""
+        """The last block is one row. The kernels' terms are C-ordered
+        whatever the layout of the logits and labels, so that row is summed
+        in the order the whole array sums it. Every row but the last scores
+        its labels confidently here, so the last row's terms decide the
+        value's bits."""
         labels = np.asfortranarray(dataset.labels[:N_ONE_ROW_TAIL])
         z = np.asfortranarray(np.where(labels == 1, 40.0, -40.0))
         z[-1] = np.random.default_rng(6).uniform(-4.0, 4.0, size=C)
@@ -192,18 +197,13 @@ class TestMeanPositiveDeltaInBlocks:
     def test_equals_whole_array_pass(self, dataset, layout):
         # mean_positive_delta runs in no row blocks: its one gather must give
         # the plain whole-array mean of the positive distances, whatever the
-        # labels' layout (synth draws them column-major)
-        if layout == "F":
-            ds = _fortran(dataset)
-        else:
-            names = ("images", "labels", "captions")
-            arrays = [np.ascontiguousarray(getattr(dataset, name)) for name in names]
-            ds = MultiLabelDataset(*arrays, dataset.class_names)
-        stats, enc, prompts = build_training_state(ds, TrainConfig())
-        distances = cosine_distances(ds.captions, encode_all(enc, prompts).embeddings)
-        assert ds.labels.flags.f_contiguous == (layout == "F")
-        got = mean_positive_delta(distances, ds.labels)
-        assert got == float(distances[ds.labels == 1].mean())
+        # labels' layout (a Batch may hold Fortran-order labels)
+        stats, enc, prompts = build_training_state(dataset, TrainConfig())
+        distances = cosine_distances(dataset.captions, encode_all(enc, prompts).embeddings)
+        labels = np.asarray(dataset.labels, order=layout)
+        assert labels.flags.f_contiguous == (layout == "F")
+        got = mean_positive_delta(distances, labels)
+        assert got == float(distances[dataset.labels == 1].mean())
 
     def test_no_positives_rejected(self, dataset):
         stats, enc, prompts = build_training_state(dataset, TrainConfig())

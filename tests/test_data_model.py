@@ -233,14 +233,15 @@ class TestSerialization:
         assert load_dataset(tmp_path / "ds.json").num_samples == 6
 
     def test_integer_labels_load_as_bool(self, tmp_path):
-        # snapshots written before labels were bool hold them as int64
+        # older snapshots hold labels as int64, in Fortran order
         arrays = _snapshot_arrays(_tiny_dataset())
         for dtype in (np.int64, np.uint8):
             labels = np.asfortranarray(arrays["labels"].astype(dtype))
+            assert not labels.flags.c_contiguous
             path = _write_npz(tmp_path / f"{dtype.__name__}.npz", {**arrays, "labels": labels})
             back = load_dataset(path)
             assert back.labels.dtype == bool
-            assert back.labels.flags.f_contiguous
+            assert back.labels.flags.c_contiguous
             assert np.array_equal(back.labels, arrays["labels"])
 
     # each sample is one row of images, labels and captions

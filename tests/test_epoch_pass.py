@@ -42,9 +42,13 @@ def dataset():
 
 
 def _layout(ds: MultiLabelDataset, layout: str) -> MultiLabelDataset:
+    """ds rebuilt from copies of its arrays in the given layout; the dataset
+    stores them C-ordered either way."""
     names = ("images", "labels", "captions")
     arrays = [np.asarray(getattr(ds, name), order=layout) for name in names]
-    return MultiLabelDataset(*arrays, ds.class_names)
+    built = MultiLabelDataset(*arrays, ds.class_names)
+    assert all(getattr(built, name).flags.c_contiguous for name in names)
+    return built
 
 
 def _assert_ranked_separately(result, scores, labels):
@@ -99,7 +103,6 @@ class TestPromptEpochPass:
     @pytest.mark.parametrize("mode", ["class_specific", "shared"])
     def test_prompt_modes_and_layouts(self, dataset, mode, layout):
         ds = _layout(dataset, layout)
-        assert ds.labels.flags.f_contiguous == (layout == "F")
         config = TrainConfig(epochs=2, tau=TAU, prompt=PromptSpec(mode=mode, num_context_tokens=3))
         _check_prompt_run(ds, config)
 

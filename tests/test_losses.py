@@ -444,15 +444,15 @@ def _assert_matches_where(report, value_only, want):
     assert report.cls_part == value
     assert value_only.cls_part == value
     assert np.array_equal(report.gradient, grad, equal_nan=True)
-    layout = (grad.flags.c_contiguous, grad.flags.f_contiguous)
-    assert (report.gradient.flags.c_contiguous, report.gradient.flags.f_contiguous) == layout
+    assert report.gradient.flags.c_contiguous
 
 
 class TestBranchOnlyMatchesWhere:
     """Each classification loss evaluates a label branch's formula only on
-    that branch's entries; values, gradients and gradient layout equal the
-    reference that computes both formulas everywhere and keeps one by
-    np.where."""
+    that branch's entries; values and gradients equal the reference that
+    computes both formulas everywhere and keeps one by np.where, run on the
+    C-ordered logits cls_loss_on_logits reads. The gradient is C-contiguous
+    whatever the layout of the logits or the labels."""
 
     @pytest.mark.parametrize("case", _BRANCH_CASES)
     def test_db(self, case):
@@ -463,7 +463,9 @@ class TestBranchOnlyMatchesWhere:
                 rebal = db_rebalance(counts, cfg.db_alpha, cfg.db_beta, cfg.db_theta)
                 bias = db_bias(counts, n, cfg.db_kappa)
                 with np.errstate(all="ignore"):
-                    want = db_parts_where(z, labels, rebal, bias, gamma, zeta, need_grad=True)
+                    want = db_parts_where(
+                        np.ascontiguousarray(z), labels, rebal, bias, gamma, zeta, need_grad=True
+                    )
                     report = _on_logits(z, labels, cfg, counts, n)
                     value_only = _on_logits(z, labels, cfg, counts, n, need_grad=False)
                 _assert_matches_where(report, value_only, want)
@@ -472,7 +474,7 @@ class TestBranchOnlyMatchesWhere:
     def test_bce(self, case):
         z, labels, _, _ = _branch_case(case)
         with np.errstate(all="ignore"):
-            want = bce_parts_where(z, labels, need_grad=True)
+            want = bce_parts_where(np.ascontiguousarray(z), labels, need_grad=True)
             report = _on_logits(z, labels, BCE)
             value_only = _on_logits(z, labels, BCE, need_grad=False)
         _assert_matches_where(report, value_only, want)
@@ -482,7 +484,7 @@ class TestBranchOnlyMatchesWhere:
         z, labels, _, _ = _branch_case(case)
         for gamma in (0.0, 1.0, 2.0):
             with np.errstate(all="ignore"):
-                want = focal_parts_where(z, labels, gamma, need_grad=True)
+                want = focal_parts_where(np.ascontiguousarray(z), labels, gamma, need_grad=True)
                 report = _on_logits(z, labels, _focal(gamma))
                 value_only = _on_logits(z, labels, _focal(gamma), need_grad=False)
             _assert_matches_where(report, value_only, want)
@@ -790,9 +792,8 @@ class TestLossConfigValidation:
 
 
 class TestBoolLabels:
-    """A label matrix gives the same bits as bool as it does as int64, in the
-    same memory layout: every mask built from it has that layout, and so the
-    same summation order."""
+    """A label matrix gives the same bits as bool as it does as int64, in
+    either memory layout: a Batch may hold Fortran-order labels."""
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("kind", ["db", "bce", "focal"])

@@ -167,12 +167,12 @@ class TestGenerate:
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.captions, b.captions)
 
-    def test_labels_are_bool_and_column_major(self):
-        # the column-major layout of labels[:, order] fixes the layout of every
-        # label mask, and with it the order in which the losses sum
+    def test_labels_are_bool_and_c_contiguous(self):
+        # generate draws them column-major (labels[:, order]); the dataset
+        # stores every array C-ordered
         labels = generate(SynthConfig(num_classes=8, num_samples=120, dim=32, seed=11)).labels
         assert labels.dtype == bool
-        assert labels.flags.f_contiguous and not labels.flags.c_contiguous
+        assert labels.flags.c_contiguous and not labels.flags.f_contiguous
 
     def test_counts_sorted_non_increasing(self):
         ds = generate(SynthConfig(num_classes=10, num_samples=300, dim=64, seed=2))

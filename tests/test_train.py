@@ -373,6 +373,7 @@ class TestTrainLoop:
 
 def _fortran(ds: MultiLabelDataset) -> MultiLabelDataset:
     arrays = [np.asfortranarray(a) for a in (ds.images, ds.labels, ds.captions)]
+    assert not any(a.flags.c_contiguous for a in arrays)
     return MultiLabelDataset(*arrays, ds.class_names)
 
 
@@ -426,11 +427,30 @@ class TestStepBitIdentity:
         assert np.signbit(initial).any()
         assert train(ds, config).prompts.contexts.tobytes() == initial.tobytes()
 
-    @pytest.mark.parametrize("kind", ["db", "bce", "focal"])
+    @pytest.mark.parametrize("kind", ["db", "bce", "focal", "linear-probe"])
     def test_fortran_order_dataset(self, kind):
-        ds = _fortran(_dataset())
-        assert ds.labels.flags.f_contiguous and not ds.labels.flags.c_contiguous
-        self._assert_same_run(ds, _config(lr0=2.0, loss=LossConfig(cls_loss_kind=kind)))
+        """A dataset built from Fortran-order arrays holds them C-ordered, so
+        it trains to every bit of the C-order dataset: epoch records and
+        final parameters."""
+        c_order = _dataset()
+        fortran = _fortran(c_order)
+        for name in ("images", "labels", "captions"):
+            assert getattr(fortran, name).flags.c_contiguous, name
+        probe = kind == "linear-probe"
+        loss = LossConfig(cls_loss_kind="db" if probe else kind)
+        config = _config(lr0=2.0, loss=loss, baseline="linear_probe" if probe else "none")
+        got, want = train(fortran, config), train(c_order, config)
+        assert not got.failed and not want.failed
+        records = [
+            [train_mod._epoch_to_dict(r) for r in (run.initial, *run.history)] for run in (got, want)
+        ]
+        assert records[0] == records[1]
+        if probe:
+            params = [(run.probe_weights, run.probe_bias) for run in (got, want)]
+        else:
+            params = [(run.prompts.contexts,) for run in (got, want)]
+        for mine, theirs in zip(*params):
+            assert mine.tobytes() == theirs.tobytes()
 
     @pytest.mark.parametrize("kind", ["db", "bce"])
     def test_201_classes(self, kind):
