@@ -7,22 +7,23 @@ classification loss (distribution-balanced, BCE, or focal). Gradients flow
 only into prompt contexts; everything else is frozen.
 
 All class statistics (weights, margins, rebalance factors, logit biases) are
-computed from full-training-split counts, never from batch counts, once per
-(ClassStats, LossConfig) pair (see LossConstants). Reductions sum over classes
-first, then average over samples in index order, so values are bit-stable.
-A value-only pass over a whole split does its elementwise work in row blocks
-and gives the same bits as one whole-array pass (see _mean_of_terms).
+computed from full-training-split counts, never from batch counts. One
+Objective per (ClassStats, LossConfig) pair resolves them, each part's on
+first use, and serves the whole run (see loss_objective). Reductions sum
+over classes first, then average over samples in index order, so values are
+bit-stable. A value-only pass over a whole split does its elementwise work
+in row blocks and gives the same bits as one whole-array pass (see
+_mean_of_terms).
 
 Each part's value is also reachable from a score matrix the caller already
-holds (classification_part on class_scores, embedding_part on
-cosine_distances, combined by blend), so a training epoch's record can share
-each (N, C) product with the ranking and the alignment diagnostic.
+holds (Objective.classification on class_scores, Objective.embedding on
+cosine_distances, combined by Objective.blend), so a training epoch's record
+can share each (N, C) product with the ranking and the alignment diagnostic.
 
 objective_core is the one evaluation of the blended objective and its
-gradient w.r.t. the prompt embeddings, given an Objective: everything a
-call would re-derive from (ClassStats, LossConfig, tau), resolved once.
-total_loss is its argument checks around that core, and a training step
-calls the same core on the rows it gathers.
+gradient w.r.t. the prompt embeddings. total_loss is its argument checks
+around that core, and a training step calls the same core on the rows it
+gathers.
 """
 
 from __future__ import annotations
@@ -90,9 +91,10 @@ class LossReport:
     total = cls_loss_weight * cls_part + (1 - cls_loss_weight) * cse_part for
     total_loss, whose gradient is the pooled one of encode_backward: one
     token row per context block, which broadcasts against PromptSet.contexts.
-    cls_loss_on_logits reports its value as total and cls_part, with cse_part
-    zero and the gradient shaped like the logits (for chaining). gradient is
-    None when it was not requested.
+    cls_loss_on_logits, and a linear probe's epoch record, report the
+    classification part's value as total and cls_part, with cse_part zero
+    and the gradient shaped like the logits (for chaining). gradient is None
+    when it was not requested.
     """
 
     total: float
@@ -186,9 +188,9 @@ def db_bias(counts, num_samples: int, kappa: float) -> np.ndarray:
 
 def _per_entry(row: np.ndarray, shape: tuple) -> np.ndarray:
     """row[c] at every (b, c) of shape, as a zero-copy view of the contiguous
-    row (LossConstants.focal_form's is). It is what np.broadcast_to(row,
-    shape) returns, without that call's iterator set-up, which costs more
-    than the gathers from it at small batch sizes."""
+    row (Objective.cls_constants's rebalance row is). It is what
+    np.broadcast_to(row, shape) returns, without that call's iterator
+    set-up, which costs more than the gathers from it at small batch sizes."""
     return np.ndarray(shape, row.dtype, row, 0, (0, row.itemsize))
 
 
@@ -261,46 +263,6 @@ def _bce_parts(z: np.ndarray, labels: np.ndarray, need_grad: bool):
     return terms, _by_label(positive, negative, z, _sigmoid(z_pos) - 1.0, _sigmoid(z_neg))
 
 
-class LossConstants:
-    """The per-class terms of the objective for one (ClassStats, LossConfig)
-    pair. They depend only on the full-split counts and the config, both
-    frozen, so each part is computed (and the counts validated) on first use
-    and then reused for the whole run; see loss_constants.
-    """
-
-    def __init__(self, counts: np.ndarray, num_samples: int, config: LossConfig):
-        self._counts = counts
-        self._num_samples = num_samples
-        self._config = config
-
-    @cached_property
-    def cse(self):
-        """(weights, margins) of the embedding loss. When re-weighting or the
-        class-aware margin is off, a float stands for the same value in every
-        class; it broadcasts to the same numbers a full vector would."""
-        cfg, counts = self._config, self._counts
-        weights = class_weights(counts, cfg.gamma_rw) if cfg.use_reweighting else 1.0
-        margins = class_margins(counts, cfg.eta) if cfg.use_class_aware_margin else cfg.mu_base
-        return weights, margins
-
-    @cached_property
-    def focal_form(self):
-        """(rebalance r, logit bias v, negative tolerance zeta) of the
-        focal-form classification loss: db's, from the counts, or focal's
-        r = 1, v = 0 and zeta = 1, which read no counts. r is a contiguous
-        row, as _per_entry needs."""
-        cfg, counts = self._config, self._counts
-        if cfg.cls_loss_kind == "focal":
-            return np.ones(len(counts)), np.zeros(len(counts)), 1.0
-        rebal = db_rebalance(counts, cfg.db_alpha, cfg.db_beta, cfg.db_theta)
-        return rebal, db_bias(counts, self._num_samples, cfg.db_kappa), cfg.db_zeta
-
-
-def loss_constants(stats: ClassStats, config: LossConfig) -> LossConstants:
-    """The LossConstants of (stats, config), kept on stats and keyed by config."""
-    return stats.derived(config, lambda: LossConstants(stats.counts, stats.num_samples, config))
-
-
 def _cls_parts(
     z: np.ndarray, labels: np.ndarray, kind: str, focal_form, gamma: float, need_grad: bool
 ):
@@ -308,7 +270,8 @@ def _cls_parts(
     the gradient w.r.t. z. db averages per-sample sums over the samples; bce
     and focal average their (B, C) terms over every entry. The kernels
     return both unaveraged, and this is the one place that divides.
-    focal_form is LossConstants.focal_form, None for bce."""
+    focal_form is the (rebalance, bias, zeta) of Objective.cls_constants,
+    None for bce."""
     if kind == "bce":
         terms, grad_z = _bce_parts(z, labels, need_grad)
     else:
@@ -318,12 +281,6 @@ def _cls_parts(
     if need_grad:
         grad_z /= terms.size  # in place: the same bits per entry
     return terms, grad_z
-
-
-def _cls_constants(constants: LossConstants, config: LossConfig) -> tuple:
-    """_cls_parts's (kind, focal_form, gamma) for config; bce reads no counts."""
-    kind = config.cls_loss_kind
-    return kind, None if kind == "bce" else constants.focal_form, config.gamma_focal
 
 
 def _mean_of_terms(
@@ -355,41 +312,6 @@ def _mean_of_terms(
     return float(terms.sum() / terms.size), None
 
 
-def classification_part(
-    scores: np.ndarray,
-    labels: np.ndarray,
-    constants: LossConstants,
-    config: LossConfig,
-    need_grad: bool,
-):
-    """(value, gradient w.r.t. scores) of the configured classification part
-    on (B, C) scores; a value-only call on a whole split runs in row blocks.
-    constants is loss_constants(stats, config)."""
-    return _mean_of_terms(_cls_parts, scores, labels, _cls_constants(constants, config), need_grad)
-
-
-def embedding_part(
-    distances: np.ndarray, labels: np.ndarray, constants: LossConstants, need_grad: bool
-):
-    """(value, d terms / d distances) of the embedding part on (B, C) cosine
-    distances; the derivatives are not divided by B (see total_loss)."""
-    return _mean_of_terms(_cse_parts, distances, labels, constants.cse, need_grad)
-
-
-def active_parts(config: LossConfig) -> tuple[bool, bool]:
-    """Whether the blend computes its classification and its embedding part.
-    At the endpoints of cls_loss_weight the disabled part is skipped
-    entirely, so the total reproduces the pure loss bit-exactly."""
-    lam = config.cls_loss_weight
-    return lam > 0.0, config.use_embedding_loss and lam < 1.0
-
-
-def blend(lam: float, cls_value: float, cse_value: float) -> float:
-    """lam * cls_value + (1 - lam) * cse_value, lam being cls_loss_weight; a
-    part active_parts skips enters as 0.0."""
-    return lam * cls_value + (1.0 - lam) * cse_value
-
-
 def cls_loss_on_logits(
     z: np.ndarray,
     labels: np.ndarray,
@@ -406,7 +328,7 @@ def cls_loss_on_logits(
             f"logits {z.shape}, labels {np.shape(labels)} and stats of "
             f"{stats.num_classes} classes disagree"
         )
-    value, grad_z = classification_part(z, labels, loss_constants(stats, config), config, need_grad)
+    value, grad_z = loss_objective(stats, config).classification(z, labels, need_grad)
     return LossReport(total=value, cls_part=value, cse_part=0.0, gradient=grad_z)
 
 
@@ -418,25 +340,76 @@ def check_classes(batch: Batch, prompts: PromptSet, stats: ClassStats) -> None:
 
 
 class Objective:
-    """The blended objective of one (ClassStats, LossConfig, tau), with what
-    every evaluation would re-derive resolved once: the blend weight lam,
-    which parts active_parts computes, and each active part's constants as
-    the kernels take them. Building it raises what the first evaluation of
-    an active part would (an invalid count, an infinite bias), classification
-    part first; see loss_objective."""
+    """The blended objective of one (ClassStats, LossConfig): the blend
+    weight lam, whether the blend computes its classification part
+    (compute_cls) and its embedding part (compute_cse), and each part's
+    per-class constants as the kernels take them. At the endpoints of lam
+    the disabled part is skipped entirely, so the total reproduces the pure
+    loss bit-exactly.
 
-    def __init__(self, stats: ClassStats, config: LossConfig, tau: float):
-        constants = loss_constants(stats, config)
+    The constants depend only on the full-split counts and the config, both
+    frozen. A part's are built, and the counts validated, at its first
+    evaluation and reused after it: a part that is never evaluated reads no
+    counts, and a build that raises keeps nothing and raises again at the
+    next evaluation. See loss_objective.
+    """
+
+    def __init__(self, counts: np.ndarray, num_samples: int, config: LossConfig):
+        self._counts = counts
+        self._num_samples = num_samples
+        self._config = config
         self.lam = config.cls_loss_weight
-        self.tau = tau
-        self.compute_cls, self.compute_cse = active_parts(config)
-        self.cls_constants = _cls_constants(constants, config) if self.compute_cls else None
-        self.cse_constants = constants.cse if self.compute_cse else None
+        self.compute_cls = self.lam > 0.0
+        self.compute_cse = config.use_embedding_loss and self.lam < 1.0
+
+    @cached_property
+    def cls_constants(self) -> tuple:
+        """_cls_parts's (kind, focal_form, gamma). focal_form is the
+        focal-form loss's (rebalance r, logit bias v, negative tolerance
+        zeta): db's, from the counts, or focal's r = 1, v = 0 and zeta = 1;
+        bce has none. Only db's reads the counts. r is a contiguous row, as
+        _per_entry needs."""
+        cfg, counts = self._config, self._counts
+        kind = cfg.cls_loss_kind
+        focal_form = None
+        if kind == "focal":
+            focal_form = np.ones(len(counts)), np.zeros(len(counts)), 1.0
+        elif kind == "db":
+            rebal = db_rebalance(counts, cfg.db_alpha, cfg.db_beta, cfg.db_theta)
+            focal_form = rebal, db_bias(counts, self._num_samples, cfg.db_kappa), cfg.db_zeta
+        return kind, focal_form, cfg.gamma_focal
+
+    @cached_property
+    def cse_constants(self) -> tuple:
+        """(weights, margins) of the embedding loss. When re-weighting or the
+        class-aware margin is off, a float stands for the same value in every
+        class; it broadcasts to the same numbers a full vector would."""
+        cfg, counts = self._config, self._counts
+        weights = class_weights(counts, cfg.gamma_rw) if cfg.use_reweighting else 1.0
+        margins = class_margins(counts, cfg.eta) if cfg.use_class_aware_margin else cfg.mu_base
+        return weights, margins
+
+    def classification(self, scores: np.ndarray, labels: np.ndarray, need_grad: bool):
+        """(value, gradient w.r.t. scores) of the configured classification
+        part on (B, C) scores or logits; a value-only call on a whole split
+        runs in row blocks."""
+        return _mean_of_terms(_cls_parts, scores, labels, self.cls_constants, need_grad)
+
+    def embedding(self, distances: np.ndarray, labels: np.ndarray, need_grad: bool):
+        """(value, d terms / d distances) of the embedding part on (B, C)
+        cosine distances; the derivatives are not divided by B (see
+        objective_core)."""
+        return _mean_of_terms(_cse_parts, distances, labels, self.cse_constants, need_grad)
+
+    def blend(self, cls_value: float, cse_value: float) -> float:
+        """lam * cls_value + (1 - lam) * cse_value; a part the blend skips
+        enters as 0.0."""
+        return self.lam * cls_value + (1.0 - self.lam) * cse_value
 
 
-def loss_objective(stats: ClassStats, config: LossConfig, tau: float) -> Objective:
-    """The Objective of (stats, config, tau), kept on stats and keyed by (config, tau)."""
-    return stats.derived((config, tau), lambda: Objective(stats, config, tau))
+def loss_objective(stats: ClassStats, config: LossConfig) -> Objective:
+    """The Objective of (stats, config), kept on stats and keyed by config."""
+    return stats.derived(config, lambda: Objective(stats.counts, stats.num_samples, config))
 
 
 def objective_core(
@@ -445,11 +418,12 @@ def objective_core(
     labels: np.ndarray,
     captions: np.ndarray,
     embeddings: np.ndarray,
+    tau: float,
     need_grad: bool,
 ):
     """(total, cls value, cse value, gradient w.r.t. embeddings or None) of
     the blended objective on the rows (images, labels, captions), scored
-    against the unit prompt embeddings.
+    against the unit prompt embeddings at temperature tau.
 
     The parts the objective skips are not computed; with neither active the
     gradient is zero. A zero-filled array accumulating the parts' gradients
@@ -460,29 +434,21 @@ def objective_core(
     cls_value = cse_value = 0.0
     # each (B, C) matrix is passed on unnamed, so it is freed before the next is built
     if objective.compute_cls:
-        cls_value, grad_z = _mean_of_terms(
-            _cls_parts,
-            class_scores(images, embeddings, objective.tau),
-            labels,
-            objective.cls_constants,
-            need_grad,
+        cls_value, grad_z = objective.classification(
+            class_scores(images, embeddings, tau), labels, need_grad
         )
     if objective.compute_cse:
-        cse_value, coef = _mean_of_terms(
-            _cse_parts,
-            cosine_distances(captions, embeddings),
-            labels,
-            objective.cse_constants,
-            need_grad,
+        cse_value, coef = objective.embedding(
+            cosine_distances(captions, embeddings), labels, need_grad
         )
-    lam = objective.lam
-    total = blend(lam, cls_value, cse_value)
+    total = objective.blend(cls_value, cse_value)
     if not need_grad:
         return total, cls_value, cse_value, None
 
     gradient = None
+    lam = objective.lam
     if objective.compute_cls:
-        gradient = lam * (grad_z.T @ images) / objective.tau
+        gradient = lam * (grad_z.T @ images) / tau
     if objective.compute_cse:
         cse_gradient = (1.0 - lam) * (-(coef.T @ captions) / images.shape[0])
         if gradient is None:
@@ -515,11 +481,12 @@ def total_loss(
     check_classes(batch, prompts, stats)
     encoding = encode_all(encoder, prompts)
     total, cls_value, cse_value, gradient = objective_core(
-        loss_objective(stats, config, tau),
+        loss_objective(stats, config),
         batch.images,
         batch.labels,
         batch.captions,
         encoding.embeddings,
+        tau,
         need_grad,
     )
     if need_grad:
@@ -543,10 +510,11 @@ def hinge_kink_mask(
     """
     check_classes(batch, prompts, stats)
     mask = np.zeros(prompts.contexts.shape, dtype=bool)
-    if not active_parts(config)[1]:
+    objective = loss_objective(stats, config)
+    if not objective.compute_cse:
         return mask
     encoding = encode_all(encoder, prompts)
-    weights, margins = loss_constants(stats, config).cse
+    weights, margins = objective.cse_constants
     dl = cosine_distances(batch.captions, encoding.embeddings)
     hinge = weights * (margins - dl)
     near = (np.abs(hinge) < KINK_GUARD) & ~positive_mask(batch.labels)

@@ -42,15 +42,9 @@ from .losses import (
     LossConfig,
     LossReport,
     Objective,
-    active_parts,
-    blend,
     check_classes,
     class_scores,
-    classification_part,
-    cls_loss_on_logits,
     cosine_distances,
-    embedding_part,
-    loss_constants,
     loss_objective,
     mean_positive_delta,
     objective_core,
@@ -247,23 +241,24 @@ class _PromptHead:
 
     @cached_property
     def _objective(self) -> Objective:
-        """The steps' Objective, built at the first step, after the epoch-0
-        record has resolved the same constants. The split, the prompts and
-        the stats are checked to agree on the classes here, once a run."""
+        """The run's Objective, built for the epoch-0 record and kept for
+        every step. The split, the prompts and the stats are checked to
+        agree on the classes here, once a run."""
         check_classes(self.dataset, self.prompts, self.stats)
-        return loss_objective(self.stats, self.config.loss, self.config.tau)
+        return loss_objective(self.stats, self.config.loss)
 
     def step(self, indices: np.ndarray, lr: float):
         """One SGD step on the split's rows indices; (total, cls part, cse
         part) of their loss, the bits of total_loss on dataset.batch(indices).
 
         The rows are gathered directly and scored by objective_core, the
-        core that total_loss, and so the pre-training gradcheck, runs. It and
+        core that total_loss, and so the pre-training gradcheck, runs.
         encode_all, encode_backward and sgd_step are looked up by module name
         on every call, where the traced benchmark wraps them (it counts steps
-        by sgd_step). sgd_step checks the gradient before it writes, and a
-        loss that is not finite leaves the contexts untouched, for train()
-        to abort on.
+        by sgd_step); objective_core is looked up there too, because the
+        abort tests patch it there. sgd_step checks the gradient before it
+        writes, and a loss that is not finite leaves the contexts untouched,
+        for train() to abort on.
         """
         data = self.dataset
         encoding = encode_all(self.encoder, self.prompts)
@@ -273,6 +268,7 @@ class _PromptHead:
             data.labels[indices],
             data.captions[indices],
             encoding.embeddings,
+            self.config.tau,
             True,
         )
         gradient = encode_backward(self.encoder, self.prompts, encoding, gradient)
@@ -295,31 +291,30 @@ class _PromptHead:
         value and the alignment diagnostic. The report, asked for at epoch 0,
         has the bits of total_loss(dataset, need_grad=False).
         """
-        dataset, loss = self.dataset, self.config.loss
-        labels = dataset.labels
-        compute_cls, compute_cse = active_parts(loss) if with_loss else (False, False)
-        constants = loss_constants(self.stats, loss)
+        dataset, labels = self.dataset, self.dataset.labels
+        objective = self._objective if with_loss else None
         embeddings = encode_all(self.encoder, self.prompts).embeddings
         cls_value = cse_value = 0.0
         scores = class_scores(dataset.images, embeddings, self.config.tau)
-        if compute_cls:
-            cls_value, _ = classification_part(scores, labels, constants, loss, need_grad=False)
+        if with_loss and objective.compute_cls:
+            cls_value, _ = objective.classification(scores, labels, need_grad=False)
         result = evaluate(scores, labels, self.stats)
         del scores
         distances = cosine_distances(dataset.captions, embeddings)
-        if compute_cse:
-            cse_value, _ = embedding_part(distances, labels, constants, need_grad=False)
+        if with_loss and objective.compute_cse:
+            cse_value, _ = objective.embedding(distances, labels, need_grad=False)
         delta = mean_positive_delta(distances, labels)
         if not with_loss:
             return None, delta, result
-        total = blend(loss.cls_loss_weight, cls_value, cse_value)
+        total = objective.blend(cls_value, cse_value)
         return LossReport(total, cls_value, cse_value, None), delta, result
 
 
 class _ProbeHead:
     """The linear-probe reference: a C x d linear head (plus bias) on the
     frozen image embeddings of one split, trained with the configured
-    classification loss alone. No prompts, no embedding loss."""
+    classification loss alone, whatever the blend weight. No prompts, no
+    embedding loss."""
 
     def __init__(
         self,
@@ -344,34 +339,40 @@ class _ProbeHead:
         z += self.bias
         return z
 
+    @cached_property
+    def _objective(self) -> Objective:
+        """The run's Objective, built for the epoch-0 record and kept for
+        every step. Only its classification part is read, so its blend
+        weight and the parts it computes play no part."""
+        return loss_objective(self.stats, self.config.loss)
+
     def step(self, indices: np.ndarray, lr: float):
         """One SGD step on the split's rows indices, as the prompt head's:
-        (total, cls part, cse part) of their loss from cls_loss_on_logits,
-        then sgd_step on the weights and on the bias. A loss that is not
-        finite leaves both untouched."""
+        (total, cls part, cse part) of their loss, which is the
+        classification part alone, then sgd_step on the weights and on the
+        bias. A loss that is not finite leaves both untouched."""
         images = self.dataset.images[indices]
-        report = cls_loss_on_logits(
-            self.scores(images), self.dataset.labels[indices], self.stats, self.config.loss
+        value, grad_z = self._objective.classification(
+            self.scores(images), self.dataset.labels[indices], True
         )
-        grad_z = report.gradient
         gradients = (grad_z.T @ images / self.config.tau, grad_z.sum(axis=0))
-        if math.isfinite(report.total):
+        if math.isfinite(value):
             for params, gradient in zip((self.weights, self.bias), gradients):
                 sgd_step(params, gradient, lr)
-        return report.total, report.cls_part, report.cse_part
+        return value, value, 0.0
 
     def evaluate(self) -> EvalResult:
         return evaluate(self.scores(self.dataset.images), self.dataset.labels, self.stats)
 
     def measure(self, with_loss: bool = False):
         """(LossReport or None, None, EvalResult) for an epoch record, from
-        one product of the scores; a probe has no prompts to align."""
+        one product of the scores; a probe has no prompts to align. The
+        report has the bits of cls_loss_on_logits(need_grad=False)."""
         z = self.scores(self.dataset.images)
         report = None
         if with_loss:
-            report = cls_loss_on_logits(
-                z, self.dataset.labels, self.stats, self.config.loss, need_grad=False
-            )
+            value, _ = self._objective.classification(z, self.dataset.labels, need_grad=False)
+            report = LossReport(value, value, 0.0, None)
         return report, None, evaluate(z, self.dataset.labels, self.stats)
 
 

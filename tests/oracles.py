@@ -25,13 +25,10 @@ from tailprompt.errors import ConfigError, NumericsError
 from tailprompt.losses import (
     LossReport,
     _cse_parts,
-    active_parts,
     class_scores,
-    classification_part,
     cls_loss_on_logits,
     cosine_distances,
-    embedding_part,
-    loss_constants,
+    loss_objective,
 )
 from tailprompt.seeding import DOMAIN_TRAIN, substream
 from tailprompt.train import (
@@ -55,7 +52,7 @@ def cse_loss(batch, prompts, encoder, counts, config, need_grad: bool = True) ->
     if batch.num_classes != prompts.num_classes:
         raise ConfigError("batch and prompts disagree on the number of classes")
     encoding = encode_all(encoder, prompts)
-    weights, margins = loss_constants(_stats(counts, int(np.sum(counts))), config).cse
+    weights, margins = loss_objective(_stats(counts, int(np.sum(counts))), config).cse_constants
     dl = 1.0 - batch.captions @ encoding.embeddings.T
     row_sums, coef = _cse_parts(dl, batch.labels, weights, margins, need_grad)
     value = float(row_sums.sum() / batch.num_samples)
@@ -391,24 +388,23 @@ def encode_backward_per_token(encoder, prompts, encoding, grad_embeddings):
 
 def total_loss_accumulated(batch, prompts, encoder, stats, config, tau: float = 1.0) -> LossReport:
     """total_loss with its gradient, as the package computed it before
-    objective_core: each active part through classification_part and
-    embedding_part, and the gradient w.r.t. the embeddings accumulated into a
+    objective_core: each active part through the Objective's classification
+    and embedding, and the gradient w.r.t. the embeddings accumulated into a
     zero-filled array."""
-    compute_cls, compute_cse = active_parts(config)
-    constants = loss_constants(stats, config)
+    objective = loss_objective(stats, config)
     encoding = encode_all(encoder, prompts)
     cls_value = cse_value = 0.0
-    if compute_cls:
+    if objective.compute_cls:
         scores = class_scores(batch.images, encoding.embeddings, tau)
-        cls_value, grad_z = classification_part(scores, batch.labels, constants, config, True)
-    if compute_cse:
+        cls_value, grad_z = objective.classification(scores, batch.labels, True)
+    if objective.compute_cse:
         distances = cosine_distances(batch.captions, encoding.embeddings)
-        cse_value, coef = embedding_part(distances, batch.labels, constants, True)
+        cse_value, coef = objective.embedding(distances, batch.labels, True)
     lam = config.cls_loss_weight
     grad_embeddings = np.zeros_like(encoding.embeddings)
-    if compute_cls:
+    if objective.compute_cls:
         grad_embeddings += lam * (grad_z.T @ batch.images) / tau
-    if compute_cse:
+    if objective.compute_cse:
         grad_embeddings += (1.0 - lam) * (-(coef.T @ batch.captions) / batch.num_samples)
     gradient = encode_backward(encoder, prompts, encoding, grad_embeddings)
     return LossReport(lam * cls_value + (1.0 - lam) * cse_value, cls_value, cse_value, gradient)

@@ -142,11 +142,18 @@ class TestTotalLossInBlocks:
         want = whole(total_loss, dataset, prompts, enc, stats, cfg, tau=0.7, need_grad=False)
         assert _values(got) == _values(want)
 
-    def test_bool_labels_in_a_batch(self, dataset, whole):
+    @pytest.mark.parametrize("labels_dtype", [np.int64, np.uint8, bool], ids=["int64", "uint8", "bool"])
+    @pytest.mark.parametrize("kind", ["db", "bce", "focal"])
+    def test_labels_in_a_batch(self, dataset, whole, kind, labels_dtype):
+        """A Batch keeps the labels it is given, so its blocked values come
+        from integer labels as well as bool: each equals the dataset's whole
+        pass."""
         stats, enc, prompts = build_training_state(dataset, TrainConfig())
-        batch = Batch(dataset.images, dataset.labels.astype(bool), dataset.captions)
-        got = total_loss(batch, prompts, enc, stats, LossConfig(), need_grad=False)
-        want = whole(total_loss, batch, prompts, enc, stats, LossConfig(), need_grad=False)
+        batch = Batch(dataset.images, dataset.labels.astype(labels_dtype), dataset.captions)
+        assert batch.labels.dtype == labels_dtype
+        cfg = LossConfig(cls_loss_kind=kind)
+        got = total_loss(batch, prompts, enc, stats, cfg, tau=0.7, need_grad=False)
+        want = whole(total_loss, dataset, prompts, enc, stats, cfg, tau=0.7, need_grad=False)
         assert _values(got) == _values(want)
 
 

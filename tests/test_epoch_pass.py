@@ -22,7 +22,7 @@ import pytest
 import tailprompt.synth as synth
 from tailprompt.data_model import ClassStats, MultiLabelDataset, row_blocks
 from tailprompt.encoders import encode_all
-from tailprompt.losses import LossConfig, cls_loss_on_logits, total_loss
+from tailprompt.losses import LossConfig, Objective, cls_loss_on_logits, total_loss
 from tailprompt.metrics import average_precision
 from tailprompt.synth import SynthConfig
 from tailprompt.train import PromptSpec, TrainConfig, build_training_state, train
@@ -114,25 +114,28 @@ class TestPromptEpochPass:
         entries, too few to move any logged value."""
         seen = {}
 
-        def spy(name):
-            real = getattr(train_mod, name)
+        def spy(owner, name, at):
+            """Record the argument at position at of each owner.name call."""
+            real = getattr(owner, name)
 
-            def record(matrix, *args, **kwargs):
-                seen[name] = matrix
-                return real(matrix, *args, **kwargs)
+            def record(*args, **kwargs):
+                seen[name] = args[at]
+                return real(*args, **kwargs)
 
-            return record
+            monkeypatch.setattr(owner, name, record)
 
-        for name in ("classification_part", "evaluate", "embedding_part", "mean_positive_delta"):
-            monkeypatch.setattr(train_mod, name, spy(name))
+        for name in ("evaluate", "mean_positive_delta"):
+            spy(train_mod, name, 0)
+        for name in ("classification", "embedding"):
+            spy(Objective, name, 1)  # args[0] is the Objective
         config = TrainConfig(tau=TAU)
         stats, encoder, prompts = build_training_state(dataset, config)
         train_mod._PromptHead(dataset, prompts, encoder, stats, config).measure(with_loss=True)
 
         embeddings = encode_all(encoder, prompts).embeddings
-        assert seen["evaluate"] is seen["classification_part"]
+        assert seen["evaluate"] is seen["classification"]
         assert np.array_equal(seen["evaluate"], dataset.images @ embeddings.T / TAU)
-        assert seen["mean_positive_delta"] is seen["embedding_part"]
+        assert seen["mean_positive_delta"] is seen["embedding"]
         assert np.array_equal(seen["mean_positive_delta"], 1.0 - dataset.captions @ embeddings.T)
 
 

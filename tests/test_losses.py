@@ -12,14 +12,11 @@ from tailprompt.losses import (
     class_margins,
     class_scores,
     class_weights,
-    classification_part,
     cls_loss_on_logits,
     cosine_distances,
     db_bias,
     db_rebalance,
-    embedding_part,
     hinge_kink_mask,
-    loss_constants,
     loss_objective,
     mean_positive_delta,
     objective_core,
@@ -578,17 +575,15 @@ class TestObjectiveCore:
         cfg = LossConfig(cls_loss_weight=lam, use_class_aware_margin=False, mu_base=0.0)
         tau, b = 0.8, batch.num_samples
         emb = encode_all(enc, prompts).embeddings
-        *_, got = objective_core(
-            loss_objective(stats, cfg, tau), batch.images, batch.labels, batch.captions, emb, True
-        )
+        objective = loss_objective(stats, cfg)
+        *_, got = objective_core(objective, batch.images, batch.labels, batch.captions, emb, tau, True)
 
-        constants = loss_constants(stats, cfg)
         want = np.zeros_like(emb)
         if lam > 0:
             scores = class_scores(batch.images, emb, tau)
-            _, grad_z = classification_part(scores, batch.labels, constants, cfg, True)
+            _, grad_z = objective.classification(scores, batch.labels, True)
             want += lam * (grad_z.T @ batch.images) / tau
-        _, coef = embedding_part(cosine_distances(batch.captions, emb), batch.labels, constants, True)
+        _, coef = objective.embedding(cosine_distances(batch.captions, emb), batch.labels, True)
         cse_product = -(coef.T @ batch.captions)
         assert (np.signbit(cse_product) & (cse_product == 0)).all(axis=1).any()
         want += (1.0 - lam) * (cse_product / b)

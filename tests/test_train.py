@@ -14,7 +14,7 @@ from oracles import train_step_by_step
 from tailprompt.data_model import MultiLabelDataset
 from tailprompt.encoders import FrozenTextEncoder, encode_all, init_prompt_set
 from tailprompt.errors import ConfigError, NumericsError
-from tailprompt.losses import LossConfig, LossReport, total_loss
+from tailprompt.losses import LossConfig, LossReport, Objective, total_loss
 from tailprompt.synth import SynthConfig, generate, make_prototypes
 from tailprompt.train import (
     BASELINES,
@@ -46,24 +46,30 @@ def _config(**overrides):
 
 def _patch_head_loss(monkeypatch, baseline, corrupt):
     """Pass every loss the head's training evaluates through
-    corrupt(report, need_grad), at the seam its step looks up in the train
-    module: objective_core for prompts (its total, parts and gradient w.r.t.
-    the prompt embeddings, as a LossReport), cls_loss_on_logits for the
-    linear probe."""
-    name = "objective_core" if baseline == "none" else "cls_loss_on_logits"
-    real = getattr(train_mod, name)
+    corrupt(report, need_grad), at the seam its step calls: the train
+    module's objective_core for prompts (its total, parts and gradient
+    w.r.t. the prompt embeddings, as a LossReport), Objective.classification
+    for the linear probe (its value as total and cls part, and its gradient
+    w.r.t. the logits)."""
+    if baseline != "none":
+        real = Objective.classification
+
+        def classification(objective, scores, labels, need_grad):
+            value, gradient = real(objective, scores, labels, need_grad)
+            report = corrupt(LossReport(value, value, 0.0, gradient), need_grad)
+            return report.total, report.gradient
+
+        monkeypatch.setattr(Objective, "classification", classification)
+        return
+    real = train_mod.objective_core
     signature = inspect.signature(real)
 
     def wrapped(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        need_grad = bound.arguments["need_grad"]
-        if baseline != "none":
-            return corrupt(real(*args, **kwargs), need_grad)
+        need_grad = signature.bind(*args, **kwargs).arguments["need_grad"]
         report = corrupt(LossReport(*real(*args, **kwargs)), need_grad)
         return report.total, report.cls_part, report.cse_part, report.gradient
 
-    monkeypatch.setattr(train_mod, name, wrapped)
+    monkeypatch.setattr(train_mod, "objective_core", wrapped)
 
 
 def _record_updates(monkeypatch) -> list:
@@ -458,6 +464,22 @@ class TestStepBitIdentity:
         config = _config(lr0=2.0, batch_size=64, loss=LossConfig(cls_loss_kind=kind))
         self._assert_same_run(ds, config)
 
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_each_head_builds_its_objective_once(self, monkeypatch, baseline):
+        """The epoch-0 record and every step of a run share one Objective."""
+        calls = []
+        real = train_mod.loss_objective
+
+        def counting(stats, config):
+            calls.append(config)
+            return real(stats, config)
+
+        monkeypatch.setattr(train_mod, "loss_objective", counting)
+        config = _config(baseline=baseline)
+        record = train(_dataset(), config)
+        assert not record.failed and record.epochs_completed == config.epochs
+        assert calls == [config.loss]
+
 
 class TestLinearProbe:
     def _separable(self):
@@ -509,6 +531,30 @@ class TestLinearProbe:
         )
         assert all(r.loss_cse == 0.0 for r in record.history)
         assert all(r.mean_pos_delta is None for r in record.history)
+
+    @pytest.mark.parametrize(
+        "loss",
+        [LossConfig(cls_loss_weight=0.0, use_embedding_loss=False), LossConfig(cls_loss_weight=1.0)],
+        ids=["lam0-no-cse", "lam1"],
+    )
+    def test_probe_ignores_the_blend(self, loss):
+        """The probe trains on the classification part at weight 1 whatever
+        the blend, even at a weight of 0 with the embedding loss off, where
+        the blend computes neither part: its records and parameters are the
+        default run's, bit for bit."""
+        ds = _dataset()
+        runs = [
+            train(ds, _config(lr0=2.0, baseline="linear_probe", loss=cfg))
+            for cfg in (loss, LossConfig())
+        ]
+        assert not any(run.failed for run in runs)
+        got, want = (
+            [train_mod._epoch_to_dict(r) for r in (run.initial, *run.history)] for run in runs
+        )
+        assert got == want
+        assert runs[0].initial.loss_cls > 0.0 and runs[0].probe_weights.any()
+        for name in ("probe_weights", "probe_bias"):
+            assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
 
 
 class TestRunDir:

@@ -13,11 +13,15 @@ several row blocks: synth, train with --skip-gradcheck and --loss focal, and
 a sweep of linear-probe and bce. Three more run at 1000 x 201 x 32, a class
 count at which some BLAS kernels give a product's row block computed alone
 other bits: synth, train with --skip-gradcheck, and a linear-probe sweep.
-Last, a sweep of full, bce, coop and linear-probe with the config
-{"train": {"lr0": 1e308}}, written to the output root as abort.json: every
-run aborts at epoch 1 with a non-finite loss, so the abort messages, the
-partial run directories and the NumPy warnings on the way are compared.
-Every output file is then compared byte for
+Then a sweep of full, plain-cse, focal and linear-probe with the config
+{"loss": {"cls_loss_weight": 0.0}}, written to the output root as
+lambda0.json: at that blend weight the prompt runs skip the classification
+part, whose constants are then never built, while the linear probe still
+trains on the classification part alone. Last, a sweep of full, bce, coop
+and linear-probe with the config {"train": {"lr0": 1e308}}, written as
+abort.json: every run aborts at epoch 1 with a non-finite loss, so the
+abort messages, the partial run directories and the NumPy warnings on the
+way are compared. Every output file is then compared byte for
 byte, except run.json, which is compared without its wall_seconds; for a
 differing .npz archive, the members that differ are named. Exit
 codes, stdout and stderr are compared with the output root, the train
@@ -118,12 +122,30 @@ COMMANDS = (
         "--variant",
         "linear-probe",
     ),
+    # blend weight 0: the prompt runs train on the embedding part alone
+    (
+        "sweep",
+        "--config",
+        "lambda0.json",
+        "--data",
+        "data.npz",
+        "--out",
+        "lambda0-sweep",
+        "--seeds",
+        "1",
+    )
+    + tuple(
+        arg for name in ("full", "plain-cse", "focal", "linear-probe") for arg in ("--variant", name)
+    ),
     # a step size at which every run aborts in its first epoch
     ("sweep", "--config", "abort.json", "--data", "data.npz", "--out", "abort-sweep", "--seeds", "1")
     + tuple(arg for name in ("full", "bce", "coop", "linear-probe") for arg in ("--variant", name)),
 )
 
-ABORT_CONFIG = '{"train": {"lr0": 1e308}}\n'
+CONFIGS = {
+    "lambda0.json": '{"loss": {"cls_loss_weight": 0.0}}\n',
+    "abort.json": '{"train": {"lr0": 1e308}}\n',
+}
 
 _WALL = re.compile(r"epochs in \d+\.\d+s")
 # where a warning was issued: the tree's own source path and line number
@@ -147,7 +169,8 @@ def extract_src(base: str, dest: Path) -> Path:
 def run_all(src: Path, out_root: Path) -> list[tuple[int, str, str]]:
     """(exit code, masked stdout, masked stderr) of each command, run in out_root."""
     out_root.mkdir(parents=True)
-    (out_root / "abort.json").write_text(ABORT_CONFIG)
+    for name, text in CONFIGS.items():
+        (out_root / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(src))
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = "1"
