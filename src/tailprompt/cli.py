@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -39,7 +40,9 @@ from .train import (
     build_training_state,
     checkpoint_from_dict,
     refuse_nonempty_dir,
+    stack_key,
     train,
+    train_stack,
     write_run_dir,
 )
 
@@ -277,34 +280,79 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _shares(jobs: list, workers: int) -> list[list]:
-    """Split jobs into fixed shares: share k is jobs[k::workers]."""
-    return [jobs[k::workers] for k in range(workers)]
+def _shares(jobs: list, workers: int, key) -> list[list[list]]:
+    """Split jobs into workers fixed shares of chunks, where key(job) is a
+    job's stacking key (None: the job trains alone).
 
-
-def _run_share(dataset, share, force: bool) -> list:
-    """Train each (run_dir, run_config) job in order and write its run directory.
-
-    Each outcome is (issued, result). issued lists the run's warnings as
-    (category, message, filename, lineno), for the parent to re-issue next to
-    the run's line. result is (failed, abort_reason, maps), with maps None for
-    a failed run, or the run's ConfigError or NumericsError: the share stops
-    there, as a serial sweep would.
+    Jobs with an equal key form a group, in job order. Each group is cut
+    into chunks of at most ceil(len(jobs) / workers) jobs, and each chunk,
+    in the order of its first job, goes to the share that holds the fewest
+    jobs so far (the lowest index on a tie).
     """
-    outcomes = []
-    for run_dir, run_config in share:
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                record = train(dataset, run_config.train)
-                write_run_dir(run_dir, record, config_to_dict(run_config), force=force)
-                failed = record.failed or record.final_eval is None
-                result = (failed, record.abort_reason, None if failed else record.final_eval.maps())
-            except (ConfigError, NumericsError) as err:
-                result = err
-        issued = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
-        outcomes.append((issued, result))
-        if isinstance(result, Exception):
-            break
+    groups: dict = {}
+    for index, job in enumerate(jobs):
+        group_key = key(job)
+        groups.setdefault(index if group_key is None else (group_key,), []).append(index)
+    size = math.ceil(len(jobs) / workers)
+    chunks = sorted(
+        group[i : i + size] for group in groups.values() for i in range(0, len(group), size)
+    )
+    shares: list[list[list]] = [[] for _ in range(workers)]
+    for chunk in chunks:
+        share = min(shares, key=lambda share: sum(map(len, share)))
+        share.append([jobs[i] for i in chunk])
+    return shares
+
+
+def _stacked_records(dataset, configs: list):
+    """Each run's record from one train_stack of the runs, or None when the
+    stack met anything a run alone would report: a ConfigError or
+    NumericsError, a warning, or an aborted run. Its runs then train alone."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            records = train_stack(dataset, configs)
+        except (ConfigError, NumericsError):
+            return None
+    if caught or any(record.failed for record in records):
+        return None
+    return records
+
+
+def _run_share(dataset, share, force: bool) -> dict:
+    """Train each chunk of (index, run_dir, run_config) jobs and write their
+    run directories; {index: outcome} of the jobs trained.
+
+    A chunk of several runs trains as one stack (train.train_stack); when
+    the stack meets anything a run alone would report, each of its runs
+    trains alone instead, in job order. Each outcome is (issued, result).
+    issued lists the run's warnings as (category, message, filename,
+    lineno), for the parent to re-issue next to the run's line; a stack
+    that trained issued none. result is (failed, abort_reason, maps), with
+    maps None for a failed run, or the run's ConfigError or NumericsError:
+    the share then trains no job after it, as a serial sweep would not.
+    """
+    outcomes = {}
+    stop = math.inf
+    for chunk in share:
+        chunk = [job for job in chunk if job[0] < stop]
+        records = None
+        if len(chunk) > 1:
+            records = _stacked_records(dataset, [run_config.train for *_, run_config in chunk])
+        for position, (index, run_dir, run_config) in enumerate(chunk):
+            with warnings.catch_warnings(record=True) as caught:
+                try:
+                    record = records[position] if records else train(dataset, run_config.train)
+                    write_run_dir(run_dir, record, config_to_dict(run_config), force=force)
+                    failed = record.failed or record.final_eval is None
+                    maps = None if failed else record.final_eval.maps()
+                    result = (failed, record.abort_reason, maps)
+                except (ConfigError, NumericsError) as err:
+                    result = err
+            issued = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+            outcomes[index] = (issued, result)
+            if isinstance(result, Exception):
+                stop = index
+                break
     return outcomes
 
 
@@ -316,11 +364,11 @@ def _inherit_dataset(dataset) -> None:
     _inherited_dataset = dataset
 
 
-def _run_inherited_share(share, force: bool) -> list:
+def _run_inherited_share(share, force: bool) -> dict:
     return _run_share(_inherited_dataset, share, force)
 
 
-def _run_shares(dataset, shares: list[list], force: bool) -> list[list]:
+def _run_shares(dataset, shares: list[list], force: bool) -> list[dict]:
     """Each share's outcomes: share 0 runs in this process, every other share
     in one of len(shares) - 1 forked workers.
 
@@ -346,10 +394,12 @@ def _run_shares(dataset, shares: list[list], force: bool) -> list[list]:
 def cmd_sweep(args) -> int:
     """Train every (variant, seed) run, write its run directory and sweep.csv.
 
-    The runs are split over min(runs, usable cores) processes by a fixed
-    rule, and each is seeded on its own, so every output byte is the same as
-    in a serial sweep. The per-run lines are printed in order once all runs
-    have finished, each run's warnings just before its line.
+    Runs whose configs share a train.stack_key train as one stack, and the
+    runs are split over min(runs, usable cores) processes by a fixed rule
+    (_shares). Each run is seeded on its own and keeps its bits in a stack,
+    so every output byte is the same as in a serial sweep. The per-run lines
+    are printed in order once all runs have finished, each run's warnings
+    just before its line.
     """
     config = _load_or_default_config(args.config)
     variants = args.variant or []
@@ -372,15 +422,18 @@ def cmd_sweep(args) -> int:
         for seed in seeds:
             run_dir = out_root / name / f"seed-{seed}"
             refuse_nonempty_dir(run_dir, args.force)
-            jobs.append((run_dir, with_train(VARIANTS[name](config), seed=seed)))
+            jobs.append((len(jobs), run_dir, with_train(VARIANTS[name](config), seed=seed)))
     dataset = _resolve_dataset(args, config)
 
     workers = min(len(jobs), _usable_cores())
-    done = _run_shares(dataset, _shares(jobs, workers), args.force)
-    # job i is entry i // workers of share i % workers. A share stops at its
-    # first error, so the outcomes are read lazily, in job order: a missing
-    # one lies after an error that has already been raised.
-    outcomes = (done[i % workers][i // workers] for i in range(len(jobs)))
+    shares = _shares(jobs, workers, key=lambda job: stack_key(job[2].train))
+    done = {}
+    for share_outcomes in _run_shares(dataset, shares, args.force):
+        done.update(share_outcomes)
+    # A share trains no job after its first error, so the outcomes are read
+    # lazily, in job order: a missing one lies after an error that has
+    # already been raised.
+    outcomes = (done[i] for i in range(len(jobs)))
 
     rows = []
     for name in variants:

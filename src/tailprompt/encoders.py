@@ -16,6 +16,10 @@ gradient, g_pooled/(M+1), and encode_backward returns it once per block,
 with a token axis of length 1 that broadcasts over the M stored contexts.
 The contexts themselves stay (C or 1, M, d_token), so the forward pass and
 the checkpoint format are those of M separate tokens.
+
+encode_all and encode_backward also take a PromptStack: the contexts of S
+runs that share the class tokens, on a leading run axis. Each run's slice
+of a stacked product or sum has the bits of the run's own 2-d one.
 """
 
 from __future__ import annotations
@@ -134,6 +138,38 @@ class PromptSet:
         return self.class_tokens.shape[1]
 
 
+@dataclass
+class PromptStack:
+    """The contexts of S prompt sets that share their class tokens, mode and
+    shape, on a leading run axis: (S, C or 1, M, d_token). Build it with
+    PromptStack.of, which rebinds each set's contexts to its slice, so an
+    update of the stack is an update of every set."""
+
+    contexts: np.ndarray
+    class_tokens: np.ndarray
+    mode: str
+
+    @staticmethod
+    def of(prompt_sets) -> "PromptStack":
+        first = prompt_sets[0]
+        contexts = np.stack([p.contexts for p in prompt_sets])
+        for prompts, view in zip(prompt_sets, contexts):
+            prompts.contexts = view
+        return PromptStack(contexts, first.class_tokens, first.mode)
+
+    @property
+    def num_classes(self) -> int:
+        return self.class_tokens.shape[0]
+
+    @property
+    def num_context_tokens(self) -> int:
+        return self.contexts.shape[-2]
+
+    @property
+    def token_dim(self) -> int:
+        return self.class_tokens.shape[1]
+
+
 def init_prompt_set(
     num_classes: int,
     token_dim: int,
@@ -164,28 +200,28 @@ class PromptEncoding:
     """Forward cache of encode_all: unit embeddings plus the pre-normalization
     norms the backward pass needs."""
 
-    embeddings: np.ndarray  # (C, d) unit rows
-    norms: np.ndarray  # (C,)
+    embeddings: np.ndarray  # (C, d) unit rows; (S, C, d) for a PromptStack
+    norms: np.ndarray  # (C,); (S, C) for a PromptStack
 
 
-def encode_all(encoder: FrozenTextEncoder, prompts: PromptSet) -> PromptEncoding:
+def encode_all(encoder: FrozenTextEncoder, prompts: PromptSet | PromptStack) -> PromptEncoding:
     """Embed every class prompt: pool the M contexts with the class token
     (divide by M+1), project, normalize."""
     if prompts.token_dim != encoder.token_dim:
         raise ConfigError("prompt token_dim does not match encoder token_dim")
     m = prompts.num_context_tokens
-    pooled = (prompts.contexts.sum(axis=1) + prompts.class_tokens) / (m + 1.0)
+    pooled = (prompts.contexts.sum(axis=-2) + prompts.class_tokens) / (m + 1.0)
     pre = pooled @ encoder.projection  # (C, d)
-    # the sum np.linalg.norm(pre, axis=1) computes, without its Python overhead
-    norms = np.sqrt(np.add.reduce(pre * pre, axis=1))
+    # the sum np.linalg.norm(pre, axis=-1) computes, without its Python overhead
+    norms = np.sqrt(np.add.reduce(pre * pre, axis=-1))
     if norms.min() < 1e-12:
         raise NumericsError("degenerate prompt embedding: zero vector before normalization")
-    return PromptEncoding(pre / norms[:, None], norms)
+    return PromptEncoding(pre / norms[..., None], norms)
 
 
 def encode_backward(
     encoder: FrozenTextEncoder,
-    prompts: PromptSet,
+    prompts: PromptSet | PromptStack,
     encoding: PromptEncoding,
     grad_embeddings: np.ndarray,
 ) -> np.ndarray:
@@ -195,16 +231,17 @@ def encode_backward(
     and the mean pool. Every context token of a block gets the same gradient,
     so it is returned once per block: shape (C, 1, d_token), or (1, 1,
     d_token) in shared mode, where the per-class contributions accumulate
-    into the single block. It broadcasts against prompts.contexts.
+    into the single block; a stack's has the run axis in front. It
+    broadcasts against prompts.contexts.
     """
     e = encoding.embeddings
-    radial = (e * grad_embeddings).sum(axis=1, keepdims=True)
-    g_pre = (grad_embeddings - e * radial) / encoding.norms[:, None]
+    radial = (e * grad_embeddings).sum(axis=-1, keepdims=True)
+    g_pre = (grad_embeddings - e * radial) / encoding.norms[..., None]
     g_pooled = g_pre @ encoder.projection.T  # (C, d_token)
     per_token = g_pooled / (prompts.num_context_tokens + 1.0)
     if prompts.mode == MODE_SHARED:
-        per_token = per_token.sum(axis=0, keepdims=True)
-    return per_token[:, None, :]
+        per_token = per_token.sum(axis=-2, keepdims=True)
+    return per_token[..., None, :]
 
 
 def prompts_to_dict(prompts: PromptSet) -> dict:

@@ -23,7 +23,10 @@ can share each (N, C) product with the ranking and the alignment diagnostic.
 objective_core is the one evaluation of the blended objective and its
 gradient w.r.t. the prompt embeddings. total_loss is its argument checks
 around that core, and a training step calls the same core on the rows it
-gathers.
+gathers. Runs that train as one stack (see loss_stack_key) call it once for
+all of them, with an ObjectiveStack and a leading run axis on the
+embeddings, the scores and the distances; the kernels and the core read
+their last two axes, so each run's slice has the bits of its own 2-d call.
 """
 
 from __future__ import annotations
@@ -91,10 +94,10 @@ class LossReport:
     total = cls_loss_weight * cls_part + (1 - cls_loss_weight) * cse_part for
     total_loss, whose gradient is the pooled one of encode_backward: one
     token row per context block, which broadcasts against PromptSet.contexts.
-    cls_loss_on_logits, and a linear probe's epoch record, report the
-    classification part's value as total and cls_part, with cse_part zero
-    and the gradient shaped like the logits (for chaining). gradient is None
-    when it was not requested.
+    cls_loss_on_logits reports the classification part's value as total and
+    cls_part, with cse_part zero and the gradient shaped like the logits
+    (for chaining); a linear probe's epoch record reports its value the same
+    way, with no gradient. gradient is None when it was not requested.
     """
 
     total: float
@@ -140,14 +143,16 @@ def class_weights(counts, gamma_rw: float) -> np.ndarray:
 
 def class_scores(images: np.ndarray, embeddings: np.ndarray, tau: float) -> np.ndarray:
     """(B, C) scores image . embedding / tau: the classification part's
-    logits, and what metrics.evaluate ranks."""
-    return images @ embeddings.T / tau
+    logits, and what metrics.evaluate ranks. (S, B, C) for a stack's (S, C,
+    d) embeddings."""
+    return images @ embeddings.swapaxes(-1, -2) / tau
 
 
 def cosine_distances(captions: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
     """(B, C) cosine distances 1 - caption . embedding between unit rows: the
-    embedding part's deltas, and what mean_positive_delta averages."""
-    dl = captions @ embeddings.T
+    embedding part's deltas, and what mean_positive_delta averages. (S, B,
+    C) for a stack's (S, C, d) embeddings."""
+    dl = captions @ embeddings.swapaxes(-1, -2)
     return np.subtract(1.0, dl, out=dl)
 
 
@@ -158,11 +163,11 @@ def _cse_parts(dl: np.ndarray, labels: np.ndarray, weights, margins, need_grad: 
     hinge = weights * (margins - dl)
     terms = np.where(positive, weights * dl, np.maximum(0.0, hinge))
     if not need_grad:
-        return terms.sum(axis=1), None
+        return terms.sum(axis=-1), None
     # d(term)/d(delta): +w for positives, -w on the active hinge side, 0 at
     # the kink (subgradient convention) and beyond it
     coef = np.where(positive, weights, np.where(hinge > 0, -weights, 0.0))
-    return terms.sum(axis=1), coef
+    return terms.sum(axis=-1), coef
 
 
 def db_rebalance(counts, alpha: float, beta: float, theta: float) -> np.ndarray:
@@ -187,11 +192,13 @@ def db_bias(counts, num_samples: int, kappa: float) -> np.ndarray:
 
 
 def _per_entry(row: np.ndarray, shape: tuple) -> np.ndarray:
-    """row[c] at every (b, c) of shape, as a zero-copy view of the contiguous
-    row (Objective.cls_constants's rebalance row is). It is what
-    np.broadcast_to(row, shape) returns, without that call's iterator
+    """row[c] at every (b, c) of shape, or a stack's (S, 1, C) rows at every
+    (s, b, c), as a zero-copy view of the contiguous row (the rebalance rows
+    of Objective.cls_constants and ObjectiveStack.cls_constants are). It is
+    what np.broadcast_to(row, shape) returns, without that call's iterator
     set-up, which costs more than the gathers from it at small batch sizes."""
-    return np.ndarray(shape, row.dtype, row, 0, (0, row.itemsize))
+    strides = (0, row.itemsize) if row.ndim == 1 else (row.strides[0], 0, row.itemsize)
+    return np.ndarray(shape, row.dtype, row, 0, strides)
 
 
 def _by_label(positive: np.ndarray, negative: np.ndarray, z: np.ndarray, pos_values, neg_values):
@@ -269,17 +276,17 @@ def _cls_parts(
     """The classification part of the given kind: the terms it averages and
     the gradient w.r.t. z. db averages per-sample sums over the samples; bce
     and focal average their (B, C) terms over every entry. The kernels
-    return both unaveraged, and this is the one place that divides.
-    focal_form is the (rebalance, bias, zeta) of Objective.cls_constants,
-    None for bce."""
+    return both unaveraged, and this is the one place that divides, by one
+    run's count of terms when z is a stack's (S, B, C) scores. focal_form is
+    the (rebalance, bias, zeta) of Objective.cls_constants, None for bce."""
     if kind == "bce":
         terms, grad_z = _bce_parts(z, labels, need_grad)
     else:
         terms, grad_z = _focal_form_parts(z, labels, *focal_form, gamma, need_grad)
     if kind == "db":
-        terms = terms.sum(axis=1)
+        terms = terms.sum(axis=-1)
     if need_grad:
-        grad_z /= terms.size  # in place: the same bits per entry
+        grad_z /= terms[0].size if z.ndim == 3 else terms.size  # in place: the same bits
     return terms, grad_z
 
 
@@ -319,9 +326,12 @@ def cls_loss_on_logits(
     config: LossConfig,
     need_grad: bool = True,
 ) -> LossReport:
-    """The configured classification loss applied to raw logits; used by
-    heads that are not prompts (e.g. the linear probe). The logits are read
-    in C order."""
+    """The configured classification loss applied to raw (B, C) logits: the
+    checked logits-level entry point of the classification part, which
+    tests/test_acceptance.py and the test oracles call. It checks the
+    logits, the labels and the stats against each other, reads the logits
+    in C order and evaluates Objective.classification, which the linear
+    probe's step and epoch record call directly."""
     z = np.asarray(z, dtype=np.float64, order="C")
     if z.ndim != 2 or np.shape(labels) != z.shape or z.shape[1] != stats.num_classes:
         raise ConfigError(
@@ -359,8 +369,7 @@ class Objective:
         self._num_samples = num_samples
         self._config = config
         self.lam = config.cls_loss_weight
-        self.compute_cls = self.lam > 0.0
-        self.compute_cse = config.use_embedding_loss and self.lam < 1.0
+        *_, self.compute_cls, self.compute_cse = loss_stack_key(config)
 
     @cached_property
     def cls_constants(self) -> tuple:
@@ -412,6 +421,88 @@ def loss_objective(stats: ClassStats, config: LossConfig) -> Objective:
     return stats.derived(config, lambda: Objective(stats.counts, stats.num_samples, config))
 
 
+def loss_stack_key(config: LossConfig) -> tuple:
+    """What the LossConfigs of runs trained as one stack share: the
+    classification kind, gamma_focal and db_zeta, which the kernels take as
+    scalars, and the parts the blend computes, (compute_cls, compute_cse).
+    Every other field enters a stack as a per-run row (see ObjectiveStack)."""
+    lam = config.cls_loss_weight
+    parts = (lam > 0.0, config.use_embedding_loss and lam < 1.0)
+    return (config.cls_loss_kind, config.gamma_focal, config.db_zeta, *parts)
+
+
+def _run_rows(values, num_classes: int) -> np.ndarray:
+    """Each run's per-class constant, a (C,) vector or one float for every
+    class, as the (S, 1, C) rows of a contiguous array."""
+    rows = [np.broadcast_to(np.asarray(v, dtype=np.float64), (num_classes,)) for v in values]
+    return np.stack(rows).reshape(len(rows), 1, num_classes)
+
+
+def _run_means(terms: np.ndarray) -> np.ndarray:
+    """Each run's mean of a stack's terms, (S, B) or (S, B, C): one sum per
+    run over its contiguous terms, with the bits of that run's own sum."""
+    return terms.reshape(len(terms), -1).sum(axis=1) / terms[0].size
+
+
+class ObjectiveStack:
+    """The Objectives of S runs that train as one stack, for objective_core
+    on arrays with a leading run axis: (S, C, d) embeddings, (S, B, C)
+    scores and distances, and (B, .) or (S, B, .) rows. The runs agree on
+    loss_stack_key; lam enters as an (S, 1, 1) scalar and every per-class
+    constant as a run's (S, 1, C) row. Each of them multiplies or adds entry
+    by entry, so each run's slice keeps the bits of its own Objective. The
+    part values and the blend are (S,) arrays.
+    """
+
+    def __init__(self, objectives):
+        self.objectives = tuple(objectives)
+        first = self.objectives[0]
+        self.compute_cls, self.compute_cse = first.compute_cls, first.compute_cse
+        self._lams = np.array([o.lam for o in self.objectives])
+        self.lam = self._lams.reshape(-1, 1, 1)
+        self._num_classes = len(first._counts)
+
+    @cached_property
+    def cls_constants(self) -> tuple:
+        """Objective.cls_constants with each run's rebalance and bias as
+        (S, 1, C) rows."""
+        constants = [o.cls_constants for o in self.objectives]
+        kind, focal_form, gamma = constants[0]
+        if focal_form is not None:
+            forms = [c[1] for c in constants]
+            rebal = _run_rows([form[0] for form in forms], self._num_classes)
+            bias = _run_rows([form[1] for form in forms], self._num_classes)
+            focal_form = rebal, bias, focal_form[2]
+        return kind, focal_form, gamma
+
+    @cached_property
+    def cse_constants(self) -> tuple:
+        """Objective.cse_constants as (S, 1, C) rows: (weights, margins)."""
+        weights, margins = zip(*(o.cse_constants for o in self.objectives))
+        return _run_rows(weights, self._num_classes), _run_rows(margins, self._num_classes)
+
+    def classification(self, scores: np.ndarray, labels: np.ndarray, need_grad: bool):
+        """(each run's value, gradient w.r.t. scores) of the classification
+        part on (S, B, C) scores."""
+        if labels.ndim == 2:
+            # the kernels gather by a scores-shaped mask: a copy per run of
+            # shared labels, which gathers faster than a broadcast view
+            shared, labels = labels, np.empty(scores.shape, labels.dtype)
+            labels[...] = shared
+        terms, gradient = _cls_parts(scores, labels, *self.cls_constants, need_grad)
+        return _run_means(terms), gradient
+
+    def embedding(self, distances: np.ndarray, labels: np.ndarray, need_grad: bool):
+        """(each run's value, d terms / d distances) of the embedding part
+        on (S, B, C) cosine distances."""
+        terms, coef = _cse_parts(distances, labels, *self.cse_constants, need_grad)
+        return _run_means(terms), coef
+
+    def blend(self, cls_value, cse_value) -> np.ndarray:
+        """Each run's lam * cls_value + (1 - lam) * cse_value."""
+        return self._lams * cls_value + (1.0 - self._lams) * cse_value
+
+
 def objective_core(
     objective: Objective,
     images: np.ndarray,
@@ -423,7 +514,9 @@ def objective_core(
 ):
     """(total, cls value, cse value, gradient w.r.t. embeddings or None) of
     the blended objective on the rows (images, labels, captions), scored
-    against the unit prompt embeddings at temperature tau.
+    against the unit prompt embeddings at temperature tau. With an
+    ObjectiveStack the embeddings are a stack's (S, C, d), the rows are
+    shared (B, .) or per-run (S, B, .), and the values are (S,) arrays.
 
     The parts the objective skips are not computed; with neither active the
     gradient is zero. A zero-filled array accumulating the parts' gradients
@@ -448,9 +541,9 @@ def objective_core(
     gradient = None
     lam = objective.lam
     if objective.compute_cls:
-        gradient = lam * (grad_z.T @ images) / tau
+        gradient = lam * (grad_z.swapaxes(-1, -2) @ images) / tau
     if objective.compute_cse:
-        cse_gradient = (1.0 - lam) * (-(coef.T @ captions) / images.shape[0])
+        cse_gradient = (1.0 - lam) * (-(coef.swapaxes(-1, -2) @ captions) / images.shape[-2])
         if gradient is None:
             gradient = cse_gradient
         else:

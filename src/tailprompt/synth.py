@@ -175,10 +175,13 @@ def generate_with_prototypes(config: SynthConfig) -> tuple[MultiLabelDataset, np
     _repair_zero_counts(labels, substream(config.seed, DOMAIN_SYNTH, _STREAM_REPAIR))
 
     order = np.argsort(-labels.sum(axis=0), kind="stable")
-    labels = labels[:, order]
+    labels = np.ascontiguousarray(labels[:, order])
     protos = protos[order]
 
-    signal = labels.astype(np.float64) @ protos  # (N, d) sums of positive prototypes
+    # (N, d) sums of positive prototypes, from one block of labels at a time
+    signal = np.empty((labels.shape[0], protos.shape[1]))
+    for rows in row_blocks(*labels.shape):
+        np.matmul(labels[rows].astype(np.float64), protos, out=signal[rows])
     images = _noisy_unit(signal, config.noise_std, substream(config.seed, DOMAIN_SYNTH, _STREAM_IMAGE_NOISE))
     captions = _noisy_unit(
         signal, config.caption_noise_std, substream(config.seed, DOMAIN_SYNTH, _STREAM_CAPTION_NOISE)

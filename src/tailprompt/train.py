@@ -6,11 +6,16 @@ class tokens, and all dataset embeddings are frozen bit-for-bit. Class
 statistics are computed once from the full split before epoch 1 and reused
 everywhere. Every random choice flows from explicit seeds, so a (dataset,
 config) pair fully determines every logged number.
+
+Prompt runs whose configs share a stack_key train in lockstep (train_stack):
+one step evaluates all of them on a leading run axis, and each run keeps the
+bits it gets when trained alone. train() is the one-run case of that loop.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import time
@@ -31,6 +36,7 @@ from .encoders import (
     MODE_CLASS_SPECIFIC,
     PROMPT_MODES,
     PromptSet,
+    PromptStack,
     encode_all,
     encode_backward,
     init_prompt_set,
@@ -42,10 +48,12 @@ from .losses import (
     LossConfig,
     LossReport,
     Objective,
+    ObjectiveStack,
     check_classes,
     class_scores,
     cosine_distances,
     loss_objective,
+    loss_stack_key,
     mean_positive_delta,
     objective_core,
 )
@@ -193,9 +201,21 @@ def sgd_step(params: np.ndarray, gradient: np.ndarray, lr: float) -> np.ndarray:
     return params
 
 
-def _epoch_batches(permutation: np.ndarray, batch_size: int):
-    for start in range(0, permutation.size, batch_size):
-        yield permutation[start : start + batch_size]
+def _epoch_batches(order: np.ndarray, batch_size: int):
+    """Consecutive batches of the last axis of order: one shared
+    permutation, or one row per run."""
+    for start in range(0, order.shape[-1], batch_size):
+        yield order[..., start : start + batch_size]
+
+
+def stack_key(config: TrainConfig):
+    """What the configs of prompt runs trained as one stack on one dataset
+    share: the whole TrainConfig but its seed and loss, and the LossConfig's
+    losses.loss_stack_key. None for the linear probe, which trains alone."""
+    if config.baseline != "none":
+        return None
+    shared = dataclasses.replace(config, seed=0, loss=LossConfig())
+    return shared, loss_stack_key(config.loss)
 
 
 def build_training_state(
@@ -207,9 +227,14 @@ def build_training_state(
     stats = ClassStats.from_dataset(dataset, config.head_min, config.tail_max)
     token_dim = config.prompt.token_dim or dataset.dim
     encoder = FrozenTextEncoder.create(config.encoder_seed, token_dim, dataset.dim)
-    prompts = init_prompt_set(
+    return stats, encoder, _initial_prompts(dataset, config)
+
+
+def _initial_prompts(dataset: MultiLabelDataset, config: TrainConfig) -> PromptSet:
+    """The freshly initialized prompts of build_training_state."""
+    return init_prompt_set(
         num_classes=dataset.num_classes,
-        token_dim=token_dim,
+        token_dim=config.prompt.token_dim or dataset.dim,
         num_context_tokens=config.prompt.num_context_tokens,
         mode=config.prompt.mode,
         init=config.prompt.init,
@@ -217,7 +242,6 @@ def build_training_state(
         encoder_seed=config.encoder_seed,
         init_seed=config.seed,
     )
-    return stats, encoder, prompts
 
 
 class _PromptHead:
@@ -246,35 +270,6 @@ class _PromptHead:
         agree on the classes here, once a run."""
         check_classes(self.dataset, self.prompts, self.stats)
         return loss_objective(self.stats, self.config.loss)
-
-    def step(self, indices: np.ndarray, lr: float):
-        """One SGD step on the split's rows indices; (total, cls part, cse
-        part) of their loss, the bits of total_loss on dataset.batch(indices).
-
-        The rows are gathered directly and scored by objective_core, the
-        core that total_loss, and so the pre-training gradcheck, runs.
-        encode_all, encode_backward and sgd_step are looked up by module name
-        on every call, where the traced benchmark wraps them (it counts steps
-        by sgd_step); objective_core is looked up there too, because the
-        abort tests patch it there. sgd_step checks the gradient before it
-        writes, and a loss that is not finite leaves the contexts untouched,
-        for train() to abort on.
-        """
-        data = self.dataset
-        encoding = encode_all(self.encoder, self.prompts)
-        total, cls_value, cse_value, gradient = objective_core(
-            self._objective,
-            data.images[indices],
-            data.labels[indices],
-            data.captions[indices],
-            encoding.embeddings,
-            self.config.tau,
-            True,
-        )
-        gradient = encode_backward(self.encoder, self.prompts, encoding, gradient)
-        if math.isfinite(total):
-            sgd_step(self.prompts.contexts, gradient, lr)
-        return total, cls_value, cse_value
 
     def evaluate(self) -> EvalResult:
         embeddings = encode_all(self.encoder, self.prompts).embeddings
@@ -308,6 +303,64 @@ class _PromptHead:
             return None, delta, result
         total = objective.blend(cls_value, cse_value)
         return LossReport(total, cls_value, cse_value, None), delta, result
+
+
+class _PromptStack:
+    """The prompt heads of S >= 1 runs that share a stack_key, trained in
+    lockstep: they share the split, the stats, the encoder and tau, and
+    each keeps its own contexts, Objective and epoch records.
+
+    With S = 1 the step runs on the run's own PromptSet and Objective, as
+    2-d arrays. With S > 1 the contexts live in one PromptStack, whose slice
+    s each head's PromptSet holds, and the step evaluates one
+    ObjectiveStack on arrays with a leading run axis.
+    """
+
+    def __init__(self, heads: list[_PromptHead]):
+        self.heads = heads
+        first = heads[0]
+        self.dataset, self.encoder, self.tau = first.dataset, first.encoder, first.config.tau
+        if len(heads) == 1:
+            self.prompts, self.objective = first.prompts, first._objective
+        else:
+            self.prompts = PromptStack.of([head.prompts for head in heads])
+            self.objective = ObjectiveStack([head._objective for head in heads])
+
+    def step(self, rows: np.ndarray, lr: float) -> list[tuple]:
+        """One SGD step of every run on the split's rows: one shared index
+        vector, or one row of indices per run. Returns each run's (total,
+        cls part, cse part) of their loss, the bits of total_loss on
+        dataset.batch of its rows.
+
+        The rows are gathered once and scored by objective_core, the core
+        that total_loss, and so the pre-training gradcheck, runs.
+        encode_all, encode_backward and sgd_step are looked up by module name
+        on every call, where the traced benchmark wraps them (it counts steps
+        by sgd_step); objective_core is looked up there too, because the
+        abort tests patch it there. sgd_step checks the gradient before it
+        writes, and a loss that is not finite in any run leaves every run's
+        contexts untouched, for the loop to abort on.
+        """
+        data = self.dataset
+        encoding = encode_all(self.encoder, self.prompts)
+        values = objective_core(
+            self.objective,
+            data.images[rows],
+            data.labels[rows],
+            data.captions[rows],
+            encoding.embeddings,
+            self.tau,
+            True,
+        )
+        gradient = encode_backward(self.encoder, self.prompts, encoding, values[3])
+        runs = len(self.heads)
+        if runs == 1:
+            per_run = [values[:3]]
+        else:  # a part the blend skips is one 0.0 for every run
+            per_run = list(zip(*(v.tolist() if np.ndim(v) else [v] * runs for v in values[:3])))
+        if all(math.isfinite(total) for total, _, _ in per_run):
+            sgd_step(self.prompts.contexts, gradient, lr)
+        return per_run
 
 
 class _ProbeHead:
@@ -346,9 +399,14 @@ class _ProbeHead:
         weight and the parts it computes play no part."""
         return loss_objective(self.stats, self.config.loss)
 
-    def step(self, indices: np.ndarray, lr: float):
-        """One SGD step on the split's rows indices, as the prompt head's:
-        (total, cls part, cse part) of their loss, which is the
+    @property
+    def heads(self) -> list["_ProbeHead"]:
+        """The one run a probe trains, as a _PromptStack's heads."""
+        return [self]
+
+    def step(self, indices: np.ndarray, lr: float) -> list[tuple]:
+        """One SGD step on the split's rows indices, as _PromptStack's of one
+        run: [(total, cls part, cse part)] of their loss, which is the
         classification part alone, then sgd_step on the weights and on the
         bias. A loss that is not finite leaves both untouched."""
         images = self.dataset.images[indices]
@@ -359,7 +417,7 @@ class _ProbeHead:
         if math.isfinite(value):
             for params, gradient in zip((self.weights, self.bias), gradients):
                 sgd_step(params, gradient, lr)
-        return value, value, 0.0
+        return [(value, value, 0.0)]
 
     def evaluate(self) -> EvalResult:
         return evaluate(self.scores(self.dataset.images), self.dataset.labels, self.stats)
@@ -377,70 +435,105 @@ class _ProbeHead:
 
 
 def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
-    """Run the prompt-tuning loop (or the configured baseline) to completion.
+    """Run the prompt-tuning loop (or the configured baseline) to completion:
+    train_stack of the one run.
 
     Prompts and the linear probe share the schedule, shuffle, abort rule and
     metrics. A non-finite loss or gradient aborts the run; the partial record
     comes back with failed=True instead of an exception so sweeps can continue.
     """
-    started = time.perf_counter()
-    if config.baseline == "linear_probe":
+    return train_stack(dataset, [config])[0]
+
+
+def _trainer(dataset: MultiLabelDataset, configs: list[TrainConfig]):
+    """The probe head of a linear-probe run, or the _PromptStack of prompt
+    runs that share a stack_key; ConfigError for any other set of configs."""
+    key = stack_key(configs[0])
+    if (key is None and len(configs) > 1) or any(stack_key(c) != key for c in configs):
+        raise ConfigError("runs trained as one stack must share a stack_key")
+    config = configs[0]
+    if key is None:
         stats = ClassStats.from_dataset(dataset, config.head_min, config.tail_max)
         weights = np.zeros((dataset.num_classes, dataset.dim))
-        head = _ProbeHead(dataset, weights, np.zeros(dataset.num_classes), stats, config)
-    else:
-        stats, encoder, prompts = build_training_state(dataset, config)
-        head = _PromptHead(dataset, prompts, encoder, stats, config)
+        return _ProbeHead(dataset, weights, np.zeros(dataset.num_classes), stats, config)
+    stats, encoder, prompts = build_training_state(dataset, config)
+    heads = [_PromptHead(dataset, prompts, encoder, stats, config)]
+    for run_config in configs[1:]:
+        prompts = _initial_prompts(dataset, run_config)
+        heads.append(_PromptHead(dataset, prompts, encoder, stats, run_config))
+    return _PromptStack(heads)
 
-    report, *measured = head.measure(with_loss=True)
-    initial = EpochRecord(0, config.lr0, report.total, report.cls_part, report.cse_part, *measured)
-    shuffle_rng = substream(config.seed, DOMAIN_TRAIN, _STREAM_SHUFFLE)
-    history: list[EpochRecord] = []
+
+def train_stack(dataset: MultiLabelDataset, configs: list[TrainConfig]) -> list[RunRecord]:
+    """Train runs that share a stack_key in lockstep; each run's RunRecord.
+
+    Each epoch draws one permutation per distinct seed, and each step
+    gathers the rows of all runs at once and takes one step of every run,
+    so every run gets the bits it gets alone. The stack trains or aborts as
+    one: when a loss or gradient of any run is not finite, every run's
+    record ends at that epoch with failed=True (a sweep then trains each run
+    alone; see cli). Every record's wall_seconds is the stack's.
+    """
+    started = time.perf_counter()
+    config = configs[0]
+    trainer = _trainer(dataset, configs)
+    initial = []
+    for head in trainer.heads:
+        report, *measured = head.measure(with_loss=True)
+        losses = (report.total, report.cls_part, report.cse_part)
+        initial.append(EpochRecord(0, config.lr0, *losses, *measured))
+    seeds = [run_config.seed for run_config in configs]
+    n = dataset.num_samples
+    shuffles = {seed: substream(seed, DOMAIN_TRAIN, _STREAM_SHUFFLE) for seed in seeds}
+    histories: list[list[EpochRecord]] = [[] for _ in configs]
     abort_reason = None
 
     for epoch in range(1, config.epochs + 1):
         lr = cosine_lr(epoch - 1, config.epochs, config.lr0)
-        permutation = shuffle_rng.permutation(dataset.num_samples)
-        sum_total = 0.0
-        sum_cls = 0.0
-        sum_cse = 0.0
+        permutations = {seed: rng.permutation(n) for seed, rng in shuffles.items()}
+        if len(permutations) == 1:
+            order = permutations[seeds[0]]
+        else:
+            order = np.stack([permutations[seed] for seed in seeds])
+        sums = [[0.0, 0.0, 0.0] for _ in configs]
         try:
-            for indices in _epoch_batches(permutation, config.batch_size):
-                total, cls_part, cse_part = head.step(indices, lr)
-                if not math.isfinite(total):
-                    raise NumericsError(f"abort run: non-finite loss at epoch {epoch}")
-                sum_total += total * indices.size
-                sum_cls += cls_part * indices.size
-                sum_cse += cse_part * indices.size
+            for rows in _epoch_batches(order, config.batch_size):
+                size = rows.shape[-1]
+                for run_sums, values in zip(sums, trainer.step(rows, lr)):
+                    if not math.isfinite(values[0]):
+                        raise NumericsError(f"abort run: non-finite loss at epoch {epoch}")
+                    for k, value in enumerate(values):
+                        run_sums[k] += value * size
         except NumericsError as err:
             abort_reason = str(err)
             break
 
         eval_now = epoch % config.eval_every == 0 or epoch == config.epochs
-        history.append(
-            EpochRecord(
-                epoch,
-                lr,
-                sum_total / dataset.num_samples,
-                sum_cls / dataset.num_samples,
-                sum_cse / dataset.num_samples,
-                *(head.measure()[1:] if eval_now else (None, None)),
+        for head, history, run_sums in zip(trainer.heads, histories, sums):
+            measured = head.measure()[1:] if eval_now else (None, None)
+            means = (value / n for value in run_sums)
+            history.append(EpochRecord(epoch, lr, *means, *measured))
+
+    wall_seconds = time.perf_counter() - started
+    records = []
+    for head, first, history in zip(trainer.heads, initial, histories):
+        final_eval = next(
+            (record.eval for record in reversed([first, *history]) if record.eval is not None),
+            None,
+        )
+        records.append(
+            RunRecord(
+                initial=first,
+                history=tuple(history),
+                final_eval=final_eval,
+                wall_seconds=wall_seconds,
+                failed=abort_reason is not None,
+                abort_reason=abort_reason,
+                stats=head.stats,
+                **head.record_fields,
             )
         )
-
-    final_eval = next(
-        (record.eval for record in reversed([initial, *history]) if record.eval is not None), None
-    )
-    return RunRecord(
-        initial=initial,
-        history=tuple(history),
-        final_eval=final_eval,
-        wall_seconds=time.perf_counter() - started,
-        failed=abort_reason is not None,
-        abort_reason=abort_reason,
-        stats=head.stats,
-        **head.record_fields,
-    )
+    return records
 
 METRICS_COLUMNS = ("epoch", *MAP_KEYS, "loss_total", "loss_cls", "loss_cse", "lr")
 

@@ -547,17 +547,21 @@ class TestSweepWorkers:
                 super().__init__(max_workers, **kwargs)
 
         here = []
-        real_train = cli.train
+        real_train_stack = cli.train_stack
 
-        def recording_train(dataset, train_config):
-            here.append((train_config.loss.cls_loss_kind, train_config.seed))
-            return real_train(dataset, train_config)
+        def recording_train_stack(dataset, train_configs):
+            here.append([(c.loss.cls_loss_kind, c.seed) for c in train_configs])
+            return real_train_stack(dataset, train_configs)
+
+        def refuse_train(dataset, train_config):
+            raise AssertionError("a run of a stack that trained was trained alone")
 
         def refuse_pickle(self, protocol):
             raise AssertionError("the dataset was pickled")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "train", recording_train)
+        monkeypatch.setattr(cli, "train_stack", recording_train_stack)
+        monkeypatch.setattr(cli, "train", refuse_train)
         monkeypatch.setattr(MultiLabelDataset, "__reduce_ex__", refuse_pickle)
         parallel = self._sweep(monkeypatch, capsys, tmp_path / "three", 3, argv)
 
@@ -566,14 +570,27 @@ class TestSweepWorkers:
         assert _sweep_outputs(tmp_path / "three") == _sweep_outputs(tmp_path / "one")
         assert len(_sweep_outputs(tmp_path / "one")) == 1 + 4 * 4
         assert pools == [2]
-        # runs in (variant, seed) order; this process ran jobs[0::3], the workers the rest
-        assert here == [("db", 1), ("bce", 2)]
+        # each variant's seeds stack; this process trained full's stack, a
+        # worker bce's, and the third share is empty
+        assert here == [[("db", 1), ("db", 2)]]
 
-    def test_shares_take_every_worker_count_th_job(self):
+    def test_shares_chunk_groups_onto_the_least_loaded_share(self):
         from tailprompt.cli import _shares
 
-        assert _shares(["a", "b", "c", "d"], 3) == [["a", "d"], ["b"], ["c"]]
-        assert _shares(["a", "b", "c", "d"], 1) == [["a", "b", "c", "d"]]
+        # key: the job's letter in lower case; digits train alone
+        def key(job):
+            return job.lower() if job.isalpha() else None
+
+        jobs = ["a", "b", "A", "1", "B", "a", "b"]
+        # groups a: [0, 2, 5], b: [1, 4, 6], 1: [3]; chunks of ceil(7 / 2) = 4
+        assert _shares(jobs, 2, key) == [[["a", "A", "a"], ["1"]], [["b", "B", "b"]]]
+        # chunks of ceil(7 / 3) = 3 jobs, one share each
+        assert _shares(jobs, 3, key) == [[["a", "A", "a"]], [["b", "B", "b"]], [["1"]]]
+        # chunks of 2: a[0,2] b[1,4] 1[3] a[5] b[6], in the order of their first job
+        assert _shares(jobs, 4, key) == [[["a", "A"]], [["b", "B"]], [["1"], ["b"]], [["a"]]]
+        assert _shares(jobs, 7, key) == [[[job]] for job in jobs]
+        assert _shares(jobs, 1, key) == [[["a", "A", "a"], ["b", "B", "b"], ["1"]]]
+        assert _shares(["a", "b", "c"], 3, lambda job: None) == [[["a"]], [["b"]], [["c"]]]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_run_in_a_worker(self, monkeypatch, tmp_path, dataset_path, capsys):
@@ -627,6 +644,98 @@ class TestSweepWorkers:
             for line in [*run_warnings, f"{name} seed=1: FAILED (abort run: non-finite loss at epoch 1)"]
         ]
 
+    def test_stacked_warnings_and_aborts_at_any_worker_count(
+        self, monkeypatch, tmp_path, dataset_path, capsys
+    ):
+        """Every run of full and plain-cse over two seeds stacks, and every
+        one diverges: each stack falls back to its runs alone, whose
+        warnings and FAILED lines come in run order at 1 and 2 workers."""
+        train = {**SMALL_CONFIG["train"], "lr0": 1e308}
+        config = tmp_path / "huge-lr.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "train": train}))
+        argv = ["--config", str(config), "--data", dataset_path, "--seeds", "1,2"]
+        argv += ["--variant", "full", "--variant", "plain-cse"]
+
+        def show(message, category, filename, lineno, file=None, line=None):
+            print(f"{category.__name__}: {message}", file=sys.stderr)
+
+        results = []
+        for w in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("default")
+                monkeypatch.setattr(warnings, "showwarning", show)
+                results.append(self._sweep(monkeypatch, capsys, tmp_path / f"w{w}", w, argv))
+
+        assert results[0] == results[1]
+        code, out, err = results[1]
+        assert code == EXIT_OK
+        run_warnings = [
+            "RuntimeWarning: invalid value encountered in matmul",
+            "RuntimeWarning: invalid value encountered in logaddexp",
+        ]
+        assert err.splitlines() == [
+            line
+            for name in ("full", "plain-cse")
+            for seed in (1, 2)
+            for line in [
+                *run_warnings,
+                f"{name} seed={seed}: FAILED (abort run: non-finite loss at epoch 1)",
+            ]
+        ]
+        assert _sweep_outputs(tmp_path / "w1") == _sweep_outputs(tmp_path / "w2")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_stack_with_a_diverging_run_falls_back_to_runs_alone(
+        self, monkeypatch, tmp_path, dataset_path, capsys
+    ):
+        """At mu_base 1e308, plain-cse's flat margins overflow its loss and
+        full's class-aware margins do not. Their stack falls back, and
+        every output is that of a sweep that trains each run alone."""
+        from tailprompt import cli
+
+        config = tmp_path / "flat-margin.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "loss": {"mu_base": 1e308}}))
+        argv = ["--config", str(config), "--data", dataset_path, "--seeds", "1"]
+        argv += ["--variant", "full", "--variant", "plain-cse"]
+        stacks = []
+        real_train_stack = cli.train_stack
+
+        def recording_train_stack(dataset, train_configs):
+            records = real_train_stack(dataset, train_configs)
+            stacks.append([record.failed for record in records])
+            return records
+
+        monkeypatch.setattr(cli, "train_stack", recording_train_stack)
+        stacked = self._sweep(monkeypatch, capsys, tmp_path / "stacked", 1, argv)
+        assert stacks == [[True, True]]
+        monkeypatch.setattr(cli, "stack_key", lambda train_config: None)
+        alone = self._sweep(monkeypatch, capsys, tmp_path / "alone", 1, argv)
+        assert stacks == [[True, True]]
+
+        assert stacked == alone
+        assert stacked[0] == EXIT_OK
+        assert stacked[2] == "plain-cse seed=1: FAILED (abort run: non-finite loss at epoch 1)\n"
+        assert stacked[1].startswith("full seed=1: map_total=")
+        assert _sweep_outputs(tmp_path / "stacked") == _sweep_outputs(tmp_path / "alone")
+
+    def test_a_stack_that_warns_is_not_kept(self, monkeypatch, dataset_path):
+        """A warning inside a stack makes its runs train alone, each with
+        its own warnings, even when every run of the stack finished."""
+        from tailprompt import cli
+        from tailprompt.data_model import load_dataset
+
+        dataset = load_dataset(dataset_path)
+        configs = [cli.default_config().train] * 2
+        real_train_stack = cli.train_stack
+        assert len(cli._stacked_records(dataset, configs)) == 2
+
+        def warning_train_stack(dataset, train_configs):
+            warnings.warn("overflow encountered in a stacked step", RuntimeWarning)
+            return real_train_stack(dataset, train_configs)
+
+        monkeypatch.setattr(cli, "train_stack", warning_train_stack)
+        assert cli._stacked_records(dataset, configs) is None
+
     def test_numerics_error_in_every_share(self, tmp_path, config_path):
         # a fresh interpreter, so a hung pool ends in a timeout, not a hung suite
         data = _save_saturated_dataset(tmp_path / "saturated.npz")
@@ -645,14 +754,21 @@ class TestSweepWorkers:
         from tailprompt import cli
         from tailprompt.errors import NumericsError
 
-        real_train = cli.train
+        real_train, real_train_stack = cli.train, cli.train_stack
 
         def train_or_fail(dataset, train_config):
             if train_config.seed == 2:
                 raise NumericsError(f"seed {train_config.seed} broke")
             return real_train(dataset, train_config)
 
+        def train_stack_or_fail(dataset, train_configs):
+            # a stack holding seed 2 meets its error, and its runs train alone
+            if any(c.seed == 2 for c in train_configs):
+                raise NumericsError("a stacked run broke")
+            return real_train_stack(dataset, train_configs)
+
         monkeypatch.setattr(cli, "train", train_or_fail)
+        monkeypatch.setattr(cli, "train_stack", train_stack_or_fail)
         argv = ["--config", config_path, "--data", dataset_path, "--variant", "full"]
         results = [
             self._sweep(monkeypatch, capsys, tmp_path / f"w{w}", w, [*argv, "--seeds", "1,2,3"])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -479,6 +480,108 @@ class TestStepBitIdentity:
         record = train(_dataset(), config)
         assert not record.failed and record.epochs_completed == config.epochs
         assert calls == [config.loss]
+
+
+def _ablations(**loss):
+    """LossConfigs of full, plain-cse, no-margin and no-reweight: one stack."""
+    return [
+        LossConfig(**loss),
+        LossConfig(**loss, use_class_aware_margin=False, use_reweighting=False),
+        LossConfig(**loss, use_class_aware_margin=False),
+        LossConfig(**loss, use_reweighting=False),
+    ]
+
+
+class TestTrainStack:
+    """Runs that share a stack_key train in lockstep, and each run keeps the
+    bits of the same run trained alone: its epoch records and contexts."""
+
+    @staticmethod
+    def _assert_each_run_as_alone(ds, configs):
+        records = train_mod.train_stack(ds, configs)
+        assert len(records) == len(configs)
+        for config, record in zip(configs, records):
+            alone = train(ds, config)
+            assert not record.failed and not alone.failed
+            got = [train_mod._epoch_to_dict(r) for r in (record.initial, *record.history)]
+            assert got == [train_mod._epoch_to_dict(r) for r in (alone.initial, *alone.history)]
+            assert record.prompts.contexts.tobytes() == alone.prompts.contexts.tobytes()
+        assert len({record.wall_seconds for record in records}) == 1
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["db", "bce", "focal"])
+    def test_ablations_and_seeds_in_one_stack(self, kind, lam):
+        losses = _ablations(cls_loss_kind=kind, cls_loss_weight=lam)
+        losses.append(LossConfig(cls_loss_kind=kind, cls_loss_weight=lam, eta=2.0, db_kappa=0.2))
+        losses.append(LossConfig(cls_loss_kind=kind, cls_loss_weight=lam, db_alpha=0.3, mu_base=0.4))
+        configs = [
+            _config(lr0=2.0, tau=0.5, seed=seed, loss=loss)
+            for seed, loss in zip((1, 1, 2, 3, 1, 2), losses)
+        ]
+        assert len({train_mod.stack_key(c) for c in configs}) == 1
+        self._assert_each_run_as_alone(_dataset(), configs)
+
+    def test_blend_weights_differ_within_a_stack(self):
+        configs = [_config(lr0=2.0, seed=2, loss=LossConfig(cls_loss_weight=w)) for w in (0.5, 0.2)]
+        self._assert_each_run_as_alone(_dataset(), configs)
+
+    def test_shared_mode(self):
+        prompt = PromptSpec(mode="shared", num_context_tokens=3)
+        configs = [
+            _config(lr0=2.0, seed=seed, loss=loss, prompt=prompt)
+            for seed, loss in zip((1, 2, 2), _ablations())
+        ]
+        self._assert_each_run_as_alone(_dataset(), configs)
+
+    def test_201_classes(self):
+        ds = _dataset(num_classes=201, num_samples=300, dim=16)
+        configs = [
+            _config(lr0=2.0, batch_size=64, seed=seed, loss=loss)
+            for seed, loss in zip((1, 2, 1, 3), _ablations())
+        ]
+        self._assert_each_run_as_alone(ds, configs)
+
+    def test_one_diverging_run_aborts_the_stack(self):
+        """plain-cse's flat margin mu_base overflows its embedding loss; the
+        stack ends every run at that epoch, failed, with no step taken, and
+        full alone trains as usual."""
+        ds = _dataset()
+        loss = LossConfig(mu_base=1e308)
+        configs = [_config(loss=loss), _config(loss=_ablations(mu_base=1e308)[1])]
+        with np.errstate(over="ignore"):
+            records = train_mod.train_stack(ds, configs)
+            alone = [train(ds, config) for config in configs]
+        assert [r.failed for r in records] == [True, True]
+        assert [r.failed for r in alone] == [False, True]
+        for record in (*records, alone[1]):
+            assert record.abort_reason == "abort run: non-finite loss at epoch 1"
+            assert record.epochs_completed == 0
+        initial = [build_training_state(ds, config)[2].contexts for config in configs]
+        for record, contexts in zip(records, initial):
+            assert record.prompts.contexts.tobytes() == contexts.tobytes()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"seed": 4, "lr0": 0.1},
+            {"seed": 4, "baseline": "linear_probe"},
+            {"loss": LossConfig(cls_loss_kind="bce")},
+            {"loss": LossConfig(cls_loss_weight=1.0)},
+            {"loss": LossConfig(gamma_focal=1.0)},
+            {"prompt": PromptSpec(num_context_tokens=2)},
+        ],
+        ids=["lr0", "probe", "kind", "parts", "gamma", "prompt"],
+    )
+    def test_configs_that_do_not_stack_are_refused(self, change):
+        configs = [_config(), dataclasses.replace(_config(), **change)]
+        assert train_mod.stack_key(configs[0]) != train_mod.stack_key(configs[1])
+        with pytest.raises(ConfigError, match="stack_key"):
+            train_mod.train_stack(_dataset(), configs)
+
+    def test_a_probe_trains_alone(self):
+        assert train_mod.stack_key(_config(baseline="linear_probe")) is None
+        with pytest.raises(ConfigError, match="stack_key"):
+            train_mod.train_stack(_dataset(), [_config(baseline="linear_probe")] * 2)
 
 
 class TestLinearProbe:

@@ -10,18 +10,21 @@ prompts, the 120-case gradcheck, a sweep of every variant over seeds 1 and
 2, and eval of the linear-probe checkpoint that sweep writes. Then three more
 on a 3000 x 60 x 32 split, large enough that value-only passes run in
 several row blocks: synth, train with --skip-gradcheck and --loss focal, and
-a sweep of linear-probe and bce. Three more run at 1000 x 201 x 32, a class
+a sweep of linear-probe and bce. Four more run at 1000 x 201 x 32, a class
 count at which some BLAS kernels give a product's row block computed alone
-other bits: synth, train with --skip-gradcheck, and a linear-probe sweep.
-Then a sweep of full, plain-cse, focal and linear-probe with the config
+other bits: synth, train with --skip-gradcheck, a linear-probe sweep, and a
+sweep of full, plain-cse, no-reweight and coop over seeds 1, 2 and 3, whose
+stacks mix variants and seeds in both prompt modes. Then a sweep of full,
+plain-cse, focal and linear-probe with the config
 {"loss": {"cls_loss_weight": 0.0}}, written to the output root as
 lambda0.json: at that blend weight the prompt runs skip the classification
 part, whose constants are then never built, while the linear probe still
-trains on the classification part alone. Last, a sweep of full, bce, coop
-and linear-probe with the config {"train": {"lr0": 1e308}}, written as
-abort.json: every run aborts at epoch 1 with a non-finite loss, so the
-abort messages, the partial run directories and the NumPy warnings on the
-way are compared. Every output file is then compared byte for
+trains on the classification part alone. Last, a sweep of full, plain-cse,
+bce, coop and linear-probe with the config {"train": {"lr0": 1e308}},
+written as abort.json: every run aborts at epoch 1 with a non-finite loss,
+so the abort messages, the partial run directories and the NumPy warnings
+on the way are compared, and full and plain-cse, which a sweep trains as one
+stack, fall back to training alone. Every output file is then compared byte for
 byte, except run.json, which is compared without its wall_seconds; for a
 differing .npz archive, the members that differ are named. Exit
 codes, stdout and stderr are compared with the output root, the train
@@ -122,6 +125,11 @@ COMMANDS = (
         "--variant",
         "linear-probe",
     ),
+    # stacks of several variants and seeds, class-specific and shared
+    ("sweep", "--data", "edge.npz", "--out", "edge-stacks", "--seeds", "1,2,3")
+    + tuple(
+        arg for name in ("full", "plain-cse", "no-reweight", "coop") for arg in ("--variant", name)
+    ),
     # blend weight 0: the prompt runs train on the embedding part alone
     (
         "sweep",
@@ -139,7 +147,11 @@ COMMANDS = (
     ),
     # a step size at which every run aborts in its first epoch
     ("sweep", "--config", "abort.json", "--data", "data.npz", "--out", "abort-sweep", "--seeds", "1")
-    + tuple(arg for name in ("full", "bce", "coop", "linear-probe") for arg in ("--variant", name)),
+    + tuple(
+        arg
+        for name in ("full", "plain-cse", "bce", "coop", "linear-probe")
+        for arg in ("--variant", name)
+    ),
 )
 
 CONFIGS = {
