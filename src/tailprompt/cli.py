@@ -281,13 +281,14 @@ def _usable_cores() -> int:
 
 
 def _shares(jobs: list, workers: int, key) -> list[list[list]]:
-    """Split jobs into workers fixed shares of chunks, where key(job) is a
-    job's stacking key (None: the job trains alone).
+    """Split jobs into at most workers fixed shares of chunks, where
+    key(job) is a job's stacking key (None: the job trains alone).
 
     Jobs with an equal key form a group, in job order. Each group is cut
     into chunks of at most ceil(len(jobs) / workers) jobs, and each chunk,
     in the order of its first job, goes to the share that holds the fewest
-    jobs so far (the lowest index on a tie).
+    jobs so far (the lowest index on a tie). Fewer chunks than workers
+    leave shares empty, and those are dropped.
     """
     groups: dict = {}
     for index, job in enumerate(jobs):
@@ -301,7 +302,7 @@ def _shares(jobs: list, workers: int, key) -> list[list[list]]:
     for chunk in chunks:
         share = min(shares, key=lambda share: sum(map(len, share)))
         share.append([jobs[i] for i in chunk])
-    return shares
+    return [share for share in shares if share]
 
 
 def _stacked_records(dataset, configs: list):
@@ -395,11 +396,11 @@ def cmd_sweep(args) -> int:
     """Train every (variant, seed) run, write its run directory and sweep.csv.
 
     Runs whose configs share a train.stack_key train as one stack, and the
-    runs are split over min(runs, usable cores) processes by a fixed rule
-    (_shares). Each run is seeded on its own and keeps its bits in a stack,
-    so every output byte is the same as in a serial sweep. The per-run lines
-    are printed in order once all runs have finished, each run's warnings
-    just before its line.
+    runs are split by a fixed rule (_shares) into at most min(runs, usable
+    cores) shares, one process each. Each run is seeded on its own and keeps
+    its bits in a stack, so every output byte is the same as in a serial
+    sweep. The per-run lines are printed in order once all runs have
+    finished, each run's warnings just before its line.
     """
     config = _load_or_default_config(args.config)
     variants = args.variant or []

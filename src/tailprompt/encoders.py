@@ -143,15 +143,18 @@ class PromptStack:
     """The contexts of S prompt sets that share their class tokens, mode and
     shape, on a leading run axis: (S, C or 1, M, d_token). Build it with
     PromptStack.of, which rebinds each set's contexts to its slice, so an
-    update of the stack is an update of every set."""
+    update of the stack is an update of every set. Of one set, of returns
+    that set as it is."""
 
     contexts: np.ndarray
     class_tokens: np.ndarray
     mode: str
 
     @staticmethod
-    def of(prompt_sets) -> "PromptStack":
+    def of(prompt_sets) -> "PromptStack | PromptSet":
         first = prompt_sets[0]
+        if len(prompt_sets) == 1:
+            return first
         contexts = np.stack([p.contexts for p in prompt_sets])
         for prompts, view in zip(prompt_sets, contexts):
             prompts.contexts = view

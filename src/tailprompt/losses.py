@@ -8,12 +8,12 @@ only into prompt contexts; everything else is frozen.
 
 All class statistics (weights, margins, rebalance factors, logit biases) are
 computed from full-training-split counts, never from batch counts. One
-Objective per (ClassStats, LossConfig) pair resolves them, each part's on
-first use, and serves the whole run (see loss_objective). Reductions sum
-over classes first, then average over samples in index order, so values are
-bit-stable. A value-only pass over a whole split does its elementwise work
-in row blocks and gives the same bits as one whole-array pass (see
-_mean_of_terms).
+Objective per ClassStats and LossConfig, or per ClassStats and a stack's
+LossConfigs, resolves them, each part's on first use, and serves the whole
+run (see loss_objective). Reductions sum over classes first, then average
+over samples in index order, so values are bit-stable. A value-only pass
+over a whole split does its elementwise work in row blocks and gives the
+same bits as one whole-array pass (see _mean_of_terms).
 
 Each part's value is also reachable from a score matrix the caller already
 holds (Objective.classification on class_scores, Objective.embedding on
@@ -23,10 +23,11 @@ can share each (N, C) product with the ranking and the alignment diagnostic.
 objective_core is the one evaluation of the blended objective and its
 gradient w.r.t. the prompt embeddings. total_loss is its argument checks
 around that core, and a training step calls the same core on the rows it
-gathers. Runs that train as one stack (see loss_stack_key) call it once for
-all of them, with an ObjectiveStack and a leading run axis on the
-embeddings, the scores and the distances; the kernels and the core read
-their last two axes, so each run's slice has the bits of its own 2-d call.
+gathers. Runs that train as one stack (see train.stack_key) call it once
+for all of them, with the Objective of their configs and a leading run axis
+on the embeddings, the scores and the distances; the kernels and the core
+read their last two axes, so each run's slice has the bits of its own 2-d
+call.
 """
 
 from __future__ import annotations
@@ -192,12 +193,12 @@ def db_bias(counts, num_samples: int, kappa: float) -> np.ndarray:
 
 
 def _per_entry(row: np.ndarray, shape: tuple) -> np.ndarray:
-    """row[c] at every (b, c) of shape, or a stack's (S, 1, C) rows at every
-    (s, b, c), as a zero-copy view of the contiguous row (the rebalance rows
-    of Objective.cls_constants and ObjectiveStack.cls_constants are). It is
-    what np.broadcast_to(row, shape) returns, without that call's iterator
-    set-up, which costs more than the gathers from it at small batch sizes."""
-    strides = (0, row.itemsize) if row.ndim == 1 else (row.strides[0], 0, row.itemsize)
+    """row[c] at every (b, c) of shape, or at every (s, b, c) of a stack's,
+    as a zero-copy view of the contiguous row (the rebalance row of
+    Objective.cls_constants is). It is what np.broadcast_to(row, shape)
+    returns, without that call's iterator set-up, which costs more than the
+    gathers from it at small batch sizes."""
+    strides = (0,) * (len(shape) - 1) + (row.itemsize,)
     return np.ndarray(shape, row.dtype, row, 0, strides)
 
 
@@ -293,15 +294,18 @@ def _cls_parts(
 def _mean_of_terms(
     part, scores: np.ndarray, labels: np.ndarray, constants: tuple, need_grad: bool
 ):
-    """(value, gradient) of one part of the objective on (B, C) scores.
+    """([value], gradient) of one part of the objective on (B, C) scores,
+    or (each run's value, gradient) on a stack's (S, B, C) scores.
 
     part(scores, labels, *constants, need_grad) returns the terms its value
     averages, (B,) per-sample sums or (B, C) entries, and its gradient. A
-    value-only call on more rows than fit in one block runs part on each row
-    block of the scores (data_model.row_blocks) and keeps only those terms,
-    in one row-major buffer. The one sum then adds the same numbers in the
-    same order as on the whole array, so the value is bit-identical, while
-    every other (B, C) temporary lives for one block.
+    run's value is one sum over its contiguous terms, so a run in a stack
+    gets the bits of its own call. A value-only call on more rows than fit
+    in one block runs part on each row block of the scores
+    (data_model.row_blocks) and keeps only those terms, in one row-major
+    buffer. The one sum then adds the same numbers in the same order as on
+    the whole array, so the value is bit-identical, while every other (B, C)
+    temporary lives for one block.
 
     The scores themselves come in whole: with some BLAS kernels, a row block
     of a matrix product computed alone has other bits than the same rows of
@@ -309,14 +313,16 @@ def _mean_of_terms(
     """
     if need_grad or scores.shape[0] <= block_rows(scores.shape[1]):
         terms, gradient = part(scores, labels, *constants, need_grad)
-        return float(terms.sum() / terms.size), gradient
+        if scores.ndim == 2:
+            return [float(terms.sum() / terms.size)], gradient
+        return [float(run.sum() / run.size) for run in terms], gradient
     terms = None
     for rows in row_blocks(*scores.shape):
         block, _ = part(scores[rows], labels[rows], *constants, False)
         if terms is None:
             terms = np.empty((scores.shape[0], *block.shape[1:]))
         terms[rows] = block
-    return float(terms.sum() / terms.size), None
+    return [float(terms.sum() / terms.size)], None
 
 
 def cls_loss_on_logits(
@@ -338,38 +344,50 @@ def cls_loss_on_logits(
             f"logits {z.shape}, labels {np.shape(labels)} and stats of "
             f"{stats.num_classes} classes disagree"
         )
-    value, grad_z = loss_objective(stats, config).classification(z, labels, need_grad)
+    (value,), grad_z = loss_objective(stats, config).classification(z, labels, need_grad)
     return LossReport(total=value, cls_part=value, cse_part=0.0, gradient=grad_z)
 
 
 def check_classes(batch: Batch, prompts: PromptSet, stats: ClassStats) -> None:
     """Raise ConfigError unless batch, prompts and stats count the same classes."""
-    sizes = {"batch": batch.num_classes, "prompts": prompts.num_classes, "stats": stats.num_classes}
-    if len(set(sizes.values())) > 1:
+    if not batch.num_classes == prompts.num_classes == stats.num_classes:
+        sizes = dict(batch=batch.num_classes, prompts=prompts.num_classes, stats=stats.num_classes)
         raise ConfigError(f"class counts disagree: {sizes}")
 
 
 class Objective:
-    """The blended objective of one (ClassStats, LossConfig): the blend
-    weight lam, whether the blend computes its classification part
-    (compute_cls) and its embedding part (compute_cse), and each part's
-    per-class constants as the kernels take them. At the endpoints of lam
-    the disabled part is skipped entirely, so the total reproduces the pure
-    loss bit-exactly.
+    """The blended objective of one run's (ClassStats, LossConfig), or of
+    the S runs of a stack, whose LossConfigs differ at most in
+    use_class_aware_margin and use_reweighting (see train.stack_key). It
+    holds the blend weight lam, whether the blend computes its
+    classification part (compute_cls) and its embedding part (compute_cse),
+    and each part's per-class constants as the kernels take them. At the
+    endpoints of lam the disabled part is skipped entirely, so the total
+    reproduces the pure loss bit-exactly.
 
-    The constants depend only on the full-split counts and the config, both
+    The runs share lam and the classification constants. Only the embedding
+    constants differ by run: with S > 1 they are each run's (S, 1, C) rows,
+    for arrays with a leading run axis, (S, C, d) embeddings and (S, B, C)
+    scores and distances. Each of them multiplies or adds entry by entry, so
+    each run's slice keeps the bits of its own Objective. Part values and
+    the blend are lists of each run's float.
+
+    The constants depend only on the full-split counts and the configs, all
     frozen. A part's are built, and the counts validated, at its first
     evaluation and reused after it: a part that is never evaluated reads no
     counts, and a build that raises keeps nothing and raises again at the
     next evaluation. See loss_objective.
     """
 
-    def __init__(self, counts: np.ndarray, num_samples: int, config: LossConfig):
+    def __init__(self, counts: np.ndarray, num_samples: int, configs: tuple):
         self._counts = counts
         self._num_samples = num_samples
-        self._config = config
+        self._configs = configs
+        config = configs[0]
         self.lam = config.cls_loss_weight
-        *_, self.compute_cls, self.compute_cse = loss_stack_key(config)
+        self.compute_cls = self.lam > 0.0
+        self.compute_cse = config.use_embedding_loss and self.lam < 1.0
+        self.skipped = (0.0,) * len(configs)  # the values of a part the blend skips
 
     @cached_property
     def cls_constants(self) -> tuple:
@@ -378,7 +396,7 @@ class Objective:
         zeta): db's, from the counts, or focal's r = 1, v = 0 and zeta = 1;
         bce has none. Only db's reads the counts. r is a contiguous row, as
         _per_entry needs."""
-        cfg, counts = self._config, self._counts
+        cfg, counts = self._configs[0], self._counts
         kind = cfg.cls_loss_kind
         focal_form = None
         if kind == "focal":
@@ -392,115 +410,51 @@ class Objective:
     def cse_constants(self) -> tuple:
         """(weights, margins) of the embedding loss. When re-weighting or the
         class-aware margin is off, a float stands for the same value in every
-        class; it broadcasts to the same numbers a full vector would."""
-        cfg, counts = self._config, self._counts
-        weights = class_weights(counts, cfg.gamma_rw) if cfg.use_reweighting else 1.0
-        margins = class_margins(counts, cfg.eta) if cfg.use_class_aware_margin else cfg.mu_base
+        class; it broadcasts to the same numbers a full vector would. With
+        S > 1 each is the runs' (S, 1, C) rows of a contiguous array."""
+        counts = self._counts
+        runs = [
+            (
+                class_weights(counts, cfg.gamma_rw) if cfg.use_reweighting else 1.0,
+                class_margins(counts, cfg.eta) if cfg.use_class_aware_margin else cfg.mu_base,
+            )
+            for cfg in self._configs
+        ]
+        if len(runs) == 1:
+            return runs[0]
+        weights, margins = (np.empty((len(runs), 1, len(counts))) for _ in range(2))
+        for run, (run_weights, run_margins) in enumerate(runs):
+            weights[run], margins[run] = run_weights, run_margins
         return weights, margins
 
     def classification(self, scores: np.ndarray, labels: np.ndarray, need_grad: bool):
-        """(value, gradient w.r.t. scores) of the configured classification
-        part on (B, C) scores or logits; a value-only call on a whole split
-        runs in row blocks."""
-        return _mean_of_terms(_cls_parts, scores, labels, self.cls_constants, need_grad)
-
-    def embedding(self, distances: np.ndarray, labels: np.ndarray, need_grad: bool):
-        """(value, d terms / d distances) of the embedding part on (B, C)
-        cosine distances; the derivatives are not divided by B (see
-        objective_core)."""
-        return _mean_of_terms(_cse_parts, distances, labels, self.cse_constants, need_grad)
-
-    def blend(self, cls_value: float, cse_value: float) -> float:
-        """lam * cls_value + (1 - lam) * cse_value; a part the blend skips
-        enters as 0.0."""
-        return self.lam * cls_value + (1.0 - self.lam) * cse_value
-
-
-def loss_objective(stats: ClassStats, config: LossConfig) -> Objective:
-    """The Objective of (stats, config), kept on stats and keyed by config."""
-    return stats.derived(config, lambda: Objective(stats.counts, stats.num_samples, config))
-
-
-def loss_stack_key(config: LossConfig) -> tuple:
-    """What the LossConfigs of runs trained as one stack share: the
-    classification kind, gamma_focal and db_zeta, which the kernels take as
-    scalars, and the parts the blend computes, (compute_cls, compute_cse).
-    Every other field enters a stack as a per-run row (see ObjectiveStack)."""
-    lam = config.cls_loss_weight
-    parts = (lam > 0.0, config.use_embedding_loss and lam < 1.0)
-    return (config.cls_loss_kind, config.gamma_focal, config.db_zeta, *parts)
-
-
-def _run_rows(values, num_classes: int) -> np.ndarray:
-    """Each run's per-class constant, a (C,) vector or one float for every
-    class, as the (S, 1, C) rows of a contiguous array."""
-    rows = [np.broadcast_to(np.asarray(v, dtype=np.float64), (num_classes,)) for v in values]
-    return np.stack(rows).reshape(len(rows), 1, num_classes)
-
-
-def _run_means(terms: np.ndarray) -> np.ndarray:
-    """Each run's mean of a stack's terms, (S, B) or (S, B, C): one sum per
-    run over its contiguous terms, with the bits of that run's own sum."""
-    return terms.reshape(len(terms), -1).sum(axis=1) / terms[0].size
-
-
-class ObjectiveStack:
-    """The Objectives of S runs that train as one stack, for objective_core
-    on arrays with a leading run axis: (S, C, d) embeddings, (S, B, C)
-    scores and distances, and (B, .) or (S, B, .) rows. The runs agree on
-    loss_stack_key; lam enters as an (S, 1, 1) scalar and every per-class
-    constant as a run's (S, 1, C) row. Each of them multiplies or adds entry
-    by entry, so each run's slice keeps the bits of its own Objective. The
-    part values and the blend are (S,) arrays.
-    """
-
-    def __init__(self, objectives):
-        self.objectives = tuple(objectives)
-        first = self.objectives[0]
-        self.compute_cls, self.compute_cse = first.compute_cls, first.compute_cse
-        self._lams = np.array([o.lam for o in self.objectives])
-        self.lam = self._lams.reshape(-1, 1, 1)
-        self._num_classes = len(first._counts)
-
-    @cached_property
-    def cls_constants(self) -> tuple:
-        """Objective.cls_constants with each run's rebalance and bias as
-        (S, 1, C) rows."""
-        constants = [o.cls_constants for o in self.objectives]
-        kind, focal_form, gamma = constants[0]
-        if focal_form is not None:
-            forms = [c[1] for c in constants]
-            rebal = _run_rows([form[0] for form in forms], self._num_classes)
-            bias = _run_rows([form[1] for form in forms], self._num_classes)
-            focal_form = rebal, bias, focal_form[2]
-        return kind, focal_form, gamma
-
-    @cached_property
-    def cse_constants(self) -> tuple:
-        """Objective.cse_constants as (S, 1, C) rows: (weights, margins)."""
-        weights, margins = zip(*(o.cse_constants for o in self.objectives))
-        return _run_rows(weights, self._num_classes), _run_rows(margins, self._num_classes)
-
-    def classification(self, scores: np.ndarray, labels: np.ndarray, need_grad: bool):
-        """(each run's value, gradient w.r.t. scores) of the classification
-        part on (S, B, C) scores."""
-        if labels.ndim == 2:
+        """(each run's value, gradient w.r.t. scores) of the configured
+        classification part on (B, C) scores or logits, or a stack's (S, B,
+        C) scores; a value-only call on a whole split runs in row blocks."""
+        if labels.ndim < scores.ndim:
             # the kernels gather by a scores-shaped mask: a copy per run of
             # shared labels, which gathers faster than a broadcast view
             shared, labels = labels, np.empty(scores.shape, labels.dtype)
             labels[...] = shared
-        terms, gradient = _cls_parts(scores, labels, *self.cls_constants, need_grad)
-        return _run_means(terms), gradient
+        return _mean_of_terms(_cls_parts, scores, labels, self.cls_constants, need_grad)
 
     def embedding(self, distances: np.ndarray, labels: np.ndarray, need_grad: bool):
-        """(each run's value, d terms / d distances) of the embedding part
-        on (S, B, C) cosine distances."""
-        terms, coef = _cse_parts(distances, labels, *self.cse_constants, need_grad)
-        return _run_means(terms), coef
+        """(each run's value, d terms / d distances) of the embedding part on
+        (B, C) or a stack's (S, B, C) cosine distances; the derivatives are
+        not divided by B (see objective_core)."""
+        return _mean_of_terms(_cse_parts, distances, labels, self.cse_constants, need_grad)
 
-    def blend(self, cls_value, cse_value) -> np.ndarray:
-        """Each run's lam * cls_value + (1 - lam) * cse_value."""
-        return self._lams * cls_value + (1.0 - self._lams) * cse_value
+    def blend(self, cls_values: list, cse_values: list) -> list:
+        """Each run's lam * cls_value + (1 - lam) * cse_value; a part the
+        blend skips enters as 0.0 (skipped)."""
+        lam = self.lam
+        return [lam * c + (1.0 - lam) * e for c, e in zip(cls_values, cse_values)]
+
+
+def loss_objective(stats: ClassStats, *configs: LossConfig) -> Objective:
+    """The Objective of one run's or one stack's LossConfigs on stats, kept
+    on stats and keyed by the configs."""
+    return stats.derived(configs, lambda: Objective(stats.counts, stats.num_samples, configs))
 
 
 def objective_core(
@@ -514,9 +468,9 @@ def objective_core(
 ):
     """(total, cls value, cse value, gradient w.r.t. embeddings or None) of
     the blended objective on the rows (images, labels, captions), scored
-    against the unit prompt embeddings at temperature tau. With an
-    ObjectiveStack the embeddings are a stack's (S, C, d), the rows are
-    shared (B, .) or per-run (S, B, .), and the values are (S,) arrays.
+    against the unit prompt embeddings at temperature tau; each value holds
+    one float per run. For a stack's Objective the embeddings are (S, C, d)
+    and the rows shared (B, .) or per-run (S, B, .).
 
     The parts the objective skips are not computed; with neither active the
     gradient is zero. A zero-filled array accumulating the parts' gradients
@@ -524,7 +478,7 @@ def objective_core(
     the same in every bit: adding +0.0 changes only a -0.0 into +0.0, and
     neither form can end at -0.0.
     """
-    cls_value = cse_value = 0.0
+    cls_value = cse_value = objective.skipped
     # each (B, C) matrix is passed on unnamed, so it is freed before the next is built
     if objective.compute_cls:
         cls_value, grad_z = objective.classification(
@@ -573,7 +527,7 @@ def total_loss(
         raise ConfigError("temperature must be > 0")
     check_classes(batch, prompts, stats)
     encoding = encode_all(encoder, prompts)
-    total, cls_value, cse_value, gradient = objective_core(
+    (total,), (cls_value,), (cse_value,), gradient = objective_core(
         loss_objective(stats, config),
         batch.images,
         batch.labels,

@@ -7,9 +7,11 @@ statistics are computed once from the full split before epoch 1 and reused
 everywhere. Every random choice flows from explicit seeds, so a (dataset,
 config) pair fully determines every logged number.
 
-Prompt runs whose configs share a stack_key train in lockstep (train_stack):
-one step evaluates all of them on a leading run axis, and each run keeps the
-bits it gets when trained alone. train() is the one-run case of that loop.
+Prompt runs whose configs share a stack_key, and so differ at most in the
+seed and the two ablation switches of the embedding loss, train in lockstep
+(train_stack): one step evaluates all of them on a leading run axis, and each
+run keeps the bits it gets when trained alone. train() is the one-run case of
+that loop.
 """
 
 from __future__ import annotations
@@ -48,12 +50,10 @@ from .losses import (
     LossConfig,
     LossReport,
     Objective,
-    ObjectiveStack,
     check_classes,
     class_scores,
     cosine_distances,
     loss_objective,
-    loss_stack_key,
     mean_positive_delta,
     objective_core,
 )
@@ -210,12 +210,14 @@ def _epoch_batches(order: np.ndarray, batch_size: int):
 
 def stack_key(config: TrainConfig):
     """What the configs of prompt runs trained as one stack on one dataset
-    share: the whole TrainConfig but its seed and loss, and the LossConfig's
-    losses.loss_stack_key. None for the linear probe, which trains alone."""
+    share: the whole TrainConfig but its seed and the LossConfig's
+    use_class_aware_margin and use_reweighting, which only the embedding
+    part's per-class constants read. None for the linear probe, which
+    trains alone."""
     if config.baseline != "none":
         return None
-    shared = dataclasses.replace(config, seed=0, loss=LossConfig())
-    return shared, loss_stack_key(config.loss)
+    loss = dataclasses.replace(config.loss, use_class_aware_margin=True, use_reweighting=True)
+    return dataclasses.replace(config, seed=0, loss=loss)
 
 
 def build_training_state(
@@ -289,7 +291,7 @@ class _PromptHead:
         dataset, labels = self.dataset, self.dataset.labels
         objective = self._objective if with_loss else None
         embeddings = encode_all(self.encoder, self.prompts).embeddings
-        cls_value = cse_value = 0.0
+        cls_value = cse_value = (0.0,)
         scores = class_scores(dataset.images, embeddings, self.config.tau)
         if with_loss and objective.compute_cls:
             cls_value, _ = objective.classification(scores, labels, need_grad=False)
@@ -301,30 +303,27 @@ class _PromptHead:
         delta = mean_positive_delta(distances, labels)
         if not with_loss:
             return None, delta, result
-        total = objective.blend(cls_value, cse_value)
-        return LossReport(total, cls_value, cse_value, None), delta, result
+        (total,) = objective.blend(cls_value, cse_value)
+        return LossReport(total, cls_value[0], cse_value[0], None), delta, result
 
 
 class _PromptStack:
     """The prompt heads of S >= 1 runs that share a stack_key, trained in
     lockstep: they share the split, the stats, the encoder and tau, and
-    each keeps its own contexts, Objective and epoch records.
+    each keeps its own contexts and epoch records.
 
-    With S = 1 the step runs on the run's own PromptSet and Objective, as
-    2-d arrays. With S > 1 the contexts live in one PromptStack, whose slice
-    s each head's PromptSet holds, and the step evaluates one
-    ObjectiveStack on arrays with a leading run axis.
+    The step evaluates the one Objective of the runs' LossConfigs on the
+    prompts of PromptStack.of: a lone run's own PromptSet, whose 2-d arrays
+    it steps on, or one PromptStack, whose slice s each head's PromptSet
+    holds, with a leading run axis on every array.
     """
 
     def __init__(self, heads: list[_PromptHead]):
         self.heads = heads
         first = heads[0]
         self.dataset, self.encoder, self.tau = first.dataset, first.encoder, first.config.tau
-        if len(heads) == 1:
-            self.prompts, self.objective = first.prompts, first._objective
-        else:
-            self.prompts = PromptStack.of([head.prompts for head in heads])
-            self.objective = ObjectiveStack([head._objective for head in heads])
+        self.prompts = PromptStack.of([head.prompts for head in heads])
+        self.objective = loss_objective(first.stats, *(head.config.loss for head in heads))
 
     def step(self, rows: np.ndarray, lr: float) -> list[tuple]:
         """One SGD step of every run on the split's rows: one shared index
@@ -343,7 +342,7 @@ class _PromptStack:
         """
         data = self.dataset
         encoding = encode_all(self.encoder, self.prompts)
-        values = objective_core(
+        total, cls_value, cse_value, gradient = objective_core(
             self.objective,
             data.images[rows],
             data.labels[rows],
@@ -352,15 +351,10 @@ class _PromptStack:
             self.tau,
             True,
         )
-        gradient = encode_backward(self.encoder, self.prompts, encoding, values[3])
-        runs = len(self.heads)
-        if runs == 1:
-            per_run = [values[:3]]
-        else:  # a part the blend skips is one 0.0 for every run
-            per_run = list(zip(*(v.tolist() if np.ndim(v) else [v] * runs for v in values[:3])))
-        if all(math.isfinite(total) for total, _, _ in per_run):
+        gradient = encode_backward(self.encoder, self.prompts, encoding, gradient)
+        if all(map(math.isfinite, total)):
             sgd_step(self.prompts.contexts, gradient, lr)
-        return per_run
+        return list(zip(total, cls_value, cse_value))
 
 
 class _ProbeHead:
@@ -410,7 +404,7 @@ class _ProbeHead:
         classification part alone, then sgd_step on the weights and on the
         bias. A loss that is not finite leaves both untouched."""
         images = self.dataset.images[indices]
-        value, grad_z = self._objective.classification(
+        (value,), grad_z = self._objective.classification(
             self.scores(images), self.dataset.labels[indices], True
         )
         gradients = (grad_z.T @ images / self.config.tau, grad_z.sum(axis=0))
@@ -429,7 +423,7 @@ class _ProbeHead:
         z = self.scores(self.dataset.images)
         report = None
         if with_loss:
-            value, _ = self._objective.classification(z, self.dataset.labels, need_grad=False)
+            (value,), _ = self._objective.classification(z, self.dataset.labels, need_grad=False)
             report = LossReport(value, value, 0.0, None)
         return report, None, evaluate(z, self.dataset.labels, self.stats)
 

@@ -396,10 +396,10 @@ def total_loss_accumulated(batch, prompts, encoder, stats, config, tau: float = 
     cls_value = cse_value = 0.0
     if objective.compute_cls:
         scores = class_scores(batch.images, encoding.embeddings, tau)
-        cls_value, grad_z = objective.classification(scores, batch.labels, True)
+        (cls_value,), grad_z = objective.classification(scores, batch.labels, True)
     if objective.compute_cse:
         distances = cosine_distances(batch.captions, encoding.embeddings)
-        cse_value, coef = objective.embedding(distances, batch.labels, True)
+        (cse_value,), coef = objective.embedding(distances, batch.labels, True)
     lam = config.cls_loss_weight
     grad_embeddings = np.zeros_like(encoding.embeddings)
     if objective.compute_cls:

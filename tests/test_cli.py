@@ -569,9 +569,9 @@ class TestSweepWorkers:
         assert parallel == serial
         assert _sweep_outputs(tmp_path / "three") == _sweep_outputs(tmp_path / "one")
         assert len(_sweep_outputs(tmp_path / "one")) == 1 + 4 * 4
-        assert pools == [2]
-        # each variant's seeds stack; this process trained full's stack, a
-        # worker bce's, and the third share is empty
+        assert pools == [1]
+        # each variant's seeds stack; this process trained full's stack and
+        # the one worker bce's: no worker is forked for the empty third share
         assert here == [[("db", 1), ("db", 2)]]
 
     def test_shares_chunk_groups_onto_the_least_loaded_share(self):

@@ -48,17 +48,17 @@ def _config(**overrides):
 def _patch_head_loss(monkeypatch, baseline, corrupt):
     """Pass every loss the head's training evaluates through
     corrupt(report, need_grad), at the seam its step calls: the train
-    module's objective_core for prompts (its total, parts and gradient
-    w.r.t. the prompt embeddings, as a LossReport), Objective.classification
-    for the linear probe (its value as total and cls part, and its gradient
-    w.r.t. the logits)."""
+    module's objective_core for prompts (the one run's total, parts and
+    gradient w.r.t. the prompt embeddings, as a LossReport),
+    Objective.classification for the linear probe (its value as total and
+    cls part, and its gradient w.r.t. the logits)."""
     if baseline != "none":
         real = Objective.classification
 
         def classification(objective, scores, labels, need_grad):
-            value, gradient = real(objective, scores, labels, need_grad)
+            (value,), gradient = real(objective, scores, labels, need_grad)
             report = corrupt(LossReport(value, value, 0.0, gradient), need_grad)
-            return report.total, report.gradient
+            return [report.total], report.gradient
 
         monkeypatch.setattr(Objective, "classification", classification)
         return
@@ -67,8 +67,9 @@ def _patch_head_loss(monkeypatch, baseline, corrupt):
 
     def wrapped(*args, **kwargs):
         need_grad = signature.bind(*args, **kwargs).arguments["need_grad"]
-        report = corrupt(LossReport(*real(*args, **kwargs)), need_grad)
-        return report.total, report.cls_part, report.cse_part, report.gradient
+        (total,), (cls_value,), (cse_value,), gradient = real(*args, **kwargs)
+        report = corrupt(LossReport(total, cls_value, cse_value, gradient), need_grad)
+        return [report.total], [report.cls_part], [report.cse_part], report.gradient
 
     monkeypatch.setattr(train_mod, "objective_core", wrapped)
 
@@ -467,19 +468,23 @@ class TestStepBitIdentity:
 
     @pytest.mark.parametrize("baseline", BASELINES)
     def test_each_head_builds_its_objective_once(self, monkeypatch, baseline):
-        """The epoch-0 record and every step of a run share one Objective."""
-        calls = []
+        """The epoch-0 record and every step of a run share one Objective,
+        looked up before the first step: by the head, and for a prompt run
+        once more by its stack of one."""
+        calls, objectives = [], []
         real = train_mod.loss_objective
 
-        def counting(stats, config):
-            calls.append(config)
-            return real(stats, config)
+        def counting(stats, *configs):
+            calls.append(configs)
+            objectives.append(real(stats, *configs))
+            return objectives[-1]
 
         monkeypatch.setattr(train_mod, "loss_objective", counting)
         config = _config(baseline=baseline)
         record = train(_dataset(), config)
         assert not record.failed and record.epochs_completed == config.epochs
-        assert calls == [config.loss]
+        assert calls == [(config.loss,)] * (2 if baseline == "none" else 1)
+        assert all(objective is objectives[0] for objective in objectives)
 
 
 def _ablations(**loss):
@@ -511,18 +516,19 @@ class TestTrainStack:
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("kind", ["db", "bce", "focal"])
     def test_ablations_and_seeds_in_one_stack(self, kind, lam):
-        losses = _ablations(cls_loss_kind=kind, cls_loss_weight=lam)
-        losses.append(LossConfig(cls_loss_kind=kind, cls_loss_weight=lam, eta=2.0, db_kappa=0.2))
-        losses.append(LossConfig(cls_loss_kind=kind, cls_loss_weight=lam, db_alpha=0.3, mu_base=0.4))
+        # full and plain-cse at two seeds each, no-margin and no-reweight at one
+        losses = _ablations(cls_loss_kind=kind, cls_loss_weight=lam) * 2
         configs = [
             _config(lr0=2.0, tau=0.5, seed=seed, loss=loss)
-            for seed, loss in zip((1, 1, 2, 3, 1, 2), losses)
+            for seed, loss in zip((1, 1, 2, 3, 2, 3), losses)
         ]
         assert len({train_mod.stack_key(c) for c in configs}) == 1
         self._assert_each_run_as_alone(_dataset(), configs)
 
-    def test_blend_weights_differ_within_a_stack(self):
-        configs = [_config(lr0=2.0, seed=2, loss=LossConfig(cls_loss_weight=w)) for w in (0.5, 0.2)]
+    def test_runs_of_one_seed_share_their_rows(self):
+        """Runs that share a seed gather one batch of rows for the stack, as
+        the ablation switches of one sweep seed do."""
+        configs = [_config(lr0=2.0, seed=4, loss=loss) for loss in _ablations()]
         self._assert_each_run_as_alone(_dataset(), configs)
 
     def test_shared_mode(self):
@@ -567,16 +573,49 @@ class TestTrainStack:
             {"seed": 4, "baseline": "linear_probe"},
             {"loss": LossConfig(cls_loss_kind="bce")},
             {"loss": LossConfig(cls_loss_weight=1.0)},
+            {"loss": LossConfig(cls_loss_weight=0.2)},
             {"loss": LossConfig(gamma_focal=1.0)},
+            {"loss": LossConfig(eta=2.0)},
+            {"loss": LossConfig(db_kappa=0.2)},
+            {"loss": LossConfig(db_alpha=0.3)},
+            {"loss": LossConfig(mu_base=0.4, use_class_aware_margin=False)},
             {"prompt": PromptSpec(num_context_tokens=2)},
         ],
-        ids=["lr0", "probe", "kind", "parts", "gamma", "prompt"],
+        ids=[
+            "lr0",
+            "probe",
+            "kind",
+            "parts",
+            "blend",
+            "gamma",
+            "eta",
+            "db_kappa",
+            "db_alpha",
+            "mu_base",
+            "prompt",
+        ],
     )
     def test_configs_that_do_not_stack_are_refused(self, change):
         configs = [_config(), dataclasses.replace(_config(), **change)]
         assert train_mod.stack_key(configs[0]) != train_mod.stack_key(configs[1])
         with pytest.raises(ConfigError, match="stack_key"):
             train_mod.train_stack(_dataset(), configs)
+
+    @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(LossConfig)])
+    def test_every_loss_field_but_the_two_switches_splits_a_stack(self, name):
+        """Runs stack when their LossConfigs differ at most in
+        use_class_aware_margin and use_reweighting, whatever their seeds."""
+        default = getattr(LossConfig(), name)
+        if isinstance(default, bool):
+            other = not default
+        elif name == "cls_loss_kind":
+            other = "bce"
+        else:
+            other = default / 2
+        config = _config()
+        changed = _config(seed=7, loss=LossConfig(**{name: other}))
+        same = name in ("use_class_aware_margin", "use_reweighting")
+        assert (train_mod.stack_key(changed) == train_mod.stack_key(config)) == same
 
     def test_a_probe_trains_alone(self):
         assert train_mod.stack_key(_config(baseline="linear_probe")) is None

@@ -19,14 +19,18 @@ plain-cse, focal and linear-probe with the config
 {"loss": {"cls_loss_weight": 0.0}}, written to the output root as
 lambda0.json: at that blend weight the prompt runs skip the classification
 part, whose constants are then never built, while the linear probe still
-trains on the classification part alone. Last, a sweep of full, plain-cse,
+trains on the classification part alone. Then a sweep of full, no-cse and
+no-margin with the config {"loss": {"cls_loss_weight": 1.0}}, written as
+lambda1.json: at that blend weight all three compute the classification
+part alone, and no-cse, whose embedding loss is switched off, trains apart
+from the stack of full and no-margin. Last, a sweep of full, plain-cse,
 bce, coop and linear-probe with the config {"train": {"lr0": 1e308}},
 written as abort.json: every run aborts at epoch 1 with a non-finite loss,
 so the abort messages, the partial run directories and the NumPy warnings
-on the way are compared, and full and plain-cse, which a sweep trains as one
-stack, fall back to training alone. Every output file is then compared byte for
-byte, except run.json, which is compared without its wall_seconds; for a
-differing .npz archive, the members that differ are named. Exit
+on the way are compared, and full and plain-cse, which a sweep trains as
+one stack, fall back to training alone. Every output file is then compared
+byte for byte, except run.json, which is compared without its wall_seconds;
+for a differing .npz archive, the members that differ are named. Exit
 codes, stdout and stderr are compared with the output root, the train
 wall time and each warning's path:line: location masked; a warning's
 category, message and source line are kept. Prints each difference and
@@ -145,6 +149,19 @@ COMMANDS = (
     + tuple(
         arg for name in ("full", "plain-cse", "focal", "linear-probe") for arg in ("--variant", name)
     ),
+    # blend weight 1: every run trains on the classification part alone
+    (
+        "sweep",
+        "--config",
+        "lambda1.json",
+        "--data",
+        "data.npz",
+        "--out",
+        "lambda1-sweep",
+        "--seeds",
+        "1",
+    )
+    + tuple(arg for name in ("full", "no-cse", "no-margin") for arg in ("--variant", name)),
     # a step size at which every run aborts in its first epoch
     ("sweep", "--config", "abort.json", "--data", "data.npz", "--out", "abort-sweep", "--seeds", "1")
     + tuple(
@@ -156,6 +173,7 @@ COMMANDS = (
 
 CONFIGS = {
     "lambda0.json": '{"loss": {"cls_loss_weight": 0.0}}\n',
+    "lambda1.json": '{"loss": {"cls_loss_weight": 1.0}}\n',
     "abort.json": '{"train": {"lr0": 1e308}}\n',
 }
 
