@@ -228,7 +228,7 @@ def cmd_eval(args) -> int:
         _refuse_existing_file(Path(args.out), args.force)
     dataset = _resolve_dataset(args, config)
     head = checkpoint_from_dict(read_json(args.ckpt, "checkpoint"), dataset, config.train)
-    lines = head.evaluate().maps()
+    lines = head.evaluate(dataset).maps()
     for key, value in lines.items():
         print(f"{key} {_fmt(value)}")
     if args.out is not None:

@@ -3,9 +3,11 @@
 One loop trains either head: the prompt contexts, or the weights and bias of
 the linear-probe reference. Only those receive updates; the text projection,
 class tokens, and all dataset embeddings are frozen bit-for-bit. Class
-statistics are computed once from the full split before epoch 1 and reused
-everywhere. Every random choice flows from explicit seeds, so a (dataset,
-config) pair fully determines every logged number.
+statistics are computed once from the full training split before epoch 1 and
+reused everywhere: a head holds its parameters and those statistics, and
+scores any split it is given under the training split's class groups. Every
+random choice flows from explicit seeds, so a (dataset, config) pair fully
+determines every logged number.
 
 Prompt runs whose configs share a stack_key, and so differ at most in the
 seed and the two ablation switches of the embedding loss, train in lockstep
@@ -248,56 +250,46 @@ def _initial_prompts(dataset: MultiLabelDataset, config: TrainConfig) -> PromptS
 
 class _PromptHead:
     """Prompt contexts scored through the frozen text encoder under the
-    blended objective, on one split."""
+    blended objective, grouped by the training split's stats."""
 
     def __init__(
-        self,
-        dataset: MultiLabelDataset,
-        prompts: PromptSet,
-        encoder: FrozenTextEncoder,
-        stats: ClassStats,
-        config: TrainConfig,
+        self, prompts: PromptSet, encoder: FrozenTextEncoder, stats: ClassStats, config: TrainConfig
     ):
-        self.dataset = dataset
         self.prompts = prompts
         self.encoder = encoder
         self.stats = stats
         self.config = config
         self.record_fields = {"prompts": prompts, "encoder": encoder}
 
-    @cached_property
-    def _objective(self) -> Objective:
-        """The run's Objective, built for the epoch-0 record and kept for
-        every step. The split, the prompts and the stats are checked to
-        agree on the classes here, once a run."""
-        check_classes(self.dataset, self.prompts, self.stats)
-        return loss_objective(self.stats, self.config.loss)
-
-    def evaluate(self) -> EvalResult:
+    def evaluate(self, split: MultiLabelDataset) -> EvalResult:
         embeddings = encode_all(self.encoder, self.prompts).embeddings
-        scores = class_scores(self.dataset.images, embeddings, self.config.tau)
-        return evaluate(scores, self.dataset.labels, self.stats)
+        scores = class_scores(split.images, embeddings, self.config.tau)
+        return evaluate(scores, split.labels, self.stats)
 
-    def measure(self, with_loss: bool = False):
+    def measure(self, split: MultiLabelDataset, with_loss: bool = False):
         """(LossReport or None, mean positive delta, EvalResult) for an epoch
-        record, from one encoding of the prompts.
+        record of split, from one encoding of the prompts.
 
         Each (N, C) matrix is built once, serves both of its readers and is
         freed before the next is built: the scores give the classification
         part's value and the ranking, the distances the embedding part's
         value and the alignment diagnostic. The report, asked for at epoch 0,
-        has the bits of total_loss(dataset, need_grad=False).
+        has the bits of total_loss(split, need_grad=False); the split, the
+        prompts and the stats are checked to agree on the classes then, once
+        a run.
         """
-        dataset, labels = self.dataset, self.dataset.labels
-        objective = self._objective if with_loss else None
+        labels = split.labels
+        if with_loss:
+            check_classes(split, self.prompts, self.stats)
+            objective = loss_objective(self.stats, self.config.loss)
         embeddings = encode_all(self.encoder, self.prompts).embeddings
         cls_value = cse_value = (0.0,)
-        scores = class_scores(dataset.images, embeddings, self.config.tau)
+        scores = class_scores(split.images, embeddings, self.config.tau)
         if with_loss and objective.compute_cls:
             cls_value, _ = objective.classification(scores, labels, need_grad=False)
         result = evaluate(scores, labels, self.stats)
         del scores
-        distances = cosine_distances(dataset.captions, embeddings)
+        distances = cosine_distances(split.captions, embeddings)
         if with_loss and objective.compute_cse:
             cse_value, _ = objective.embedding(distances, labels, need_grad=False)
         delta = mean_positive_delta(distances, labels)
@@ -309,8 +301,8 @@ class _PromptHead:
 
 class _PromptStack:
     """The prompt heads of S >= 1 runs that share a stack_key, trained in
-    lockstep: they share the split, the stats, the encoder and tau, and
-    each keeps its own contexts and epoch records.
+    lockstep: they share the stats, the encoder and tau, and each keeps its
+    own contexts and epoch records.
 
     The step evaluates the one Objective of the runs' LossConfigs on the
     prompts of PromptStack.of: a lone run's own PromptSet, whose 2-d arrays
@@ -321,15 +313,15 @@ class _PromptStack:
     def __init__(self, heads: list[_PromptHead]):
         self.heads = heads
         first = heads[0]
-        self.dataset, self.encoder, self.tau = first.dataset, first.encoder, first.config.tau
+        self.encoder, self.tau = first.encoder, first.config.tau
         self.prompts = PromptStack.of([head.prompts for head in heads])
         self.objective = loss_objective(first.stats, *(head.config.loss for head in heads))
 
-    def step(self, rows: np.ndarray, lr: float) -> list[tuple]:
-        """One SGD step of every run on the split's rows: one shared index
+    def step(self, split: MultiLabelDataset, rows: np.ndarray, lr: float) -> list[tuple]:
+        """One SGD step of every run on split's rows: one shared index
         vector, or one row of indices per run. Returns each run's (total,
         cls part, cse part) of their loss, the bits of total_loss on
-        dataset.batch of its rows.
+        split.batch of its rows.
 
         The rows are gathered once and scored by objective_core, the core
         that total_loss, and so the pre-training gradcheck, runs.
@@ -340,13 +332,12 @@ class _PromptStack:
         writes, and a loss that is not finite in any run leaves every run's
         contexts untouched, for the loop to abort on.
         """
-        data = self.dataset
         encoding = encode_all(self.encoder, self.prompts)
         total, cls_value, cse_value, gradient = objective_core(
             self.objective,
-            data.images[rows],
-            data.labels[rows],
-            data.captions[rows],
+            split.images[rows],
+            split.labels[rows],
+            split.captions[rows],
             encoding.embeddings,
             self.tau,
             True,
@@ -359,19 +350,13 @@ class _PromptStack:
 
 class _ProbeHead:
     """The linear-probe reference: a C x d linear head (plus bias) on the
-    frozen image embeddings of one split, trained with the configured
-    classification loss alone, whatever the blend weight. No prompts, no
-    embedding loss."""
+    frozen image embeddings, trained with the configured classification loss
+    alone, whatever the blend weight, and grouped by the training split's
+    stats. No prompts, no embedding loss."""
 
     def __init__(
-        self,
-        dataset: MultiLabelDataset,
-        weights: np.ndarray,
-        bias: np.ndarray,
-        stats: ClassStats,
-        config: TrainConfig,
+        self, weights: np.ndarray, bias: np.ndarray, stats: ClassStats, config: TrainConfig
     ):
-        self.dataset = dataset
         self.weights = weights
         self.bias = bias
         self.stats = stats
@@ -398,14 +383,14 @@ class _ProbeHead:
         """The one run a probe trains, as a _PromptStack's heads."""
         return [self]
 
-    def step(self, indices: np.ndarray, lr: float) -> list[tuple]:
-        """One SGD step on the split's rows indices, as _PromptStack's of one
+    def step(self, split: MultiLabelDataset, indices: np.ndarray, lr: float) -> list[tuple]:
+        """One SGD step on split's rows indices, as _PromptStack's of one
         run: [(total, cls part, cse part)] of their loss, which is the
         classification part alone, then sgd_step on the weights and on the
         bias. A loss that is not finite leaves both untouched."""
-        images = self.dataset.images[indices]
+        images = split.images[indices]
         (value,), grad_z = self._objective.classification(
-            self.scores(images), self.dataset.labels[indices], True
+            self.scores(images), split.labels[indices], True
         )
         gradients = (grad_z.T @ images / self.config.tau, grad_z.sum(axis=0))
         if math.isfinite(value):
@@ -413,19 +398,19 @@ class _ProbeHead:
                 sgd_step(params, gradient, lr)
         return [(value, value, 0.0)]
 
-    def evaluate(self) -> EvalResult:
-        return evaluate(self.scores(self.dataset.images), self.dataset.labels, self.stats)
+    def evaluate(self, split: MultiLabelDataset) -> EvalResult:
+        return evaluate(self.scores(split.images), split.labels, self.stats)
 
-    def measure(self, with_loss: bool = False):
-        """(LossReport or None, None, EvalResult) for an epoch record, from
-        one product of the scores; a probe has no prompts to align. The
-        report has the bits of cls_loss_on_logits(need_grad=False)."""
-        z = self.scores(self.dataset.images)
+    def measure(self, split: MultiLabelDataset, with_loss: bool = False):
+        """(LossReport or None, None, EvalResult) for an epoch record of
+        split, from one product of the scores; a probe has no prompts to
+        align. The report has the bits of cls_loss_on_logits(need_grad=False)."""
+        z = self.scores(split.images)
         report = None
         if with_loss:
-            (value,), _ = self._objective.classification(z, self.dataset.labels, need_grad=False)
+            (value,), _ = self._objective.classification(z, split.labels, need_grad=False)
             report = LossReport(value, value, 0.0, None)
-        return report, None, evaluate(z, self.dataset.labels, self.stats)
+        return report, None, evaluate(z, split.labels, self.stats)
 
 
 def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
@@ -449,12 +434,11 @@ def _trainer(dataset: MultiLabelDataset, configs: list[TrainConfig]):
     if key is None:
         stats = ClassStats.from_dataset(dataset, config.head_min, config.tail_max)
         weights = np.zeros((dataset.num_classes, dataset.dim))
-        return _ProbeHead(dataset, weights, np.zeros(dataset.num_classes), stats, config)
+        return _ProbeHead(weights, np.zeros(dataset.num_classes), stats, config)
     stats, encoder, prompts = build_training_state(dataset, config)
-    heads = [_PromptHead(dataset, prompts, encoder, stats, config)]
+    heads = [_PromptHead(prompts, encoder, stats, config)]
     for run_config in configs[1:]:
-        prompts = _initial_prompts(dataset, run_config)
-        heads.append(_PromptHead(dataset, prompts, encoder, stats, run_config))
+        heads.append(_PromptHead(_initial_prompts(dataset, run_config), encoder, stats, run_config))
     return _PromptStack(heads)
 
 
@@ -473,7 +457,7 @@ def train_stack(dataset: MultiLabelDataset, configs: list[TrainConfig]) -> list[
     trainer = _trainer(dataset, configs)
     initial = []
     for head in trainer.heads:
-        report, *measured = head.measure(with_loss=True)
+        report, *measured = head.measure(dataset, with_loss=True)
         losses = (report.total, report.cls_part, report.cse_part)
         initial.append(EpochRecord(0, config.lr0, *losses, *measured))
     seeds = [run_config.seed for run_config in configs]
@@ -493,7 +477,7 @@ def train_stack(dataset: MultiLabelDataset, configs: list[TrainConfig]) -> list[
         try:
             for rows in _epoch_batches(order, config.batch_size):
                 size = rows.shape[-1]
-                for run_sums, values in zip(sums, trainer.step(rows, lr)):
+                for run_sums, values in zip(sums, trainer.step(dataset, rows, lr)):
                     if not math.isfinite(values[0]):
                         raise NumericsError(f"abort run: non-finite loss at epoch {epoch}")
                     for k, value in enumerate(values):
@@ -504,7 +488,7 @@ def train_stack(dataset: MultiLabelDataset, configs: list[TrainConfig]) -> list[
 
         eval_now = epoch % config.eval_every == 0 or epoch == config.epochs
         for head, history, run_sums in zip(trainer.heads, histories, sums):
-            measured = head.measure()[1:] if eval_now else (None, None)
+            measured = head.measure(dataset)[1:] if eval_now else (None, None)
             means = (value / n for value in run_sums)
             history.append(EpochRecord(epoch, lr, *means, *measured))
 
@@ -595,19 +579,25 @@ def checkpoint_to_dict(record: RunRecord) -> dict:
     raise ConfigError("run record holds no trained parameters")
 
 
-def checkpoint_from_dict(doc, dataset: MultiLabelDataset, config: TrainConfig):
-    """Inverse of checkpoint_to_dict: the trained head a checkpoint holds, set
-    up to score dataset the way training did. config supplies tau, the group
-    thresholds, and the encoder seed when the checkpoint records none."""
+def checkpoint_from_dict(doc, train_split: MultiLabelDataset, config: TrainConfig):
+    """Inverse of checkpoint_to_dict: the trained head a checkpoint holds,
+    with the class stats and groups of train_split, the split it trained on.
+    config supplies tau, the group thresholds, and the encoder seed when the
+    checkpoint records none."""
     if not isinstance(doc, dict):
         raise ConfigError("checkpoint must be a JSON object")
-    stats = ClassStats.from_dataset(dataset, config.head_min, config.tail_max)
+    stats = ClassStats.from_dataset(train_split, config.head_min, config.tail_max)
+    shape = (train_split.num_classes, train_split.dim)
     kind = doc.get("kind", "prompts")
     if kind == "prompts":
         prompts = prompts_from_dict(doc)
+        if prompts.num_classes != shape[0]:
+            raise ConfigError(
+                f"prompt checkpoint holds {prompts.num_classes} classes; the dataset has {shape[0]}"
+            )
         seed = prompts.encoder_seed if prompts.encoder_seed is not None else config.encoder_seed
-        encoder = FrozenTextEncoder.create(seed, prompts.token_dim, dataset.dim)
-        return _PromptHead(dataset, prompts, encoder, stats, config)
+        encoder = FrozenTextEncoder.create(seed, prompts.token_dim, shape[1])
+        return _PromptHead(prompts, encoder, stats, config)
     if kind == "linear_probe":
         try:
             weights = np.asarray(doc["weights"], dtype=np.float64)
@@ -616,13 +606,12 @@ def checkpoint_from_dict(doc, dataset: MultiLabelDataset, config: TrainConfig):
             raise ConfigError(f"linear_probe checkpoint missing field: {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"linear_probe checkpoint is malformed: {exc}") from exc
-        shape = (dataset.num_classes, dataset.dim)
         if weights.shape != shape or bias.shape != shape[:1]:
             raise ConfigError(
                 f"linear_probe checkpoint holds weights {weights.shape} and bias {bias.shape}; "
                 f"the dataset needs {shape} and {shape[:1]}"
             )
-        return _ProbeHead(dataset, weights, bias, stats, config)
+        return _ProbeHead(weights, bias, stats, config)
     raise ConfigError(f"unknown checkpoint kind {kind!r}")
 
 

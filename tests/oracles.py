@@ -417,8 +417,8 @@ def train_step_by_step(dataset, config):
     records' evaluation fields come from the head's epoch pass, which that
     change left as it was."""
     stats, encoder, prompts = build_training_state(dataset, config)
-    head = _PromptHead(dataset, prompts, encoder, stats, config)
-    report, *measured = head.measure(with_loss=True)
+    head = _PromptHead(prompts, encoder, stats, config)
+    report, *measured = head.measure(dataset, with_loss=True)
     losses = (report.total, report.cls_part, report.cse_part)
     records = [EpochRecord(0, config.lr0, *losses, *measured)]
     shuffle_rng = substream(config.seed, DOMAIN_TRAIN, _STREAM_SHUFFLE)
@@ -438,6 +438,6 @@ def train_step_by_step(dataset, config):
             for i, value in enumerate((report.total, report.cls_part, report.cse_part)):
                 sums[i] += value * indices.size
         eval_now = epoch % config.eval_every == 0 or epoch == config.epochs
-        measured = head.measure()[1:] if eval_now else (None, None)
+        measured = head.measure(dataset)[1:] if eval_now else (None, None)
         records.append(EpochRecord(epoch, lr, *(value / n for value in sums), *measured))
     return prompts.contexts, records

@@ -263,16 +263,16 @@ def test_value_passes_hold_one_score_matrix_at_most():
     stats, enc, prompts = build_training_state(ds, TrainConfig())
     score_matrix = n * c * 8
     embeddings = encode_all(enc, prompts).embeddings
-    head = train_mod._PromptHead(ds, prompts, enc, stats, TrainConfig())
+    head = train_mod._PromptHead(prompts, enc, stats, TrainConfig())
     probe_config = TrainConfig(baseline="linear_probe")
-    probe = train_mod._ProbeHead(ds, rng.standard_normal((c, d)), np.zeros(c), stats, probe_config)
+    probe = train_mod._ProbeHead(rng.standard_normal((c, d)), np.zeros(c), stats, probe_config)
     passes = {
         "total_loss": lambda: total_loss(ds, prompts, enc, stats, LossConfig(), need_grad=False),
         "mean_positive_delta": lambda: mean_positive_delta(
             cosine_distances(ds.captions, embeddings), ds.labels
         ),
-        "epoch record": lambda: head.measure(with_loss=True),
-        "probe epoch record": lambda: probe.measure(with_loss=True),
+        "epoch record": lambda: head.measure(ds, with_loss=True),
+        "probe epoch record": lambda: probe.measure(ds, with_loss=True),
     }
     tracemalloc.start()
     try:

@@ -239,6 +239,21 @@ class TestEval:
         assert code == EXIT_CONFIG
         assert "unknown checkpoint kind" in capsys.readouterr().err
 
+    def test_prompt_checkpoint_on_a_split_with_other_classes(
+        self, tmp_path, config_path, dataset_path, capsys
+    ):
+        """A prompt checkpoint refuses a split with another class count by
+        naming both counts, as a probe checkpoint refuses another shape."""
+        run, other = tmp_path / "run", str(tmp_path / "five.npz")
+        main(["train", "--config", config_path, "--data", dataset_path, "--out", str(run)])
+        main(["synth", "--config", config_path, "--classes", "5", "--out", other])
+        capsys.readouterr()
+        ckpt = str(run / "prompts.ckpt.json")
+        code = main(["eval", "--config", config_path, "--data", other, "--ckpt", ckpt])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: prompt checkpoint holds 4 classes; the dataset has 5\n"
+
     # (flag whose file is bad, its text or None for a missing file, expected in the error)
     BAD_INPUTS = {
         "ckpt-invalid-json": ("--ckpt", "{not json", "not valid JSON"),

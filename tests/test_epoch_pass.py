@@ -130,7 +130,7 @@ class TestPromptEpochPass:
             spy(Objective, name, 1)  # args[0] is the Objective
         config = TrainConfig(tau=TAU)
         stats, encoder, prompts = build_training_state(dataset, config)
-        train_mod._PromptHead(dataset, prompts, encoder, stats, config).measure(with_loss=True)
+        train_mod._PromptHead(prompts, encoder, stats, config).measure(dataset, with_loss=True)
 
         embeddings = encode_all(encoder, prompts).embeddings
         assert seen["evaluate"] is seen["classification"]

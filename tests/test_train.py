@@ -12,10 +12,11 @@ import pytest
 # submodule, so fetch the module object explicitly for monkeypatching
 train_mod = importlib.import_module("tailprompt.train")
 from oracles import train_step_by_step
-from tailprompt.data_model import MultiLabelDataset
+from tailprompt.data_model import ClassStats, MultiLabelDataset
 from tailprompt.encoders import FrozenTextEncoder, encode_all, init_prompt_set
 from tailprompt.errors import ConfigError, NumericsError
-from tailprompt.losses import LossConfig, LossReport, Objective, total_loss
+from tailprompt.losses import LossConfig, LossReport, Objective, class_scores, total_loss
+from tailprompt.metrics import evaluate
 from tailprompt.synth import SynthConfig, generate, make_prototypes
 from tailprompt.train import (
     BASELINES,
@@ -24,6 +25,7 @@ from tailprompt.train import (
     RunRecord,
     TrainConfig,
     build_training_state,
+    checkpoint_from_dict,
     checkpoint_to_dict,
     cosine_lr,
     run_record_to_dict,
@@ -697,6 +699,36 @@ class TestLinearProbe:
         assert runs[0].initial.loss_cls > 0.0 and runs[0].probe_weights.any()
         for name in ("probe_weights", "probe_bias"):
             assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+
+
+class TestScoreAnotherSplit:
+    """A trained head scores any split with its classes, grouped into head,
+    medium and tail by the counts of the split it trained on, as the
+    VOC-LT and COCO-LT protocol groups a test split."""
+
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_groups_come_from_the_training_split(self, baseline):
+        ds, other = _dataset(), _dataset(seed=4)
+        config = _config(baseline=baseline)
+        record = train(ds, config)
+        own_stats = ClassStats.from_dataset(other, config.head_min, config.tail_max)
+        assert record.stats.group != own_stats.group  # other's counts regroup some classes
+        if baseline == "none":
+            embeddings = encode_all(record.encoder, record.prompts).embeddings
+            scores = class_scores(other.images, embeddings, config.tau)
+        else:
+            scores = other.images @ record.probe_weights.T / config.tau + record.probe_bias
+        head = checkpoint_from_dict(checkpoint_to_dict(record), ds, config)
+        got = train_mod._eval_to_dict(head.evaluate(other))
+        assert got == train_mod._eval_to_dict(evaluate(scores, other.labels, record.stats))
+        assert got != train_mod._eval_to_dict(evaluate(scores, other.labels, own_stats))
+
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_a_split_with_other_classes_is_refused(self, baseline):
+        ds, config = _dataset(), _config(baseline=baseline, epochs=1)
+        head = checkpoint_from_dict(checkpoint_to_dict(train(ds, config)), ds, config)
+        with pytest.raises(ConfigError):
+            head.evaluate(_dataset(num_classes=5))
 
 
 class TestRunDir:

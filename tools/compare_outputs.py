@@ -6,8 +6,10 @@ BASE's src/ is extracted with `git archive`. One fixed command list runs
 against both trees, each with PYTHONPATH set to that tree's src/ and one BLAS
 thread: synth, train (with its pre-training gradcheck), train with
 --skip-gradcheck, --ablation, --loss and --seed, eval of the trained
-prompts, the 120-case gradcheck, a sweep of every variant over seeds 1 and
-2, and eval of the linear-probe checkpoint that sweep writes. Then three more
+prompts, synth of a second split with --seed 8 and eval of the trained
+prompts on that split, which they did not train on, the 120-case
+gradcheck, a sweep of every variant over seeds 1 and 2, and eval of the
+linear-probe checkpoint that sweep writes. Then three more
 on a 3000 x 60 x 32 split, large enough that value-only passes run in
 several row blocks: synth, train with --skip-gradcheck and --loss focal, and
 a sweep of linear-probe and bce. Four more run at 1000 x 201 x 32, a class
@@ -85,6 +87,17 @@ COMMANDS = (
         "9",
     ),
     ("eval", "--data", "data.npz", "--ckpt", "train/prompts.ckpt.json", "--out", "eval.json"),
+    # the trained prompts scored on a split they did not train on
+    ("synth", "--out", "other.npz", "--seed", "8"),
+    (
+        "eval",
+        "--data",
+        "other.npz",
+        "--ckpt",
+        "train/prompts.ckpt.json",
+        "--out",
+        "eval-other.json",
+    ),
     ("gradcheck",),
     ("sweep", "--data", "data.npz", "--out", "sweep", "--seeds", "1,2")
     + tuple(arg for name in VARIANTS for arg in ("--variant", name)),
