@@ -247,18 +247,9 @@ def encode_backward(
     return per_token[..., None, :]
 
 
-def prompts_to_dict(prompts: PromptSet) -> dict:
-    return {
-        "mode": prompts.mode,
-        "num_context_tokens": prompts.num_context_tokens,
-        "token_dim": prompts.token_dim,
-        "contexts": prompts.contexts.tolist(),
-        "class_tokens": prompts.class_tokens.tolist(),
-        "encoder_seed": prompts.encoder_seed,
-    }
-
-
 def prompts_from_dict(doc: dict) -> PromptSet:
+    """The PromptSet of a prompt checkpoint's fields (see
+    train.checkpoint_to_dict), whose arrays may be lists or arrays."""
     try:
         contexts = np.asarray(doc["contexts"], dtype=np.float64)
         class_tokens = np.asarray(doc["class_tokens"], dtype=np.float64)

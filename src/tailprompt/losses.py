@@ -32,7 +32,7 @@ call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -86,6 +86,10 @@ class LossConfig:
             raise ConfigError("db_zeta must be >= 1")
         if self.cls_loss_kind not in CLS_LOSS_KINDS:
             raise ConfigError(f"cls_loss_kind must be one of {CLS_LOSS_KINDS}")
+        # loss_objective's key, by value. A frozenset keeps its hash, where the
+        # generated __hash__ builds and hashes a tuple of every field per call.
+        key = frozenset((f.name, getattr(self, f.name)) for f in fields(self))
+        object.__setattr__(self, "_key", key)
 
 
 @dataclass(frozen=True)
@@ -453,8 +457,10 @@ class Objective:
 
 def loss_objective(stats: ClassStats, *configs: LossConfig) -> Objective:
     """The Objective of one run's or one stack's LossConfigs on stats, kept
-    on stats and keyed by the configs."""
-    return stats.derived(configs, lambda: Objective(stats.counts, stats.num_samples, configs))
+    on stats and keyed by the configs' field values, so equal configs (one
+    unpickled in a sweep worker, say) share it."""
+    key = configs[0]._key if len(configs) == 1 else tuple(config._key for config in configs)
+    return stats.derived(key, lambda: Objective(stats.counts, stats.num_samples, configs))
 
 
 def objective_core(

@@ -45,7 +45,6 @@ from .encoders import (
     encode_backward,
     init_prompt_set,
     prompts_from_dict,
-    prompts_to_dict,
 )
 from .errors import ConfigError, NumericsError
 from .losses import (
@@ -567,15 +566,23 @@ def run_record_to_dict(record: RunRecord) -> dict:
 
 
 def checkpoint_to_dict(record: RunRecord) -> dict:
-    """Final trained parameters: prompt contexts or the linear-probe head."""
-    if record.prompts is not None:
-        return {"kind": "prompts", **prompts_to_dict(record.prompts)}
-    if record.probe_weights is not None:
+    """The document of prompts.ckpt.json, the final trained parameters:
+    prompt contexts or the linear-probe head. Its parameters stay arrays;
+    _write_json_line lists them, and checkpoint_from_dict reads arrays and
+    lists alike."""
+    prompts = record.prompts
+    if prompts is not None:
         return {
-            "kind": "linear_probe",
-            "weights": record.probe_weights.tolist(),
-            "bias": record.probe_bias.tolist(),
+            "kind": "prompts",
+            "mode": prompts.mode,
+            "num_context_tokens": prompts.num_context_tokens,
+            "token_dim": prompts.token_dim,
+            "contexts": prompts.contexts,
+            "class_tokens": prompts.class_tokens,
+            "encoder_seed": prompts.encoder_seed,
         }
+    if record.probe_weights is not None:
+        return {"kind": "linear_probe", "weights": record.probe_weights, "bias": record.probe_bias}
     raise ConfigError("run record holds no trained parameters")
 
 
@@ -628,17 +635,19 @@ def refuse_nonempty_dir(out_dir, force: bool) -> Path:
 
 
 def _write_json_line(path: Path, doc: dict) -> None:
-    """Write json.dumps(doc) + "\n" to path without ever holding that text:
-    each value of doc is encoded alone, and a list one element at a time (a
-    context block of the prompts, a row of the probe's weights)."""
+    """Write json.dumps(doc) + "\n" of doc with its arrays as nested lists,
+    holding neither that text nor a list copy of a whole array: each value is
+    encoded alone, and an array one leading-axis row at a time, listed by
+    .tolist() (a context block, a class-token row, a probe weight row or one
+    bias entry)."""
     with path.open("w") as fh:
         fh.write("{")
         for i, (key, value) in enumerate(doc.items()):
             fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            if isinstance(value, list):
+            if isinstance(value, np.ndarray):
                 fh.write("[")
-                for j, item in enumerate(value):
-                    fh.write(f"{', ' if j else ''}{json.dumps(item)}")
+                for j, row in enumerate(value):
+                    fh.write(f"{', ' if j else ''}{json.dumps(row.tolist())}")
                 fh.write("]")
             else:
                 fh.write(json.dumps(value))

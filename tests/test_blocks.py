@@ -27,7 +27,7 @@ from tailprompt.losses import (
     total_loss,
 )
 from tailprompt.synth import SynthConfig
-from tailprompt.train import TrainConfig, build_training_state, train
+from tailprompt.train import PromptSpec, TrainConfig, build_training_state, train, write_run_dir
 
 from oracles import noisy_unit_whole
 
@@ -284,3 +284,31 @@ def test_value_passes_hold_one_score_matrix_at_most():
             assert extra < score_matrix + 8 * 2**20, f"{name}: {extra / 2**20:.1f} MB"
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"prompt": PromptSpec(mode="shared")}, {"baseline": "linear_probe"}],
+    ids=["class-specific", "shared", "linear-probe"],
+)
+def test_run_dir_write_holds_less_than_its_largest_array(tmp_path, overrides):
+    """write_run_dir lists the checkpoint's arrays one leading-axis row at a
+    time. At the stress shape's 200 classes and dim 256 its traced peak
+    above the record stays below the float64 bytes of the record's largest
+    parameter array; a list copy of a whole array costs about four times
+    those bytes."""
+    ds = synth.generate(SynthConfig(num_classes=200, num_samples=400, dim=256, seed=5))
+    record = train(ds, TrainConfig(epochs=1, batch_size=64, **overrides))
+    if record.prompts is not None:
+        params = record.prompts.contexts, record.prompts.class_tokens
+    else:
+        params = record.probe_weights, record.probe_bias
+    largest = max(array.nbytes for array in params)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_run_dir(tmp_path / "run", record, {})
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert extra < largest, f"{extra / 2**10:.0f} KiB of {largest / 2**10:.0f} KiB"

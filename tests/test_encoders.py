@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -12,9 +10,8 @@ from tailprompt.encoders import (
     encode_backward,
     init_prompt_set,
     prompts_from_dict,
-    prompts_to_dict,
 )
-from tailprompt.errors import ConfigError, NumericsError, read_json
+from tailprompt.errors import ConfigError, NumericsError
 
 from oracles import encode_backward_per_token, encode_prompt_scalar
 
@@ -183,25 +180,16 @@ class TestInit:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("mode", [MODE_CLASS_SPECIFIC, MODE_SHARED])
-    def test_dict_roundtrip_bitwise(self, mode):
-        _, prompts = _setup(mode=mode)
-        back = prompts_from_dict(prompts_to_dict(prompts))
-        assert np.array_equal(back.contexts, prompts.contexts)
-        assert np.array_equal(back.class_tokens, prompts.class_tokens)
-        assert back.mode == prompts.mode
-        assert back.encoder_seed == prompts.encoder_seed
-
-    def test_file_roundtrip_bitwise(self, tmp_path):
-        _, prompts = _setup()
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps(prompts_to_dict(prompts)) + "\n")
-        back = prompts_from_dict(read_json(path, "prompt checkpoint"))
-        assert np.array_equal(back.contexts, prompts.contexts)
-        assert np.array_equal(back.class_tokens, prompts.class_tokens)
-
+    # round trips through a written checkpoint are in tests/test_train.py
     def test_bad_mode_rejected(self):
-        doc = prompts_to_dict(_setup()[1])
-        doc["mode"] = "global"
+        prompts = _setup()[1]
+        doc = {
+            "mode": "global",
+            "num_context_tokens": prompts.num_context_tokens,
+            "token_dim": prompts.token_dim,
+            "contexts": prompts.contexts,
+            "class_tokens": prompts.class_tokens,
+            "encoder_seed": prompts.encoder_seed,
+        }
         with pytest.raises(ConfigError):
             prompts_from_dict(doc)

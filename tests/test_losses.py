@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -588,6 +589,20 @@ class TestObjectiveCore:
         assert (np.signbit(cse_product) & (cse_product == 0)).all(axis=1).any()
         want += (1.0 - lam) * (cse_product / b)
         assert got.tobytes() == want.tobytes()
+
+
+class TestObjectiveLookup:
+    def test_equal_configs_share_one_objective(self):
+        stats = _random_instance(47)[3]
+        config = LossConfig(eta=0.7, cls_loss_kind="focal")
+        objective = loss_objective(stats, config)
+        assert loss_objective(stats, LossConfig(eta=0.7, cls_loss_kind="focal")) is objective
+        # a sweep worker looks the Objective up with an unpickled copy
+        assert loss_objective(stats, pickle.loads(pickle.dumps(config))) is objective
+        assert loss_objective(stats, LossConfig(eta=0.8, cls_loss_kind="focal")) is not objective
+        stack = loss_objective(stats, config, LossConfig())
+        assert stack is not objective
+        assert loss_objective(stats, pickle.loads(pickle.dumps(config)), LossConfig()) is stack
 
 
 class TestClassCountMismatch:

@@ -13,8 +13,15 @@ import pytest
 train_mod = importlib.import_module("tailprompt.train")
 from oracles import train_step_by_step
 from tailprompt.data_model import ClassStats, MultiLabelDataset
-from tailprompt.encoders import FrozenTextEncoder, encode_all, init_prompt_set
-from tailprompt.errors import ConfigError, NumericsError
+from tailprompt.encoders import (
+    MODE_CLASS_SPECIFIC,
+    MODE_SHARED,
+    FrozenTextEncoder,
+    encode_all,
+    init_prompt_set,
+    prompts_from_dict,
+)
+from tailprompt.errors import ConfigError, NumericsError, read_json
 from tailprompt.losses import LossConfig, LossReport, Objective, class_scores, total_loss
 from tailprompt.metrics import evaluate
 from tailprompt.synth import SynthConfig, generate, make_prototypes
@@ -731,6 +738,27 @@ class TestScoreAnotherSplit:
             head.evaluate(_dataset(num_classes=5))
 
 
+class TestCheckpointRoundTrip:
+    """checkpoint_to_dict names the prompt checkpoint's fields, and
+    prompts_from_dict reads them back from the document or its file."""
+
+    @pytest.mark.parametrize("mode", [MODE_CLASS_SPECIFIC, MODE_SHARED])
+    def test_dict_roundtrip_bitwise(self, mode):
+        record = train(_dataset(), _config(epochs=1, prompt=PromptSpec(mode=mode)))
+        prompts, back = record.prompts, prompts_from_dict(checkpoint_to_dict(record))
+        assert np.array_equal(back.contexts, prompts.contexts)
+        assert np.array_equal(back.class_tokens, prompts.class_tokens)
+        assert back.mode == prompts.mode
+        assert back.encoder_seed == prompts.encoder_seed
+
+    def test_file_roundtrip_bitwise(self, tmp_path):
+        record = train(_dataset(), _config(epochs=1))
+        out = write_run_dir(tmp_path / "run", record, {})
+        back = prompts_from_dict(read_json(out / "prompts.ckpt.json", "prompt checkpoint"))
+        assert np.array_equal(back.contexts, record.prompts.contexts)
+        assert np.array_equal(back.class_tokens, record.prompts.class_tokens)
+
+
 class TestRunDir:
     def test_layout_and_roundtrip(self, tmp_path):
         ds = _dataset()
@@ -810,10 +838,28 @@ class TestRunDir:
         ids=["class-specific", "shared", "linear-probe"],
     )
     def test_checkpoint_bytes_are_one_json_dumps(self, tmp_path, overrides):
-        # the file is written a value or list element at a time
+        # the file is written a value or array row at a time; its bytes are
+        # those of one json.dumps of the record's arrays listed whole
         record = train(_dataset(), _config(epochs=1, **overrides))
         out = write_run_dir(tmp_path / "run", record, {})
-        want = json.dumps(checkpoint_to_dict(record)) + "\n"
+        prompts = record.prompts
+        if prompts is not None:
+            doc = {
+                "kind": "prompts",
+                "mode": prompts.mode,
+                "num_context_tokens": prompts.num_context_tokens,
+                "token_dim": prompts.token_dim,
+                "contexts": prompts.contexts.tolist(),
+                "class_tokens": prompts.class_tokens.tolist(),
+                "encoder_seed": prompts.encoder_seed,
+            }
+        else:
+            doc = {
+                "kind": "linear_probe",
+                "weights": record.probe_weights.tolist(),
+                "bias": record.probe_bias.tolist(),
+            }
+        want = json.dumps(doc) + "\n"
         assert (out / "prompts.ckpt.json").read_bytes() == want.encode()
 
     def test_collision_refused_until_forced(self, tmp_path):
