@@ -116,8 +116,13 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form is stable for large |x| and vectorizes without branching
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    # tanh form is stable for large |x| and vectorizes without branching;
+    # 0.5 * (1 + tanh(0.5 x)), each step in place in one new array
+    s = np.multiply(x, 0.5)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def _checked_counts(counts) -> np.ndarray:
@@ -196,27 +201,6 @@ def db_bias(counts, num_samples: int, kappa: float) -> np.ndarray:
     return kappa * np.log(num_samples / arr.astype(np.float64) - 1.0)
 
 
-def _per_entry(row: np.ndarray, shape: tuple) -> np.ndarray:
-    """row[c] at every (b, c) of shape, or at every (s, b, c) of a stack's,
-    as a zero-copy view of the contiguous row (the rebalance row of
-    Objective.cls_constants is). It is what np.broadcast_to(row, shape)
-    returns, without that call's iterator set-up, which costs more than the
-    gathers from it at small batch sizes."""
-    strides = (0,) * (len(shape) - 1) + (row.itemsize,)
-    return np.ndarray(shape, row.dtype, row, 0, strides)
-
-
-def _by_label(positive: np.ndarray, negative: np.ndarray, z: np.ndarray, pos_values, neg_values):
-    """np.where(positive, ., .) over z-shaped arrays, assembled from values
-    computed on the positive and the negative entries only (row-major mask
-    order, as z[positive] gathers them). The result is C-ordered, as
-    np.where's is on C-ordered z."""
-    out = np.empty(z.shape)
-    out[positive] = pos_values
-    out[negative] = neg_values
-    return out
-
-
 def _focal_form_parts(
     z: np.ndarray,
     labels: np.ndarray,
@@ -229,50 +213,54 @@ def _focal_form_parts(
     """(B, C) terms of the distribution-balanced loss on logits z and their
     derivatives w.r.t. z, neither averaged (see _cls_parts). Focal is the
     same loss at r = 1, v = 0, zeta = 1: each of those enters by an exact
-    operation, so it gives focal's own bits."""
+    operation, so it gives focal's own bits.
+
+    Positives: -r (1-q)^g log q with q = sigmoid(x), x = z - v; negatives:
+    -(r/zeta) q^g log(1-q) with q = sigmoid(zeta x). Both are one formula in
+    y = x * (1 or zeta), with base = 1-q or q and mod = base^g: the term is
+    (r or r/zeta) * mod * softplus(-y or y), and the derivative is
+    push - pull or pull - push, where pull = r base^(g+1) and push =
+    r g (q or mod) (mod or 1-q) (log q or log(1-q)). Each entry is computed
+    once, np.where picking its label's operand, so it goes through its own
+    branch's scalar operations in the same order and keeps their bits. The
+    mask is made C-contiguous, so the results are C-ordered whatever the
+    labels' layout."""
     g = gamma
-    positive = positive_mask(labels)
-    negative = ~positive
-    r = _per_entry(rebal, z.shape)
-    r_pos, r_neg = r[positive], r[negative]
-    x = z - bias
-    x_pos, zx = x[positive], x[negative]
-    del x  # the (B, C) x is not kept
-
-    # positives: -r (1-q)^g log q, q = sigmoid(x); log q = -softplus(-x)
-    sp_neg_x = _softplus(-x_pos)
-    q_pos = _sigmoid(x_pos)
-    one_minus_q = 1.0 - q_pos
-    mod_pos = np.power(one_minus_q, g)
-    # negatives: -(r/zeta) q^g log(1-q), q = sigmoid(zeta x); log(1-q) = -softplus(zeta x)
-    zx *= zeta
-    sp_zx = _softplus(zx)
-    q_neg = _sigmoid(zx)
-    mod_neg = np.power(q_neg, g)
-
-    terms = _by_label(
-        positive, negative, z, r_pos * mod_pos * sp_neg_x, (r_neg / zeta) * mod_neg * sp_zx
-    )
+    positive = np.ascontiguousarray(positive_mask(labels))
+    y = z - bias
+    y *= np.where(positive, 1.0, zeta)
+    sp = _softplus(np.where(positive, -y, y))  # -log q or -log(1-q)
+    q = _sigmoid(y)
+    del y  # one (B, C) array fewer at the kernel's peak
+    one_minus_q = 1.0 - q
+    base = np.where(positive, one_minus_q, q)
+    mod = np.power(base, g)
+    # in place from here on; each product groups its factors as above
+    terms = np.where(positive, rebal, rebal / zeta) * mod
+    terms *= sp
     if not need_grad:
         return terms, None
-    log_q = -sp_neg_x
-    log_1mq = -sp_zx
-    grad_pos = r_pos * g * q_pos * mod_pos * log_q - r_pos * np.power(one_minus_q, g + 1.0)
-    grad_neg = r_neg * np.power(q_neg, g + 1.0) - r_neg * g * mod_neg * (1.0 - q_neg) * log_1mq
-    return terms, _by_label(positive, negative, z, grad_pos, grad_neg)
+    pull = np.power(base, g + 1.0, out=base)
+    pull *= rebal
+    np.negative(sp, out=sp)  # log q or log(1-q)
+    push = rebal * g * np.where(positive, q, mod)
+    push *= np.where(positive, mod, one_minus_q)
+    push *= sp
+    # pull - push, not -(push - pull): the two differ in the sign of a zero
+    return terms, np.where(positive, push - pull, pull - push)
 
 
 def _bce_parts(z: np.ndarray, labels: np.ndarray, need_grad: bool):
     """(B, C) binary cross-entropy terms on logits z and their derivatives
-    w.r.t. z, neither averaged. Not the focal form at gamma = 0: at +-inf
-    logits that form's gradient is NaN, where this one is -1 or +1."""
-    positive = positive_mask(labels)
-    negative = ~positive
-    z_pos, z_neg = z[positive], z[negative]
-    terms = _by_label(positive, negative, z, _softplus(-z_pos), _softplus(z_neg))
+    w.r.t. z, neither averaged, C-ordered as _focal_form_parts's are. Not
+    the focal form at gamma = 0: at +-inf logits that form's gradient is
+    NaN, where this one is -1 or +1."""
+    positive = np.ascontiguousarray(positive_mask(labels))
+    terms = _softplus(np.where(positive, -z, z))
     if not need_grad:
         return terms, None
-    return terms, _by_label(positive, negative, z, _sigmoid(z_pos) - 1.0, _sigmoid(z_neg))
+    q = _sigmoid(z)
+    return terms, np.where(positive, q - 1.0, q)
 
 
 def _cls_parts(
@@ -398,8 +386,7 @@ class Objective:
         """_cls_parts's (kind, focal_form, gamma). focal_form is the
         focal-form loss's (rebalance r, logit bias v, negative tolerance
         zeta): db's, from the counts, or focal's r = 1, v = 0 and zeta = 1;
-        bce has none. Only db's reads the counts. r is a contiguous row, as
-        _per_entry needs."""
+        bce has none. Only db's reads the counts."""
         cfg, counts = self._configs[0], self._counts
         kind = cfg.cls_loss_kind
         focal_form = None
@@ -434,12 +421,9 @@ class Objective:
     def classification(self, scores: np.ndarray, labels: np.ndarray, need_grad: bool):
         """(each run's value, gradient w.r.t. scores) of the configured
         classification part on (B, C) scores or logits, or a stack's (S, B,
-        C) scores; a value-only call on a whole split runs in row blocks."""
-        if labels.ndim < scores.ndim:
-            # the kernels gather by a scores-shaped mask: a copy per run of
-            # shared labels, which gathers faster than a broadcast view
-            shared, labels = labels, np.empty(scores.shape, labels.dtype)
-            labels[...] = shared
+        C) scores, whose runs may share (B, C) labels: the kernels' label
+        mask broadcasts against the scores. A value-only call on a whole
+        split runs in row blocks."""
         return _mean_of_terms(_cls_parts, scores, labels, self.cls_constants, need_grad)
 
     def embedding(self, distances: np.ndarray, labels: np.ndarray, need_grad: bool):

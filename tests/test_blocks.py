@@ -142,19 +142,41 @@ class TestTotalLossInBlocks:
         want = whole(total_loss, dataset, prompts, enc, stats, cfg, tau=0.7, need_grad=False)
         assert _values(got) == _values(want)
 
-    @pytest.mark.parametrize("labels_dtype", [np.int64, np.uint8, bool], ids=["int64", "uint8", "bool"])
+    @pytest.mark.parametrize(
+        "labels_dtype, order",
+        [(np.int64, "C"), (np.uint8, "C"), (bool, "C"), (np.int64, "F")],
+        ids=["int64", "uint8", "bool", "int64-F"],
+    )
     @pytest.mark.parametrize("kind", ["db", "bce", "focal"])
-    def test_labels_in_a_batch(self, dataset, whole, kind, labels_dtype):
+    def test_labels_in_a_batch(self, dataset, whole, monkeypatch, kind, labels_dtype, order):
         """A Batch keeps the labels it is given, so its blocked values come
-        from integer labels as well as bool: each equals the dataset's whole
-        pass."""
+        from integer labels as well as bool, and from Fortran-order labels:
+        each equals the dataset's whole pass. The classification gradient
+        w.r.t. the scores is C-ordered whatever the labels' layout, and the
+        gradient equals the dataset's."""
         stats, enc, prompts = build_training_state(dataset, TrainConfig())
-        batch = Batch(dataset.images, dataset.labels.astype(labels_dtype), dataset.captions)
+        labels = np.asarray(dataset.labels.astype(labels_dtype), order=order)
+        batch = Batch(dataset.images, labels, dataset.captions)
         assert batch.labels.dtype == labels_dtype
+        assert batch.labels.flags.f_contiguous == (order == "F")
         cfg = LossConfig(cls_loss_kind=kind)
         got = total_loss(batch, prompts, enc, stats, cfg, tau=0.7, need_grad=False)
         want = whole(total_loss, dataset, prompts, enc, stats, cfg, tau=0.7, need_grad=False)
         assert _values(got) == _values(want)
+
+        cls_parts, grads_z = losses._cls_parts, []
+
+        def spy(*args):
+            terms, grad_z = cls_parts(*args)
+            grads_z.append(grad_z)
+            return terms, grad_z
+
+        monkeypatch.setattr(losses, "_cls_parts", spy)
+        graded = total_loss(batch, prompts, enc, stats, cfg, tau=0.7)
+        assert [g.flags.c_contiguous for g in grads_z] == [True]
+        want = total_loss(dataset, prompts, enc, stats, cfg, tau=0.7)
+        assert _values(graded) == _values(want)
+        assert graded.gradient.tobytes() == want.gradient.tobytes()
 
 
 class TestLogitsInBlocks:

@@ -404,7 +404,9 @@ _BRANCH_CASES = (
     "all_negative",
     "all_positive_column",
     "extreme_logits",
+    "signed_zero_and_nan_logits",
     "bool_labels",
+    "uint8_labels",
     "fortran",
     "fortran_logits_only",
     "fortran_labels_only",
@@ -427,8 +429,14 @@ def _branch_case(case):
         z[:, :4] = [40.0, -40.0, np.inf, -np.inf]
         labels[::2, :4] = 1
         labels[1::2, :4] = 0
+    elif case == "signed_zero_and_nan_logits":
+        z[:, :4] = [0.0, -0.0, np.nan, -np.nan]
+        labels[::2, :4] = 1
+        labels[1::2, :4] = 0
     elif case == "bool_labels":
         labels = labels.astype(bool)
+    elif case == "uint8_labels":
+        labels = labels.astype(np.uint8)
     if case in ("fortran", "fortran_logits_only"):
         z = np.asfortranarray(z)
     if case in ("fortran", "fortran_labels_only"):
@@ -437,25 +445,32 @@ def _branch_case(case):
     return z, labels, counts, int(counts.max() + 5)
 
 
+def _bits(x):
+    """The int64 bit patterns of float64 x: unlike ==, they tell -0.0 from
+    +0.0 and one NaN payload or sign from another."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
 def _assert_matches_where(report, value_only, want):
     value, grad = want
-    assert report.cls_part == value
-    assert value_only.cls_part == value
-    assert np.array_equal(report.gradient, grad, equal_nan=True)
+    assert _bits(report.cls_part) == _bits(value)
+    assert _bits(value_only.cls_part) == _bits(value)
+    assert np.array_equal(_bits(report.gradient), _bits(grad))
     assert report.gradient.flags.c_contiguous
 
 
 class TestBranchOnlyMatchesWhere:
-    """Each classification loss evaluates a label branch's formula only on
-    that branch's entries; values and gradients equal the reference that
-    computes both formulas everywhere and keeps one by np.where, run on the
+    """Each classification loss scores every entry once, through the scalar
+    operations of its label's branch only. Values and gradients equal, bit
+    for bit (signed zeros and NaN payloads too), the reference that computes
+    both branches' formulas everywhere and keeps one by np.where, run on the
     C-ordered logits cls_loss_on_logits reads. The gradient is C-contiguous
     whatever the layout of the logits or the labels."""
 
     @pytest.mark.parametrize("case", _BRANCH_CASES)
     def test_db(self, case):
         z, labels, counts, n = _branch_case(case)
-        for gamma in (0.0, 1.0, 2.0):
+        for gamma in (0.0, 1.0, 1.5, 2.0):
             for zeta in (1.0, 5.0):
                 cfg = LossConfig(gamma_focal=gamma, db_zeta=zeta)
                 rebal = db_rebalance(counts, cfg.db_alpha, cfg.db_beta, cfg.db_theta)
@@ -480,7 +495,7 @@ class TestBranchOnlyMatchesWhere:
     @pytest.mark.parametrize("case", _BRANCH_CASES)
     def test_focal(self, case):
         z, labels, _, _ = _branch_case(case)
-        for gamma in (0.0, 1.0, 2.0):
+        for gamma in (0.0, 1.0, 1.5, 2.0):
             with np.errstate(all="ignore"):
                 want = focal_parts_where(np.ascontiguousarray(z), labels, gamma, need_grad=True)
                 report = _on_logits(z, labels, _focal(gamma))

@@ -536,7 +536,9 @@ class TestTrainStack:
 
     def test_runs_of_one_seed_share_their_rows(self):
         """Runs that share a seed gather one batch of rows for the stack, as
-        the ablation switches of one sweep seed do."""
+        the ablation switches of one sweep seed do. The classification
+        kernels broadcast that batch's (B, C) labels against the stack's
+        (S, B, C) scores, with no copy per run."""
         configs = [_config(lr0=2.0, seed=4, loss=loss) for loss in _ablations()]
         self._assert_each_run_as_alone(_dataset(), configs)
 
