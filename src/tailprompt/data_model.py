@@ -5,9 +5,11 @@ at generation time and never trained), each paired with a binary label vector
 and one pooled unit-norm caption embedding. A dataset is the batch of all its
 samples: a MultiLabelDataset is a Batch, so full-split passes take it as is.
 
-A dataset holds C-contiguous arrays, whatever the layout it was given. This
-is the one place memory layout is decided: the loss kernels and row blocks
-have no layout rules of their own.
+A dataset holds C-contiguous arrays, whatever the layout it was given. A
+Batch keeps the arrays it is given, so the loss code orders what it reads:
+cls_loss_on_logits reads its logits in C order, and the classification
+kernels make their label mask C-contiguous. Row blocks and the rest of the
+code have no layout rules.
 """
 
 from __future__ import annotations

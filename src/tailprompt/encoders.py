@@ -17,9 +17,10 @@ with a token axis of length 1 that broadcasts over the M stored contexts.
 The contexts themselves stay (C or 1, M, d_token), so the forward pass and
 the checkpoint format are those of M separate tokens.
 
-encode_all and encode_backward also take a PromptStack: the contexts of S
-runs that share the class tokens, on a leading run axis. Each run's slice
-of a stacked product or sum has the bits of the run's own 2-d one.
+A PromptSet's contexts may carry a leading run axis, (S, C or 1, M,
+d_token): the contexts of S runs that share the class tokens, which
+encode_all and encode_backward take as they take one run's. Each run's
+slice of a stacked product or sum has the bits of the run's own 2-d one.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ class PromptSet:
     """Trainable context tokens plus frozen class tokens.
 
     contexts has shape (C, M, d_token) in class_specific mode or (1, M, d_token)
-    in shared mode (one block broadcast to every class). class_tokens never
-    receive gradients.
+    in shared mode (one block broadcast to every class), with a leading run
+    axis of S in a stack of runs. class_tokens never receive gradients.
     """
 
     contexts: np.ndarray
@@ -112,53 +113,20 @@ class PromptSet:
         self.class_tokens = tokens
         if self.mode not in PROMPT_MODES:
             raise ConfigError(f"unknown prompt mode {self.mode!r}")
-        if self.contexts.ndim != 3 or self.class_tokens.ndim != 2:
-            raise ConfigError("contexts must be (C or 1, M, d_token); class_tokens (C, d_token)")
+        if self.contexts.ndim not in (3, 4) or self.class_tokens.ndim != 2:
+            raise ConfigError(
+                "contexts must be ([S,] C or 1, M, d_token); class_tokens (C, d_token)"
+            )
         if self.num_context_tokens < 1:
             raise ConfigError("need M >= 1 context tokens")
-        if self.contexts.shape[2] != self.class_tokens.shape[1]:
+        if self.contexts.shape[-1] != self.class_tokens.shape[1]:
             raise ConfigError("contexts and class_tokens must share d_token")
         expected = 1 if self.mode == MODE_SHARED else self.num_classes
-        if self.contexts.shape[0] != expected:
+        if self.contexts.shape[-3] != expected:
             raise ConfigError(
                 f"mode {self.mode} expects a context block of {expected} rows, "
-                f"got {self.contexts.shape[0]}"
+                f"got {self.contexts.shape[-3]}"
             )
-
-    @property
-    def num_classes(self) -> int:
-        return self.class_tokens.shape[0]
-
-    @property
-    def num_context_tokens(self) -> int:
-        return self.contexts.shape[1]
-
-    @property
-    def token_dim(self) -> int:
-        return self.class_tokens.shape[1]
-
-
-@dataclass
-class PromptStack:
-    """The contexts of S prompt sets that share their class tokens, mode and
-    shape, on a leading run axis: (S, C or 1, M, d_token). Build it with
-    PromptStack.of, which rebinds each set's contexts to its slice, so an
-    update of the stack is an update of every set. Of one set, of returns
-    that set as it is."""
-
-    contexts: np.ndarray
-    class_tokens: np.ndarray
-    mode: str
-
-    @staticmethod
-    def of(prompt_sets) -> "PromptStack | PromptSet":
-        first = prompt_sets[0]
-        if len(prompt_sets) == 1:
-            return first
-        contexts = np.stack([p.contexts for p in prompt_sets])
-        for prompts, view in zip(prompt_sets, contexts):
-            prompts.contexts = view
-        return PromptStack(contexts, first.class_tokens, first.mode)
 
     @property
     def num_classes(self) -> int:
@@ -203,11 +171,11 @@ class PromptEncoding:
     """Forward cache of encode_all: unit embeddings plus the pre-normalization
     norms the backward pass needs."""
 
-    embeddings: np.ndarray  # (C, d) unit rows; (S, C, d) for a PromptStack
-    norms: np.ndarray  # (C,); (S, C) for a PromptStack
+    embeddings: np.ndarray  # (C, d) unit rows; (S, C, d) with a run axis
+    norms: np.ndarray  # (C,); (S, C) with a run axis
 
 
-def encode_all(encoder: FrozenTextEncoder, prompts: PromptSet | PromptStack) -> PromptEncoding:
+def encode_all(encoder: FrozenTextEncoder, prompts: PromptSet) -> PromptEncoding:
     """Embed every class prompt: pool the M contexts with the class token
     (divide by M+1), project, normalize."""
     if prompts.token_dim != encoder.token_dim:
@@ -224,7 +192,7 @@ def encode_all(encoder: FrozenTextEncoder, prompts: PromptSet | PromptStack) -> 
 
 def encode_backward(
     encoder: FrozenTextEncoder,
-    prompts: PromptSet | PromptStack,
+    prompts: PromptSet,
     encoding: PromptEncoding,
     grad_embeddings: np.ndarray,
 ) -> np.ndarray:
@@ -234,7 +202,7 @@ def encode_backward(
     and the mean pool. Every context token of a block gets the same gradient,
     so it is returned once per block: shape (C, 1, d_token), or (1, 1,
     d_token) in shared mode, where the per-class contributions accumulate
-    into the single block; a stack's has the run axis in front. It
+    into the single block; with a run axis, that axis leads. It
     broadcasts against prompts.contexts.
     """
     e = encoding.embeddings
@@ -245,24 +213,3 @@ def encode_backward(
     if prompts.mode == MODE_SHARED:
         per_token = per_token.sum(axis=-2, keepdims=True)
     return per_token[..., None, :]
-
-
-def prompts_from_dict(doc: dict) -> PromptSet:
-    """The PromptSet of a prompt checkpoint's fields (see
-    train.checkpoint_to_dict), whose arrays may be lists or arrays."""
-    try:
-        contexts = np.asarray(doc["contexts"], dtype=np.float64)
-        class_tokens = np.asarray(doc["class_tokens"], dtype=np.float64)
-        mode, encoder_seed = doc["mode"], doc["encoder_seed"]
-    except KeyError as exc:
-        raise ConfigError(f"prompt checkpoint missing field: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"prompt checkpoint is malformed: {exc}") from exc
-    if encoder_seed is not None and not (type(encoder_seed) is int and encoder_seed >= 0):
-        raise ConfigError(f"prompt checkpoint encoder_seed {encoder_seed!r} is not a seed")
-    prompts = PromptSet(contexts, class_tokens, mode=mode, encoder_seed=encoder_seed)
-    if prompts.num_context_tokens != doc.get("num_context_tokens"):
-        raise ConfigError("prompt checkpoint header disagrees with its contexts")
-    if prompts.token_dim != doc.get("token_dim"):
-        raise ConfigError("prompt checkpoint header disagrees with its token_dim")
-    return prompts

@@ -134,12 +134,7 @@ def check_total_loss(
     (batch, prompts); they are computed here unless a caller that needs
     them too passes them in.
     """
-    work = PromptSet(
-        contexts=prompts.contexts,
-        class_tokens=prompts.class_tokens,
-        mode=prompts.mode,
-        encoder_seed=prompts.encoder_seed,
-    )
+    work = replace(prompts)
 
     def loss_fn(p: np.ndarray) -> float:
         # work holds finite_diff_grad's probe itself: no copy per evaluation
@@ -166,11 +161,10 @@ def pooled_prompt_set(prompts: PromptSet) -> PromptSet:
     M = 1, s = 1 and the set is prompts' own values.
     """
     s = _pool_scale(prompts.num_context_tokens)
-    return PromptSet(
+    return replace(
+        prompts,
         contexts=s * prompts.contexts.sum(axis=1, keepdims=True),
         class_tokens=s * prompts.class_tokens,
-        mode=prompts.mode,
-        encoder_seed=prompts.encoder_seed,
     )
 
 

@@ -40,11 +40,9 @@ from .encoders import (
     MODE_CLASS_SPECIFIC,
     PROMPT_MODES,
     PromptSet,
-    PromptStack,
     encode_all,
     encode_backward,
     init_prompt_set,
-    prompts_from_dict,
 )
 from .errors import ConfigError, NumericsError
 from .losses import (
@@ -247,6 +245,16 @@ def _initial_prompts(dataset: MultiLabelDataset, config: TrainConfig) -> PromptS
     )
 
 
+def _record_eval(scores: np.ndarray, labels: np.ndarray, stats: ClassStats) -> EvalResult:
+    """evaluate of an epoch record's scores. The parameters an epoch's last
+    step wrote are read first here, so scores that are not finite abort the
+    run, as a non-finite loss does, where evaluate would refuse them as bad
+    input. min and max carry any NaN or infinity, and copy nothing."""
+    if not (math.isfinite(scores.min()) and math.isfinite(scores.max())):
+        raise NumericsError("abort run: non-finite scores in the epoch record")
+    return evaluate(scores, labels, stats)
+
+
 class _PromptHead:
     """Prompt contexts scored through the frozen text encoder under the
     blended objective, grouped by the training split's stats."""
@@ -286,7 +294,7 @@ class _PromptHead:
         scores = class_scores(split.images, embeddings, self.config.tau)
         if with_loss and objective.compute_cls:
             cls_value, _ = objective.classification(scores, labels, need_grad=False)
-        result = evaluate(scores, labels, self.stats)
+        result = _record_eval(scores, labels, self.stats)
         del scores
         distances = cosine_distances(split.captions, embeddings)
         if with_loss and objective.compute_cse:
@@ -303,17 +311,23 @@ class _PromptStack:
     lockstep: they share the stats, the encoder and tau, and each keeps its
     own contexts and epoch records.
 
-    The step evaluates the one Objective of the runs' LossConfigs on the
-    prompts of PromptStack.of: a lone run's own PromptSet, whose 2-d arrays
-    it steps on, or one PromptStack, whose slice s each head's PromptSet
-    holds, with a leading run axis on every array.
+    The step evaluates the one Objective of the runs' LossConfigs on one
+    PromptSet: a lone run's own, or, for S > 1 runs, one whose contexts
+    stack the runs' on a leading run axis. Each head's contexts are then
+    rebound to their slice of the stack, so an update of the stack is an
+    update of every run, and every array of the step has the run axis.
     """
 
     def __init__(self, heads: list[_PromptHead]):
         self.heads = heads
         first = heads[0]
         self.encoder, self.tau = first.encoder, first.config.tau
-        self.prompts = PromptStack.of([head.prompts for head in heads])
+        self.prompts = first.prompts
+        if len(heads) > 1:
+            contexts = np.stack([head.prompts.contexts for head in heads])
+            for head, view in zip(heads, contexts):
+                head.prompts.contexts = view
+            self.prompts = dataclasses.replace(first.prompts, contexts=contexts)
         self.objective = loss_objective(first.stats, *(head.config.loss for head in heads))
 
     def step(self, split: MultiLabelDataset, rows: np.ndarray, lr: float) -> list[tuple]:
@@ -409,7 +423,7 @@ class _ProbeHead:
         if with_loss:
             (value,), _ = self._objective.classification(z, split.labels, need_grad=False)
             report = LossReport(value, value, 0.0, None)
-        return report, None, evaluate(z, split.labels, self.stats)
+        return report, None, _record_eval(z, split.labels, self.stats)
 
 
 def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
@@ -417,8 +431,9 @@ def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
     train_stack of the one run.
 
     Prompts and the linear probe share the schedule, shuffle, abort rule and
-    metrics. A non-finite loss or gradient aborts the run; the partial record
-    comes back with failed=True instead of an exception so sweeps can continue.
+    metrics. A non-finite loss, gradient or epoch-record score aborts the run;
+    the partial record comes back with failed=True instead of an exception so
+    sweeps can continue.
     """
     return train_stack(dataset, [config])[0]
 
@@ -447,9 +462,10 @@ def train_stack(dataset: MultiLabelDataset, configs: list[TrainConfig]) -> list[
     Each epoch draws one permutation per distinct seed, and each step
     gathers the rows of all runs at once and takes one step of every run,
     so every run gets the bits it gets alone. The stack trains or aborts as
-    one: when a loss or gradient of any run is not finite, every run's
-    record ends at that epoch with failed=True (a sweep then trains each run
-    alone; see cli). Every record's wall_seconds is the stack's.
+    one: when a loss, a gradient or an epoch record's scores of any run are
+    not finite, every run's record ends at that epoch with failed=True (a
+    sweep then trains each run alone; see cli). Every record's wall_seconds
+    is the stack's.
     """
     started = time.perf_counter()
     config = configs[0]
@@ -473,6 +489,7 @@ def train_stack(dataset: MultiLabelDataset, configs: list[TrainConfig]) -> list[
         else:
             order = np.stack([permutations[seed] for seed in seeds])
         sums = [[0.0, 0.0, 0.0] for _ in configs]
+        eval_now = epoch % config.eval_every == 0 or epoch == config.epochs
         try:
             for rows in _epoch_batches(order, config.batch_size):
                 size = rows.shape[-1]
@@ -481,15 +498,16 @@ def train_stack(dataset: MultiLabelDataset, configs: list[TrainConfig]) -> list[
                         raise NumericsError(f"abort run: non-finite loss at epoch {epoch}")
                     for k, value in enumerate(values):
                         run_sums[k] += value * size
+            measured = [
+                head.measure(dataset)[1:] if eval_now else (None, None) for head in trainer.heads
+            ]
         except NumericsError as err:
             abort_reason = str(err)
             break
 
-        eval_now = epoch % config.eval_every == 0 or epoch == config.epochs
-        for head, history, run_sums in zip(trainer.heads, histories, sums):
-            measured = head.measure(dataset)[1:] if eval_now else (None, None)
+        for history, run_sums, run_measured in zip(histories, sums, measured):
             means = (value / n for value in run_sums)
-            history.append(EpochRecord(epoch, lr, *means, *measured))
+            history.append(EpochRecord(epoch, lr, *means, *run_measured))
 
     wall_seconds = time.perf_counter() - started
     records = []
@@ -597,7 +615,24 @@ def checkpoint_from_dict(doc, train_split: MultiLabelDataset, config: TrainConfi
     shape = (train_split.num_classes, train_split.dim)
     kind = doc.get("kind", "prompts")
     if kind == "prompts":
-        prompts = prompts_from_dict(doc)
+        try:
+            contexts = np.asarray(doc["contexts"], dtype=np.float64)
+            class_tokens = np.asarray(doc["class_tokens"], dtype=np.float64)
+            mode, encoder_seed = doc["mode"], doc["encoder_seed"]
+        except KeyError as exc:
+            raise ConfigError(f"prompt checkpoint missing field: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"prompt checkpoint is malformed: {exc}") from exc
+        if encoder_seed is not None and not (type(encoder_seed) is int and encoder_seed >= 0):
+            raise ConfigError(f"prompt checkpoint encoder_seed {encoder_seed!r} is not a seed")
+        # a PromptSet also takes a stack's contexts, which no checkpoint holds
+        if contexts.ndim != 3:
+            raise ConfigError("prompt checkpoint contexts must be (C or 1, M, d_token)")
+        prompts = PromptSet(contexts, class_tokens, mode=mode, encoder_seed=encoder_seed)
+        if prompts.num_context_tokens != doc.get("num_context_tokens"):
+            raise ConfigError("prompt checkpoint header disagrees with its contexts")
+        if prompts.token_dim != doc.get("token_dim"):
+            raise ConfigError("prompt checkpoint header disagrees with its token_dim")
         if prompts.num_classes != shape[0]:
             raise ConfigError(
                 f"prompt checkpoint holds {prompts.num_classes} classes; the dataset has {shape[0]}"

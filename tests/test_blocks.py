@@ -57,13 +57,6 @@ def dataset():
     return synth.generate(SynthConfig(num_samples=N, num_classes=C, dim=D, seed=4))
 
 
-def _fortran(ds: MultiLabelDataset, labels_dtype=bool) -> MultiLabelDataset:
-    """ds rebuilt from Fortran-order copies of its arrays."""
-    labels = np.asfortranarray(ds.labels.astype(labels_dtype))
-    images, captions = np.asfortranarray(ds.images), np.asfortranarray(ds.captions)
-    return MultiLabelDataset(images, labels, captions, ds.class_names)
-
-
 def _values(report):
     return report.total, report.cls_part, report.cse_part
 
@@ -128,19 +121,6 @@ class TestTotalLossInBlocks:
         assert [len(blocks) for blocks in seen.values()] == [4, 4]
         assert np.array_equal(np.concatenate(seen["_cls_parts"]), ds.images @ embeddings.T / 0.7)
         assert np.array_equal(np.concatenate(seen["_cse_parts"]), 1.0 - ds.captions @ embeddings.T)
-
-    @pytest.mark.parametrize("bool_labels", [False, True], ids=["int-labels", "bool-labels"])
-    @pytest.mark.parametrize("kind", ["db", "bce"])
-    def test_fortran_images_and_labels(self, dataset, whole, kind, bool_labels):
-        """A dataset built from Fortran-order arrays holds them C-ordered, so
-        its blocked values are those of the C-order dataset's whole pass."""
-        ds = _fortran(dataset, bool if bool_labels else np.int64)
-        assert ds.images.flags.c_contiguous and ds.labels.flags.c_contiguous
-        stats, enc, prompts = build_training_state(ds, TrainConfig())
-        cfg = LossConfig(cls_loss_kind=kind)
-        got = total_loss(ds, prompts, enc, stats, cfg, tau=0.7, need_grad=False)
-        want = whole(total_loss, dataset, prompts, enc, stats, cfg, tau=0.7, need_grad=False)
-        assert _values(got) == _values(want)
 
     @pytest.mark.parametrize(
         "labels_dtype, order",

@@ -167,6 +167,21 @@ class TestTrain:
         assert code == EXIT_NUMERICS
         assert "infinite bias" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_on_an_epoch_last_step_aborts(self, tmp_path, dataset_path, capsys):
+        # a batch larger than the split makes each epoch one step, whose
+        # overflowed parameters the epoch record is the first to read
+        train = {**SMALL_CONFIG["train"], "lr0": 1e308, "batch_size": 64}
+        config = tmp_path / "huge-lr.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "train": train}))
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(config), "--data", dataset_path, "--out", str(out)]
+        assert main([*argv, "--skip-gradcheck"]) == EXIT_NUMERICS
+        err = capsys.readouterr().err
+        assert "run aborted: abort run: non-finite scores in the epoch record" in err
+        run = json.loads((out / "run.json").read_text())
+        assert run["failed"] and run["epochs_completed"] == 0
+
 
 class TestEval:
     def test_prompt_checkpoint(self, tmp_path, config_path, dataset_path, capsys):
@@ -277,6 +292,22 @@ class TestEval:
             "--ckpt",
             json.dumps({"contexts": [], "class_tokens": [], "mode": "x", "encoder_seed": "7"}),
             "is not a seed",
+        ),
+        # a PromptSet takes a stack's contexts; a checkpoint never holds them
+        "prompts-run-axis-contexts": (
+            "--ckpt",
+            json.dumps(
+                {
+                    "kind": "prompts",
+                    "mode": "class_specific",
+                    "num_context_tokens": 2,
+                    "token_dim": 16,
+                    "contexts": [[[[0.1] * 16] * 2] * 4] * 3,
+                    "class_tokens": [[1.0] * 16] * 4,
+                    "encoder_seed": 11,
+                }
+            ),
+            "contexts must be (C or 1, M, d_token)",
         ),
         "missing-ckpt": ("--ckpt", None, "cannot read checkpoint"),
         "missing-data": ("--data", None, "cannot read dataset snapshot"),
@@ -628,6 +659,33 @@ class TestSweepWorkers:
         rows = (tmp_path / "w2" / "sweep.csv").read_text().splitlines()
         assert [row.split(",")[:3] for row in rows[1:]] == [["full", "1", "1"], ["bce", "1", "1"]]
         assert json.loads((tmp_path / "w2" / "bce" / "seed-1" / "run.json").read_text())["failed"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_on_an_epoch_last_step_fails_its_runs(
+        self, monkeypatch, tmp_path, dataset_path, capsys
+    ):
+        # each epoch is one step, and the epoch record reads its parameters
+        # first: the stack of full and plain-cse and the probe fail at
+        # epoch 1, the stack's runs again alone, and the sweep writes its table
+        train = {**SMALL_CONFIG["train"], "lr0": 1e308, "batch_size": 64}
+        config = tmp_path / "huge-lr.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "train": train}))
+        argv = ["--config", str(config), "--data", dataset_path, "--seeds", "1"]
+        names = ("full", "plain-cse", "linear-probe")
+        argv += [arg for name in names for arg in ("--variant", name)]
+        code, out, err = self._sweep(monkeypatch, capsys, tmp_path / "w1", 1, argv)
+
+        assert code == EXIT_OK
+        assert out == "wrote ROOT/sweep.csv\n"
+        assert err.splitlines() == [
+            f"{name} seed=1: FAILED (abort run: non-finite scores in the epoch record)"
+            for name in names
+        ]
+        rows = (tmp_path / "w1" / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[:3] for row in rows[1:]] == [[name, "1", "1"] for name in names]
+        for name in names:
+            run = json.loads((tmp_path / "w1" / name / "seed-1" / "run.json").read_text())
+            assert run["failed"] and run["epochs_completed"] == 0
 
     def test_warnings_come_once_per_run_before_its_line(
         self, monkeypatch, tmp_path, dataset_path, capsys

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,10 @@ from tailprompt.encoders import (
     encode_all,
     encode_backward,
     init_prompt_set,
-    prompts_from_dict,
 )
 from tailprompt.errors import ConfigError, NumericsError
+from tailprompt.synth import SynthConfig, generate
+from tailprompt.train import TrainConfig, checkpoint_from_dict
 
 from oracles import encode_backward_per_token, encode_prompt_scalar
 
@@ -145,6 +148,33 @@ class TestEncodeBackward:
         assert np.abs(g).max() < 1e-12
 
 
+class TestRunAxis:
+    @pytest.mark.parametrize("mode", [MODE_CLASS_SPECIFIC, MODE_SHARED])
+    def test_each_run_encodes_as_alone(self, mode):
+        """Contexts that stack S runs' on a leading axis keep the runs' shape
+        properties, and each run's slice of the forward and backward passes
+        has the bits of the run's own."""
+        enc, first = _setup(mode=mode)
+        second = dataclasses.replace(first, contexts=first.contexts[::-1] * 3.0)
+        stack = dataclasses.replace(first, contexts=np.stack([first.contexts, second.contexts]))
+        shape = (stack.num_classes, stack.num_context_tokens, stack.token_dim)
+        assert shape == (first.num_classes, first.num_context_tokens, first.token_dim)
+        out = encode_all(enc, stack)
+        grad_embeddings = np.random.default_rng(1).standard_normal((2, 4, 10))
+        back = encode_backward(enc, stack, out, grad_embeddings)
+        for s, run in enumerate((first, second)):
+            alone = encode_all(enc, run)
+            assert np.array_equal(out.embeddings[s], alone.embeddings)
+            want = encode_backward(enc, run, alone, grad_embeddings[s])
+            assert back[s].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3, 6), (2, 1, 4, 3, 6)])
+    def test_block_count_and_rank_checked(self, shape):
+        _, prompts = _setup()
+        with pytest.raises(ConfigError):
+            dataclasses.replace(prompts, contexts=np.zeros(shape))
+
+
 class TestInit:
     def test_gaussian_deterministic(self):
         a = init_prompt_set(3, 5, init_seed=4)
@@ -191,5 +221,6 @@ class TestSerialization:
             "class_tokens": prompts.class_tokens,
             "encoder_seed": prompts.encoder_seed,
         }
-        with pytest.raises(ConfigError):
-            prompts_from_dict(doc)
+        dataset = generate(SynthConfig(num_samples=20, num_classes=4, dim=10))
+        with pytest.raises(ConfigError, match="unknown prompt mode"):
+            checkpoint_from_dict(doc, dataset, TrainConfig())

@@ -19,7 +19,6 @@ from tailprompt.encoders import (
     FrozenTextEncoder,
     encode_all,
     init_prompt_set,
-    prompts_from_dict,
 )
 from tailprompt.errors import ConfigError, NumericsError, read_json
 from tailprompt.losses import LossConfig, LossReport, Objective, class_scores, total_loss
@@ -387,9 +386,24 @@ class TestTrainLoop:
         assert record.epochs_completed == 0
         _assert_abort_wrote_nothing(record, ds, config, updates, 0)
 
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_abort_on_non_finite_epoch_record(self, baseline):
+        """At this step size an epoch's one step writes parameters that score
+        as NaN, and the epoch record is the first to read them: the run
+        aborts at that epoch, as it does on a non-finite loss."""
+        ds = _dataset(num_samples=40)
+        config = _config(epochs=2, lr0=1e308, batch_size=64, baseline=baseline)
+        with pytest.warns(RuntimeWarning, match="invalid value encountered"):
+            record = train(ds, config)
+        assert record.failed
+        assert record.abort_reason == "abort run: non-finite scores in the epoch record"
+        assert record.epochs_completed == 0
+        assert record.final_eval is record.initial.eval  # epoch-0 eval survives
 
-def _fortran(ds: MultiLabelDataset) -> MultiLabelDataset:
-    arrays = [np.asfortranarray(a) for a in (ds.images, ds.labels, ds.captions)]
+
+def _fortran(ds: MultiLabelDataset, labels_dtype=bool) -> MultiLabelDataset:
+    labels = ds.labels.astype(labels_dtype)
+    arrays = [np.asfortranarray(a) for a in (ds.images, labels, ds.captions)]
     assert not any(a.flags.c_contiguous for a in arrays)
     return MultiLabelDataset(*arrays, ds.class_names)
 
@@ -446,13 +460,17 @@ class TestStepBitIdentity:
 
     @pytest.mark.parametrize("kind", ["db", "bce", "focal", "linear-probe"])
     def test_fortran_order_dataset(self, kind):
-        """A dataset built from Fortran-order arrays holds them C-ordered, so
-        it trains to every bit of the C-order dataset: epoch records and
-        final parameters."""
+        """A dataset built from Fortran-order arrays, with bool or integer
+        labels, holds the C-order dataset's arrays, C-ordered, so it trains
+        to every bit of the C-order dataset: epoch records and final
+        parameters."""
         c_order = _dataset()
         fortran = _fortran(c_order)
-        for name in ("images", "labels", "captions"):
-            assert getattr(fortran, name).flags.c_contiguous, name
+        for built in (fortran, _fortran(c_order, np.int64)):
+            for name in ("images", "labels", "captions"):
+                got, want = getattr(built, name), getattr(c_order, name)
+                assert got.flags.c_contiguous, name
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
         probe = kind == "linear-probe"
         loss = LossConfig(cls_loss_kind="db" if probe else kind)
         config = _config(lr0=2.0, loss=loss, baseline="linear_probe" if probe else "none")
@@ -742,21 +760,25 @@ class TestScoreAnotherSplit:
 
 class TestCheckpointRoundTrip:
     """checkpoint_to_dict names the prompt checkpoint's fields, and
-    prompts_from_dict reads them back from the document or its file."""
+    checkpoint_from_dict reads them back from the document or its file."""
 
     @pytest.mark.parametrize("mode", [MODE_CLASS_SPECIFIC, MODE_SHARED])
     def test_dict_roundtrip_bitwise(self, mode):
-        record = train(_dataset(), _config(epochs=1, prompt=PromptSpec(mode=mode)))
-        prompts, back = record.prompts, prompts_from_dict(checkpoint_to_dict(record))
+        ds, config = _dataset(), _config(epochs=1, prompt=PromptSpec(mode=mode))
+        record = train(ds, config)
+        prompts = record.prompts
+        back = checkpoint_from_dict(checkpoint_to_dict(record), ds, config).prompts
         assert np.array_equal(back.contexts, prompts.contexts)
         assert np.array_equal(back.class_tokens, prompts.class_tokens)
         assert back.mode == prompts.mode
         assert back.encoder_seed == prompts.encoder_seed
 
     def test_file_roundtrip_bitwise(self, tmp_path):
-        record = train(_dataset(), _config(epochs=1))
+        ds, config = _dataset(), _config(epochs=1)
+        record = train(ds, config)
         out = write_run_dir(tmp_path / "run", record, {})
-        back = prompts_from_dict(read_json(out / "prompts.ckpt.json", "prompt checkpoint"))
+        doc = read_json(out / "prompts.ckpt.json", "prompt checkpoint")
+        back = checkpoint_from_dict(doc, ds, config).prompts
         assert np.array_equal(back.contexts, record.prompts.contexts)
         assert np.array_equal(back.class_tokens, record.prompts.class_tokens)
 

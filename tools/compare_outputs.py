@@ -8,10 +8,11 @@ thread: synth, train (with its pre-training gradcheck), train with
 --skip-gradcheck, --ablation, --loss and --seed, eval of the trained
 prompts, synth of a second split with --seed 8 and eval of the trained
 prompts on that split, which they did not train on, the 120-case
-gradcheck, a sweep of every variant over seeds 1 and 2, and eval of the
-linear-probe checkpoint that sweep writes. Then three more
-on a 3000 x 60 x 32 split, large enough that value-only passes run in
-several row blocks: synth, train with --skip-gradcheck and --loss focal, and
+gradcheck, a sweep of every variant over seeds 1 and 2, and eval of two
+checkpoints that sweep writes: the linear probe's, and that of no-reweight
+seed 2, which trains in a stack and is written from its slice of the
+stack's contexts. Then three more on a 3000 x 60 x 32 split, large enough
+that value-only passes run in several row blocks: synth, train with --skip-gradcheck and --loss focal, and
 a sweep of linear-probe and bce. Four more run at 1000 x 201 x 32, a class
 count at which some BLAS kernels give a product's row block computed alone
 other bits: synth, train with --skip-gradcheck, a linear-probe sweep, and a
@@ -109,6 +110,17 @@ COMMANDS = (
         "sweep/linear-probe/seed-1/prompts.ckpt.json",
         "--out",
         "eval-probe.json",
+    ),
+    # a run trained in a stack, whose checkpoint is written from its view
+    # into the stack's contexts
+    (
+        "eval",
+        "--data",
+        "data.npz",
+        "--ckpt",
+        "sweep/no-reweight/seed-2/prompts.ckpt.json",
+        "--out",
+        "eval-stacked.json",
     ),
     # a split whose value-only passes run in several row blocks
     ("synth", "--out", "big.npz", "--samples", "3000", "--classes", "60", "--dim", "32"),
