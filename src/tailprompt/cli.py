@@ -344,9 +344,8 @@ def _run_share(dataset, share, force: bool) -> dict:
                 try:
                     record = records[position] if records else train(dataset, run_config.train)
                     write_run_dir(run_dir, record, config_to_dict(run_config), force=force)
-                    failed = record.failed or record.final_eval is None
-                    maps = None if failed else record.final_eval.maps()
-                    result = (failed, record.abort_reason, maps)
+                    maps = None if record.failed else record.final_eval.maps()
+                    result = (record.failed, record.abort_reason, maps)
                 except (ConfigError, NumericsError) as err:
                     result = err
             issued = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]

@@ -24,13 +24,19 @@ class NumericsError(TailPromptError, ArithmeticError):
 
 def read_json(path, what: str):
     """The JSON document in the file at path. A missing or unreadable file
-    and invalid JSON raise ConfigError, naming what the file should hold."""
+    and invalid JSON raise ConfigError, naming what the file should hold.
+    NaN, Infinity and -Infinity, which json.loads takes by default, are not
+    JSON (RFC 8259) and are refused the same way."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"cannot read {what} {path}: {reason}") from exc
+
+    def refuse(constant: str):
+        raise ConfigError(f"{what} {path} is not valid JSON: {constant} is not a JSON number")
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc

@@ -101,8 +101,7 @@ class LossReport:
     token row per context block, which broadcasts against PromptSet.contexts.
     cls_loss_on_logits reports the classification part's value as total and
     cls_part, with cse_part zero and the gradient shaped like the logits
-    (for chaining); a linear probe's epoch record reports its value the same
-    way, with no gradient. gradient is None when it was not requested.
+    (for chaining). gradient is None when it was not requested.
     """
 
     total: float

@@ -24,7 +24,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +46,6 @@ from .encoders import (
 from .errors import ConfigError, NumericsError
 from .losses import (
     LossConfig,
-    LossReport,
-    Objective,
     check_classes,
     class_scores,
     cosine_distances,
@@ -146,15 +143,13 @@ class RunRecord:
     """Everything a finished (or aborted) run produced.
 
     history covers completed epochs only; initial is the epoch-0 state before
-    any update. prompts/probe_* hold the final parameters (probe_* only for
-    the linear-probe baseline).
+    any update; abort_reason is None for a finished run. prompts/probe_* hold
+    the final parameters (probe_* only for the linear-probe baseline).
     """
 
     initial: EpochRecord
     history: tuple[EpochRecord, ...]
-    final_eval: EvalResult | None
     wall_seconds: float
-    failed: bool
     abort_reason: str | None
     stats: ClassStats
     prompts: PromptSet | None = None
@@ -165,6 +160,15 @@ class RunRecord:
     @property
     def epochs_completed(self) -> int:
         return len(self.history)
+
+    @property
+    def failed(self) -> bool:
+        return self.abort_reason is not None
+
+    @property
+    def final_eval(self) -> EvalResult:
+        """The last epoch record's evaluation; epoch 0 always has one."""
+        return next(r.eval for r in reversed((self.initial, *self.history)) if r.eval is not None)
 
 
 def cosine_lr(t: int, total_epochs: int, lr0: float) -> float:
@@ -222,27 +226,11 @@ def stack_key(config: TrainConfig):
 def build_training_state(
     dataset: MultiLabelDataset, config: TrainConfig
 ) -> tuple[ClassStats, FrozenTextEncoder, PromptSet]:
-    """Deterministic pre-training setup: split statistics, frozen encoder,
-    freshly initialized prompts. The CLI gradcheck hook builds the exact
-    state train() would so the certificate covers the real run."""
-    stats = ClassStats.from_dataset(dataset, config.head_min, config.tail_max)
-    token_dim = config.prompt.token_dim or dataset.dim
-    encoder = FrozenTextEncoder.create(config.encoder_seed, token_dim, dataset.dim)
-    return stats, encoder, _initial_prompts(dataset, config)
-
-
-def _initial_prompts(dataset: MultiLabelDataset, config: TrainConfig) -> PromptSet:
-    """The freshly initialized prompts of build_training_state."""
-    return init_prompt_set(
-        num_classes=dataset.num_classes,
-        token_dim=config.prompt.token_dim or dataset.dim,
-        num_context_tokens=config.prompt.num_context_tokens,
-        mode=config.prompt.mode,
-        init=config.prompt.init,
-        init_std=config.prompt.init_std,
-        encoder_seed=config.encoder_seed,
-        init_seed=config.seed,
-    )
+    """The stats, frozen encoder and fresh prompts of a prompt run: those of
+    the head _trainer(dataset, [config]) builds, so the CLI's pre-training
+    gradcheck certifies the trainer's own state."""
+    (head,) = _trainer(dataset, [config]).heads
+    return head.stats, head.encoder, head.prompts
 
 
 def _record_eval(scores: np.ndarray, labels: np.ndarray, stats: ClassStats) -> EvalResult:
@@ -257,7 +245,7 @@ def _record_eval(scores: np.ndarray, labels: np.ndarray, stats: ClassStats) -> E
 
 class _PromptHead:
     """Prompt contexts scored through the frozen text encoder under the
-    blended objective, grouped by the training split's stats."""
+    run's blended Objective, grouped by the training split's stats."""
 
     def __init__(
         self, prompts: PromptSet, encoder: FrozenTextEncoder, stats: ClassStats, config: TrainConfig
@@ -266,6 +254,7 @@ class _PromptHead:
         self.encoder = encoder
         self.stats = stats
         self.config = config
+        self.objective = loss_objective(stats, config.loss)
         self.record_fields = {"prompts": prompts, "encoder": encoder}
 
     def evaluate(self, split: MultiLabelDataset) -> EvalResult:
@@ -274,21 +263,20 @@ class _PromptHead:
         return evaluate(scores, split.labels, self.stats)
 
     def measure(self, split: MultiLabelDataset, with_loss: bool = False):
-        """(LossReport or None, mean positive delta, EvalResult) for an epoch
+        """(losses or None, mean positive delta, EvalResult) for an epoch
         record of split, from one encoding of the prompts.
 
         Each (N, C) matrix is built once, serves both of its readers and is
         freed before the next is built: the scores give the classification
         part's value and the ranking, the distances the embedding part's
-        value and the alignment diagnostic. The report, asked for at epoch 0,
-        has the bits of total_loss(split, need_grad=False); the split, the
-        prompts and the stats are checked to agree on the classes then, once
-        a run.
+        value and the alignment diagnostic. The losses, asked for at epoch
+        0, are the floats (total, cls part, cse part) with the bits of
+        total_loss(split, need_grad=False); the split, the prompts and the
+        stats are checked to agree on the classes then, once a run.
         """
-        labels = split.labels
+        labels, objective = split.labels, self.objective
         if with_loss:
             check_classes(split, self.prompts, self.stats)
-            objective = loss_objective(self.stats, self.config.loss)
         embeddings = encode_all(self.encoder, self.prompts).embeddings
         cls_value = cse_value = (0.0,)
         scores = class_scores(split.images, embeddings, self.config.tau)
@@ -303,7 +291,7 @@ class _PromptHead:
         if not with_loss:
             return None, delta, result
         (total,) = objective.blend(cls_value, cse_value)
-        return LossReport(total, cls_value[0], cse_value[0], None), delta, result
+        return (total, cls_value[0], cse_value[0]), delta, result
 
 
 class _PromptStack:
@@ -374,6 +362,7 @@ class _ProbeHead:
         self.bias = bias
         self.stats = stats
         self.config = config
+        self.objective = loss_objective(stats, config.loss)
         self.record_fields = {"probe_weights": weights, "probe_bias": bias}
 
     def scores(self, images: np.ndarray) -> np.ndarray:
@@ -383,13 +372,6 @@ class _ProbeHead:
         z /= self.config.tau
         z += self.bias
         return z
-
-    @cached_property
-    def _objective(self) -> Objective:
-        """The run's Objective, built for the epoch-0 record and kept for
-        every step. Only its classification part is read, so its blend
-        weight and the parts it computes play no part."""
-        return loss_objective(self.stats, self.config.loss)
 
     @property
     def heads(self) -> list["_ProbeHead"]:
@@ -402,7 +384,7 @@ class _ProbeHead:
         classification part alone, then sgd_step on the weights and on the
         bias. A loss that is not finite leaves both untouched."""
         images = split.images[indices]
-        (value,), grad_z = self._objective.classification(
+        (value,), grad_z = self.objective.classification(
             self.scores(images), split.labels[indices], True
         )
         gradients = (grad_z.T @ images / self.config.tau, grad_z.sum(axis=0))
@@ -415,15 +397,16 @@ class _ProbeHead:
         return evaluate(self.scores(split.images), split.labels, self.stats)
 
     def measure(self, split: MultiLabelDataset, with_loss: bool = False):
-        """(LossReport or None, None, EvalResult) for an epoch record of
-        split, from one product of the scores; a probe has no prompts to
-        align. The report has the bits of cls_loss_on_logits(need_grad=False)."""
+        """(losses or None, None, EvalResult) for an epoch record of split,
+        from one product of the scores; a probe has no prompts to align. The
+        losses (total, cls part, cse part) are (value, value, 0.0), value
+        with the bits of cls_loss_on_logits(need_grad=False)."""
         z = self.scores(split.images)
-        report = None
+        losses = None
         if with_loss:
-            (value,), _ = self._objective.classification(z, split.labels, need_grad=False)
-            report = LossReport(value, value, 0.0, None)
-        return report, None, _record_eval(z, split.labels, self.stats)
+            (value,), _ = self.objective.classification(z, split.labels, need_grad=False)
+            losses = (value, value, 0.0)
+        return losses, None, _record_eval(z, split.labels, self.stats)
 
 
 def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
@@ -440,19 +423,32 @@ def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
 
 def _trainer(dataset: MultiLabelDataset, configs: list[TrainConfig]):
     """The probe head of a linear-probe run, or the _PromptStack of prompt
-    runs that share a stack_key; ConfigError for any other set of configs."""
+    runs that share a stack_key, whose starting state is built here and only
+    here; ConfigError for any other set of configs. Runs differ in it only
+    by the seed their prompts are drawn from."""
     key = stack_key(configs[0])
     if (key is None and len(configs) > 1) or any(stack_key(c) != key for c in configs):
         raise ConfigError("runs trained as one stack must share a stack_key")
-    config = configs[0]
+    config, spec = configs[0], configs[0].prompt
+    stats = ClassStats.from_dataset(dataset, config.head_min, config.tail_max)
     if key is None:
-        stats = ClassStats.from_dataset(dataset, config.head_min, config.tail_max)
         weights = np.zeros((dataset.num_classes, dataset.dim))
         return _ProbeHead(weights, np.zeros(dataset.num_classes), stats, config)
-    stats, encoder, prompts = build_training_state(dataset, config)
-    heads = [_PromptHead(prompts, encoder, stats, config)]
-    for run_config in configs[1:]:
-        heads.append(_PromptHead(_initial_prompts(dataset, run_config), encoder, stats, run_config))
+    token_dim = spec.token_dim or dataset.dim
+    encoder = FrozenTextEncoder.create(config.encoder_seed, token_dim, dataset.dim)
+    heads = []
+    for run_config in configs:
+        prompts = init_prompt_set(
+            num_classes=dataset.num_classes,
+            token_dim=token_dim,
+            num_context_tokens=spec.num_context_tokens,
+            mode=spec.mode,
+            init=spec.init,
+            init_std=spec.init_std,
+            encoder_seed=config.encoder_seed,
+            init_seed=run_config.seed,
+        )
+        heads.append(_PromptHead(prompts, encoder, stats, run_config))
     return _PromptStack(heads)
 
 
@@ -472,8 +468,7 @@ def train_stack(dataset: MultiLabelDataset, configs: list[TrainConfig]) -> list[
     trainer = _trainer(dataset, configs)
     initial = []
     for head in trainer.heads:
-        report, *measured = head.measure(dataset, with_loss=True)
-        losses = (report.total, report.cls_part, report.cse_part)
+        losses, *measured = head.measure(dataset, with_loss=True)
         initial.append(EpochRecord(0, config.lr0, *losses, *measured))
     seeds = [run_config.seed for run_config in configs]
     n = dataset.num_samples
@@ -509,26 +504,11 @@ def train_stack(dataset: MultiLabelDataset, configs: list[TrainConfig]) -> list[
             means = (value / n for value in run_sums)
             history.append(EpochRecord(epoch, lr, *means, *run_measured))
 
-    wall_seconds = time.perf_counter() - started
-    records = []
-    for head, first, history in zip(trainer.heads, initial, histories):
-        final_eval = next(
-            (record.eval for record in reversed([first, *history]) if record.eval is not None),
-            None,
-        )
-        records.append(
-            RunRecord(
-                initial=first,
-                history=tuple(history),
-                final_eval=final_eval,
-                wall_seconds=wall_seconds,
-                failed=abort_reason is not None,
-                abort_reason=abort_reason,
-                stats=head.stats,
-                **head.record_fields,
-            )
-        )
-    return records
+    outcome = dict(wall_seconds=time.perf_counter() - started, abort_reason=abort_reason)
+    return [
+        RunRecord(first, tuple(history), stats=head.stats, **outcome, **head.record_fields)
+        for head, first, history in zip(trainer.heads, initial, histories)
+    ]
 
 METRICS_COLUMNS = ("epoch", *MAP_KEYS, "loss_total", "loss_cls", "loss_cse", "lr")
 
@@ -674,7 +654,9 @@ def _write_json_line(path: Path, doc: dict) -> None:
     holding neither that text nor a list copy of a whole array: each value is
     encoded alone, and an array one leading-axis row at a time, listed by
     .tolist() (a context block, a class-token row, a probe weight row or one
-    bias entry)."""
+    bias entry). A row that holds a NaN or an infinity, which an aborted
+    run's parameters may, lists each of them as None, so the file stays
+    strict JSON (null); a finite row is written as it is."""
     with path.open("w") as fh:
         fh.write("{")
         for i, (key, value) in enumerate(doc.items()):
@@ -682,6 +664,9 @@ def _write_json_line(path: Path, doc: dict) -> None:
             if isinstance(value, np.ndarray):
                 fh.write("[")
                 for j, row in enumerate(value):
+                    finite = np.isfinite(row)
+                    if not finite.all():
+                        row = np.where(finite, row, None)
                     fh.write(f"{', ' if j else ''}{json.dumps(row.tolist())}")
                 fh.write("]")
             else:

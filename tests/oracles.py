@@ -418,8 +418,7 @@ def train_step_by_step(dataset, config):
     change left as it was."""
     stats, encoder, prompts = build_training_state(dataset, config)
     head = _PromptHead(prompts, encoder, stats, config)
-    report, *measured = head.measure(dataset, with_loss=True)
-    losses = (report.total, report.cls_part, report.cse_part)
+    losses, *measured = head.measure(dataset, with_loss=True)
     records = [EpochRecord(0, config.lr0, *losses, *measured)]
     shuffle_rng = substream(config.seed, DOMAIN_TRAIN, _STREAM_SHUFFLE)
     n = dataset.num_samples

@@ -33,6 +33,19 @@ def _save_saturated_dataset(path):
     return str(path)
 
 
+def _refuse_constant(constant):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+def _assert_strict_json(root):
+    """Every .json file under root parses as strict JSON: no NaN, Infinity
+    or -Infinity, which RFC 8259 allows none of."""
+    paths = sorted(Path(root).rglob("*.json"))
+    assert paths
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 def _python(code, *args, timeout=120):
     """Run code in a fresh interpreter that imports tailprompt from this tree."""
     src = str(Path(tailprompt.__file__).resolve().parent.parent)
@@ -110,6 +123,7 @@ class TestTrain:
             "prompts.ckpt.json",
             "run.json",
         ]
+        _assert_strict_json(out)
 
     def test_rerun_byte_identical(self, tmp_path, config_path, dataset_path):
         a = tmp_path / "run-a"
@@ -181,6 +195,14 @@ class TestTrain:
         assert "run aborted: abort run: non-finite scores in the epoch record" in err
         run = json.loads((out / "run.json").read_text())
         assert run["failed"] and run["epochs_completed"] == 0
+        # the overflowed contexts are written as null, and eval refuses them
+        _assert_strict_json(out)
+        contexts = json.loads((out / "prompts.ckpt.json").read_text())["contexts"]
+        assert None in np.asarray(contexts, dtype=object).ravel()
+        ckpt = str(out / "prompts.ckpt.json")
+        argv = ["eval", "--config", str(config), "--data", dataset_path, "--ckpt", ckpt]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: scores must be finite\n"
 
 
 class TestEval:
@@ -236,6 +258,7 @@ class TestEval:
         )
         assert code == EXIT_OK
         assert "map_total" in capsys.readouterr().out
+        _assert_strict_json(run)
 
     def test_unknown_checkpoint_kind(self, tmp_path, config_path, dataset_path, capsys):
         bad = tmp_path / "bad.ckpt.json"
@@ -272,6 +295,21 @@ class TestEval:
     # (flag whose file is bad, its text or None for a missing file, expected in the error)
     BAD_INPUTS = {
         "ckpt-invalid-json": ("--ckpt", "{not json", "not valid JSON"),
+        "ckpt-infinity": (
+            "--ckpt",
+            '{"kind": "linear_probe", "weights": [[Infinity]], "bias": [0.0]}',
+            "checkpoint <bad> is not valid JSON: Infinity is not a JSON number",
+        ),
+        "config-nan": (
+            "--config",
+            '{"loss": {"eta": NaN}}',
+            "config file <bad> is not valid JSON: NaN is not a JSON number",
+        ),
+        "config-minus-infinity": (
+            "--config",
+            '{"train": {"tau": -Infinity}}',
+            "config file <bad> is not valid JSON: -Infinity is not a JSON number",
+        ),
         "ckpt-not-an-object": ("--ckpt", "[1, 2]", "JSON object"),
         "probe-without-weights": (
             "--ckpt",
@@ -327,7 +365,7 @@ class TestEval:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert message in err
+        assert message.replace("<bad>", str(bad)) in err
 
 
 class TestGradcheckCommand:
@@ -686,6 +724,7 @@ class TestSweepWorkers:
         for name in names:
             run = json.loads((tmp_path / "w1" / name / "seed-1" / "run.json").read_text())
             assert run["failed"] and run["epochs_completed"] == 0
+        _assert_strict_json(tmp_path / "w1")
 
     def test_warnings_come_once_per_run_before_its_line(
         self, monkeypatch, tmp_path, dataset_path, capsys
@@ -878,6 +917,22 @@ def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys, command,
     assert main(command) == EXIT_CONFIG
     assert "seed must be >= 0" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == (["config.json"] if seed_config else [])
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_non_finite_config_constant_is_refused(tmp_path, capsys, command, constant):
+    """json.loads reads NaN and Infinity, which are not JSON; a config that
+    holds one is refused before anything runs, naming the file."""
+    config = tmp_path / "config.json"
+    config.write_text('{"train": {"tau": %s}}' % constant)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    argv += ["--variant", "full"] if command == "sweep" else []
+    assert main(argv) == EXIT_CONFIG
+    message = f"config file {config} is not valid JSON: {constant} is not a JSON number"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestExistingOutputRefusedFirst:

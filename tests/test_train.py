@@ -272,6 +272,7 @@ class TestTrainLoop:
         for r in record.history:
             assert (r.mean_pos_delta is not None) == (r.eval is not None)
         assert record.final_eval is record.history[-1].eval
+        assert record.abort_reason is None
 
     def test_lr_follows_schedule(self):
         record = train(_dataset(), _config(epochs=4, lr0=0.2))
@@ -342,25 +343,30 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("baseline", BASELINES)
     def test_abort_on_non_finite_loss(self, monkeypatch, baseline):
+        """Four steps an epoch: the loss of epoch 3's second step is NaN.
+        The run keeps epochs 1 and 2, and its final evaluation is epoch 2's,
+        the last one it made; failed follows abort_reason."""
         ds = _dataset()
         updates = _record_updates(monkeypatch)
         calls = {"n": 0}
 
         def corrupt(report, need_grad):
             calls["n"] += need_grad
-            if calls["n"] == 2 and need_grad:
+            if calls["n"] == 10 and need_grad:
                 calls["done"] = len(updates)
                 return LossReport(float("nan"), report.cls_part, report.cse_part, report.gradient)
             return report
 
         _patch_head_loss(monkeypatch, baseline, corrupt)
-        config = _config(epochs=4, baseline=baseline)
+        config = _config(epochs=4, eval_every=2, baseline=baseline)
         record = train(ds, config)
         assert record.failed
-        assert "non-finite loss" in record.abort_reason
-        assert record.epochs_completed < 4
-        assert record.final_eval is not None  # epoch-0 eval survives
-        assert calls["done"] > 0  # the first step updated
+        assert record.abort_reason == "abort run: non-finite loss at epoch 3"
+        assert record.epochs_completed == 2
+        assert record.history[0].eval is None
+        assert record.final_eval is record.history[1].eval is not None
+        assert not dataclasses.replace(record, abort_reason=None).failed
+        assert calls["done"] > 0  # the steps before it updated
         _assert_abort_wrote_nothing(record, ds, config, updates, calls["done"])
 
     # the prompt head's corrupted gradient is w.r.t. the embeddings, and its

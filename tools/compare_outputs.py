@@ -36,9 +36,12 @@ byte for byte, except run.json, which is compared without its wall_seconds;
 for a differing .npz archive, the members that differ are named. Exit
 codes, stdout and stderr are compared with the output root, the train
 wall time and each warning's path:line: location masked; a warning's
-category, message and source line are kept. Prints each difference and
-exits 1 if there is any, 0 otherwise. Uses the standard library only; one
-comparison takes about 60 s on a 2-core x86 VM.
+category, message and source line are kept. Every .json file the working
+tree writes is also parsed by a strict reader, which refuses NaN, Infinity
+and -Infinity (RFC 8259 allows none of them), and each file it refuses is
+reported. Prints each difference and each refused file and exits 1 if
+there is any, 0 otherwise. Uses the standard library only; one comparison
+takes about 60 s on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -279,6 +282,21 @@ def _file_differences(a: Path, b: Path) -> list[str]:
     return _npz_differences(a, b) if a.suffix == ".npz" else ["differs"]
 
 
+def _refuse_constant(constant: str):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+def strict_json_failures(root: Path) -> list[str]:
+    """One line per .json file under root that a strict JSON reader refuses."""
+    failures = []
+    for path in sorted(root.rglob("*.json")):
+        try:
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+        except ValueError as exc:
+            failures.append(f"{path.relative_to(root)}: not strict JSON: {exc}")
+    return failures
+
+
 def compare(base_root: Path, work_root: Path, base_runs, work_runs) -> list[str]:
     """One line per difference between the two output roots and command results."""
     diffs = []
@@ -309,6 +327,7 @@ def main(argv: list[str]) -> int:
         base_runs = run_all(base_src, base_root)
         work_runs = run_all(REPO / "src", work_root)
         diffs = compare(base_root, work_root, base_runs, work_runs)
+        diffs += strict_json_failures(work_root)
     for line in diffs:
         print(line)
     print(f"{base} vs working tree: {'identical' if not diffs else f'{len(diffs)} differences'}")
