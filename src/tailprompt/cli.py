@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -43,6 +42,7 @@ from .train import (
     stack_key,
     train,
     train_stack,
+    usable_cores as _usable_cores,
     write_run_dir,
 )
 
@@ -272,14 +272,6 @@ def _std(values: list[float]) -> float:
     return float(np.std(np.asarray(values, dtype=np.float64)))  # population std
 
 
-def _usable_cores() -> int:
-    """The number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has sched_getaffinity
-        return os.cpu_count() or 1
-
-
 def _shares(jobs: list, workers: int, key) -> list[list[list]]:
     """Split jobs into at most workers fixed shares of chunks, where
     key(job) is a job's stacking key (None: the job trains alone).
@@ -305,13 +297,13 @@ def _shares(jobs: list, workers: int, key) -> list[list[list]]:
     return [share for share in shares if share]
 
 
-def _stacked_records(dataset, configs: list):
+def _stacked_records(dataset, configs: list, spare_core: bool | None = None):
     """Each run's record from one train_stack of the runs, or None when the
     stack met anything a run alone would report: a ConfigError or
     NumericsError, a warning, or an aborted run. Its runs then train alone."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            records = train_stack(dataset, configs)
+            records = train_stack(dataset, configs, spare_core=spare_core)
         except (ConfigError, NumericsError):
             return None
     if caught or any(record.failed for record in records):
@@ -319,9 +311,10 @@ def _stacked_records(dataset, configs: list):
     return records
 
 
-def _run_share(dataset, share, force: bool) -> dict:
+def _run_share(dataset, share, force: bool, spare_core: bool) -> dict:
     """Train each chunk of (index, run_dir, run_config) jobs and write their
-    run directories; {index: outcome} of the jobs trained.
+    run directories; {index: outcome} of the jobs trained. spare_core says
+    whether training may fork a record worker (train.train_stack).
 
     A chunk of several runs trains as one stack (train.train_stack); when
     the stack meets anything a run alone would report, each of its runs
@@ -338,11 +331,15 @@ def _run_share(dataset, share, force: bool) -> dict:
         chunk = [job for job in chunk if job[0] < stop]
         records = None
         if len(chunk) > 1:
-            records = _stacked_records(dataset, [run_config.train for *_, run_config in chunk])
+            configs = [run_config.train for *_, run_config in chunk]
+            records = _stacked_records(dataset, configs, spare_core)
         for position, (index, run_dir, run_config) in enumerate(chunk):
             with warnings.catch_warnings(record=True) as caught:
                 try:
-                    record = records[position] if records else train(dataset, run_config.train)
+                    if records:
+                        record = records[position]
+                    else:
+                        record = train(dataset, run_config.train, spare_core=spare_core)
                     write_run_dir(run_dir, record, config_to_dict(run_config), force=force)
                     maps = None if record.failed else record.final_eval.maps()
                     result = (record.failed, record.abort_reason, maps)
@@ -364,20 +361,21 @@ def _inherit_dataset(dataset) -> None:
     _inherited_dataset = dataset
 
 
-def _run_inherited_share(share, force: bool) -> dict:
-    return _run_share(_inherited_dataset, share, force)
+def _run_inherited_share(share, force: bool, spare_core: bool) -> dict:
+    return _run_share(_inherited_dataset, share, force, spare_core)
 
 
-def _run_shares(dataset, shares: list[list], force: bool) -> list[dict]:
+def _run_shares(dataset, shares: list[list], force: bool, spare_core: bool) -> list[dict]:
     """Each share's outcomes: share 0 runs in this process, every other share
-    in one of len(shares) - 1 forked workers.
+    in one of len(shares) - 1 forked workers. spare_core says whether each
+    share may fork a record worker as well.
 
     Fork start hands the workers the dataset by inheritance, not by pickling
     (about 200 MB at 50k x 200 x 256). The pool is imported only when it is
     used, because the import costs RSS.
     """
     if len(shares) == 1:
-        return [_run_share(dataset, shares[0], force)]
+        return [_run_share(dataset, shares[0], force, spare_core)]
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
@@ -387,8 +385,10 @@ def _run_shares(dataset, shares: list[list], force: bool) -> list[dict]:
         initializer=_inherit_dataset,
         initargs=(dataset,),
     ) as pool:
-        futures = [pool.submit(_run_inherited_share, share, force) for share in shares[1:]]
-        return [_run_share(dataset, shares[0], force), *(f.result() for f in futures)]
+        futures = [
+            pool.submit(_run_inherited_share, share, force, spare_core) for share in shares[1:]
+        ]
+        return [_run_share(dataset, shares[0], force, spare_core), *(f.result() for f in futures)]
 
 
 def cmd_sweep(args) -> int:
@@ -396,10 +396,11 @@ def cmd_sweep(args) -> int:
 
     Runs whose configs share a train.stack_key train as one stack, and the
     runs are split by a fixed rule (_shares) into at most min(runs, usable
-    cores) shares, one process each. Each run is seeded on its own and keeps
-    its bits in a stack, so every output byte is the same as in a serial
-    sweep. The per-run lines are printed in order once all runs have
-    finished, each run's warnings just before its line.
+    cores) shares, one process each. Only when the shares leave a core free
+    may each share fork a record worker (train.train_stack). Each run is
+    seeded on its own and keeps its bits in a stack, so every output byte is
+    the same as in a serial sweep. The per-run lines are printed in order
+    once all runs have finished, each run's warnings just before its line.
     """
     config = _load_or_default_config(args.config)
     variants = args.variant or []
@@ -425,10 +426,10 @@ def cmd_sweep(args) -> int:
             jobs.append((len(jobs), run_dir, with_train(VARIANTS[name](config), seed=seed)))
     dataset = _resolve_dataset(args, config)
 
-    workers = min(len(jobs), _usable_cores())
-    shares = _shares(jobs, workers, key=lambda job: stack_key(job[2].train))
+    cores = _usable_cores()
+    shares = _shares(jobs, min(len(jobs), cores), key=lambda job: stack_key(job[2].train))
     done = {}
-    for share_outcomes in _run_shares(dataset, shares, args.force):
+    for share_outcomes in _run_shares(dataset, shares, args.force, len(shares) < cores):
         done.update(share_outcomes)
     # A share trains no job after its first error, so the outcomes are read
     # lazily, in job order: a missing one lies after an error that has

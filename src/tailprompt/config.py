@@ -12,6 +12,7 @@ reparses to an equal config.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, read_json
@@ -49,10 +50,22 @@ class RunConfigFile:
     train: TrainConfig
 
 
+def _finite_double(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond a double's range
+        return False
+
+
 def _check_type(key: str, where: str, value, default) -> None:
+    """Refuse a value without the JSON type of the field's default, and a
+    number for a float field that is not a finite double: json.loads reads
+    1e400 as inf, and an integer literal of any size as an int."""
     accepted, kind = _ACCEPTED[type(default)]
     if isinstance(value, bool) is not isinstance(default, bool) or not isinstance(value, accepted):
         raise ConfigError(f"key {key!r} {where} must be {kind}, got {json.dumps(value)}")
+    if isinstance(default, float) and not _finite_double(value):
+        raise ConfigError(f"key {key!r} {where} must be a finite number within a double's range")
 
 
 def _section(doc: dict, name: str, defaults: dict) -> dict:

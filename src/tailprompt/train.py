@@ -14,15 +14,27 @@ seed and the two ablation switches of the embedding loss, train in lockstep
 (train_stack): one step evaluates all of them on a leading run axis, and each
 run keeps the bits it gets when trained alone. train() is the one-run case of
 that loop.
+
+When a core is free, a forked record worker scores each epoch record but the
+last while this process takes the next epoch's steps (_RecordWorker). The
+speculative epoch is kept only when nothing would tell it apart from the
+inline order; otherwise it is rewound and replayed inline, so the worker
+changes no output byte, exit code, message or warning.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
+import os
+import pickle
+import signal
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -297,7 +309,8 @@ class _PromptHead:
 class _PromptStack:
     """The prompt heads of S >= 1 runs that share a stack_key, trained in
     lockstep: they share the stats, the encoder and tau, and each keeps its
-    own contexts and epoch records.
+    own contexts and epoch records. parameters lists the arrays a step
+    updates: the stack's contexts.
 
     The step evaluates the one Objective of the runs' LossConfigs on one
     PromptSet: a lone run's own, or, for S > 1 runs, one whose contexts
@@ -316,6 +329,7 @@ class _PromptStack:
             for head, view in zip(heads, contexts):
                 head.prompts.contexts = view
             self.prompts = dataclasses.replace(first.prompts, contexts=contexts)
+        self.parameters = [self.prompts.contexts]
         self.objective = loss_objective(first.stats, *(head.config.loss for head in heads))
 
     def step(self, split: MultiLabelDataset, rows: np.ndarray, lr: float) -> list[tuple]:
@@ -353,7 +367,8 @@ class _ProbeHead:
     """The linear-probe reference: a C x d linear head (plus bias) on the
     frozen image embeddings, trained with the configured classification loss
     alone, whatever the blend weight, and grouped by the training split's
-    stats. No prompts, no embedding loss."""
+    stats. No prompts, no embedding loss. parameters lists the arrays a step
+    updates: the weights and the bias."""
 
     def __init__(
         self, weights: np.ndarray, bias: np.ndarray, stats: ClassStats, config: TrainConfig
@@ -364,6 +379,7 @@ class _ProbeHead:
         self.config = config
         self.objective = loss_objective(stats, config.loss)
         self.record_fields = {"probe_weights": weights, "probe_bias": bias}
+        self.parameters = [weights, bias]
 
     def scores(self, images: np.ndarray) -> np.ndarray:
         """images @ W.T / tau + bias, divided and shifted in place: one
@@ -409,16 +425,19 @@ class _ProbeHead:
         return losses, None, _record_eval(z, split.labels, self.stats)
 
 
-def train(dataset: MultiLabelDataset, config: TrainConfig) -> RunRecord:
+def train(
+    dataset: MultiLabelDataset, config: TrainConfig, spare_core: bool | None = None
+) -> RunRecord:
     """Run the prompt-tuning loop (or the configured baseline) to completion:
-    train_stack of the one run.
+    train_stack of the one run, with its record worker when spare_core
+    says so.
 
     Prompts and the linear probe share the schedule, shuffle, abort rule and
     metrics. A non-finite loss, gradient or epoch-record score aborts the run;
     the partial record comes back with failed=True instead of an exception so
     sweeps can continue.
     """
-    return train_stack(dataset, [config])[0]
+    return train_stack(dataset, [config], spare_core)[0]
 
 
 def _trainer(dataset: MultiLabelDataset, configs: list[TrainConfig]):
@@ -452,7 +471,151 @@ def _trainer(dataset: MultiLabelDataset, configs: list[TrainConfig]):
     return _PromptStack(heads)
 
 
-def train_stack(dataset: MultiLabelDataset, configs: list[TrainConfig]) -> list[RunRecord]:
+def usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has sched_getaffinity
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _warnings_raised():
+    """Raise each warning that would be issued in the block, as its
+    exception, and issue none.
+
+    The "error" filter is put in front of warnings.filters in place:
+    warnings.simplefilter would also reset what the warning registries
+    hold, and a warning the registries hold as already issued passes
+    silently here, as it does outside. A warning raised here is not
+    recorded, so code replayed after the block issues it as it would have.
+    """
+    filters, entry = warnings.filters, ("error", None, Warning, None, 0)
+    filters.insert(0, entry)
+    try:
+        yield
+    finally:
+        filters.remove(entry)
+
+
+def _record(trainer, dataset: MultiLabelDataset, with_loss: bool) -> list[tuple]:
+    """Each run's (losses or None, mean positive delta, EvalResult) for an
+    epoch record of dataset; the losses are asked for at epoch 0."""
+    return [head.measure(dataset, with_loss) for head in trainer.heads]
+
+
+def _serve_records(trainer, dataset: MultiLabelDataset, requests, replies) -> None:
+    """The record worker's loop: read a with-loss flag byte and the raw
+    bytes of trainer's parameter arrays, reply with the pickled _record, or
+    None when scoring raised or would have warned; stop at end of input."""
+    while flag := requests.read(1):
+        for params in trainer.parameters:
+            view = memoryview(params).cast("B")
+            if requests.readinto(view) != len(view):
+                return
+        try:
+            with _warnings_raised():
+                measured = _record(trainer, dataset, flag == b"\1")
+        except Exception:  # any failure is replayed by the trainer, where it shows
+            measured = None
+        pickle.dump(measured, replies)
+        replies.flush()
+
+
+class _RecordWorker:
+    """A forked process that scores a trainer's epoch records while this
+    process trains on.
+
+    It is forked once the trainer is built, so it inherits the dataset and
+    the frozen state by copy-on-write; spawn would re-import the package and
+    pickle the dataset (41 MB at 10k x 200 x 256), which costs more than the
+    record it hides. Each record sends it only the trainer's parameter
+    arrays, raw, down a pipe; it replies with the pickled _record, or None.
+    """
+
+    def __init__(self, trainer, dataset: MultiLabelDataset):
+        self.parameters = trainer.parameters
+        request_r, request_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (request_r, request_w, reply_r, reply_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                os.close(request_w)
+                os.close(reply_r)
+                with os.fdopen(request_r, "rb") as requests, os.fdopen(reply_w, "wb") as replies:
+                    _serve_records(trainer, dataset, requests, replies)
+            finally:
+                os._exit(0)  # no exit handler, buffer flush or test teardown of the parent's
+        os.close(request_r)
+        os.close(reply_w)
+        self.requests = request_w
+        self.replies = os.fdopen(reply_r, "rb")
+
+    def send(self, with_loss: bool) -> None:
+        """Start scoring an epoch record of the current parameters."""
+        try:
+            os.write(self.requests, b"\1" if with_loss else b"\0")
+            for params in self.parameters:
+                view = memoryview(params).cast("B")
+                while view:
+                    view = view[os.write(self.requests, view) :]
+        except BrokenPipeError:  # the worker is gone; receive says so
+            pass
+
+    def receive(self) -> list[tuple] | None:
+        """The record sent last, or None when the worker failed to score it
+        or is gone."""
+        try:
+            return pickle.load(self.replies)
+        except (EOFError, pickle.UnpicklingError):
+            return None
+
+    def close(self) -> None:
+        """End the worker and reap it, whatever it is doing."""
+        os.close(self.requests)
+        self.replies.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _overlap(worker: _RecordWorker, trainer, generators: list, ahead, with_loss: bool):
+    """Score an epoch record in worker while ahead() takes the next epoch's
+    steps here: (the record, ahead's value or its NumericsError).
+
+    (None, None) when the record or ahead raised anything else or would
+    have warned, or the worker is gone. The trainer's parameters and the
+    shuffle generators are then restored to their state before ahead(), so
+    that the record and the epoch can run again as if neither had run.
+    """
+    snapshot = [params.copy() for params in trainer.parameters]
+    states = [rng.bit_generator.state for rng in generators]
+    worker.send(with_loss)
+    outcome = None
+    try:
+        with _warnings_raised():
+            outcome = ahead()
+    except NumericsError as err:
+        outcome = err
+    except Exception:  # a warning or any other failure shows when it runs again
+        pass
+    measured = worker.receive()
+    if measured is not None and outcome is not None:
+        return measured, outcome
+    for params, saved in zip(trainer.parameters, snapshot):
+        params[...] = saved
+    for rng, state in zip(generators, states):
+        rng.bit_generator.state = state
+    return None, None
+
+
+def train_stack(
+    dataset: MultiLabelDataset, configs: list[TrainConfig], spare_core: bool | None = None
+) -> list[RunRecord]:
     """Train runs that share a stack_key in lockstep; each run's RunRecord.
 
     Each epoch draws one permutation per distinct seed, and each step
@@ -462,21 +625,26 @@ def train_stack(dataset: MultiLabelDataset, configs: list[TrainConfig]) -> list[
     not finite, every run's record ends at that epoch with failed=True (a
     sweep then trains each run alone; see cli). Every record's wall_seconds
     is the stack's.
+
+    spare_core says whether a core is free for a record worker; None counts
+    this process's usable cores, two or more. With one, each epoch record
+    but the last is scored in the worker while the next epoch's steps run
+    here. That epoch is kept when the record came back, and neither raised
+    nor would have warned, save the epoch's abort on a non-finite loss.
+    Otherwise the parameters and shuffles are restored from a snapshot, the
+    worker is ended, and the record and the epoch run again here, as they
+    would have without it.
     """
     started = time.perf_counter()
     config = configs[0]
     trainer = _trainer(dataset, configs)
-    initial = []
-    for head in trainer.heads:
-        losses, *measured = head.measure(dataset, with_loss=True)
-        initial.append(EpochRecord(0, config.lr0, *losses, *measured))
     seeds = [run_config.seed for run_config in configs]
     n = dataset.num_samples
     shuffles = {seed: substream(seed, DOMAIN_TRAIN, _STREAM_SHUFFLE) for seed in seeds}
-    histories: list[list[EpochRecord]] = [[] for _ in configs]
-    abort_reason = None
 
-    for epoch in range(1, config.epochs + 1):
+    def steps(epoch: int):
+        """The steps of epoch: its lr and each run's mean (total, cls part,
+        cse part) of their losses; NumericsError on a non-finite loss."""
         lr = cosine_lr(epoch - 1, config.epochs, config.lr0)
         permutations = {seed: rng.permutation(n) for seed, rng in shuffles.items()}
         if len(permutations) == 1:
@@ -484,25 +652,65 @@ def train_stack(dataset: MultiLabelDataset, configs: list[TrainConfig]) -> list[
         else:
             order = np.stack([permutations[seed] for seed in seeds])
         sums = [[0.0, 0.0, 0.0] for _ in configs]
-        eval_now = epoch % config.eval_every == 0 or epoch == config.epochs
-        try:
-            for rows in _epoch_batches(order, config.batch_size):
-                size = rows.shape[-1]
-                for run_sums, values in zip(sums, trainer.step(dataset, rows, lr)):
-                    if not math.isfinite(values[0]):
-                        raise NumericsError(f"abort run: non-finite loss at epoch {epoch}")
-                    for k, value in enumerate(values):
-                        run_sums[k] += value * size
-            measured = [
-                head.measure(dataset)[1:] if eval_now else (None, None) for head in trainer.heads
-            ]
-        except NumericsError as err:
-            abort_reason = str(err)
-            break
+        for rows in _epoch_batches(order, config.batch_size):
+            size = rows.shape[-1]
+            for run_sums, values in zip(sums, trainer.step(dataset, rows, lr)):
+                if not math.isfinite(values[0]):
+                    raise NumericsError(f"abort run: non-finite loss at epoch {epoch}")
+                for k, value in enumerate(values):
+                    run_sums[k] += value * size
+        return lr, [[value / n for value in run_sums] for run_sums in sums]
 
-        for history, run_sums, run_measured in zip(histories, sums, measured):
-            means = (value / n for value in run_sums)
-            history.append(EpochRecord(epoch, lr, *means, *run_measured))
+    if spare_core is None:
+        spare_core = usable_cores() > 1
+    worker = None
+    if spare_core:
+        with contextlib.suppress(OSError):  # no process to be had: every record runs here
+            worker = _RecordWorker(trainer, dataset)
+    histories: list[list[EpochRecord]] = [[] for _ in configs]
+    abort_reason = None
+    lr, means = config.lr0, None
+    try:
+        for epoch in range(config.epochs + 1):
+            last = epoch == config.epochs
+            due = epoch % config.eval_every == 0 or last
+            measured = ahead = None
+            if worker is not None and due and not last:
+                generators = list(shuffles.values())
+                next_epoch = functools.partial(steps, epoch + 1)
+                measured, ahead = _overlap(worker, trainer, generators, next_epoch, epoch == 0)
+                if measured is None:
+                    worker.close()
+                    worker = None
+            if not due:
+                measured = [(None, None, None)] * len(configs)
+            elif measured is None:
+                try:
+                    measured = _record(trainer, dataset, epoch == 0)
+                except NumericsError as err:
+                    if epoch == 0:
+                        raise
+                    abort_reason = str(err)
+                    break
+            if epoch == 0:
+                initial = [EpochRecord(0, lr, *losses, *rest) for losses, *rest in measured]
+            else:
+                for history, run_means, (_, *rest) in zip(histories, means, measured):
+                    history.append(EpochRecord(epoch, lr, *run_means, *rest))
+            if last:
+                break
+            if ahead is None:
+                try:
+                    ahead = steps(epoch + 1)
+                except NumericsError as err:
+                    ahead = err
+            if isinstance(ahead, NumericsError):
+                abort_reason = str(ahead)
+                break
+            lr, means = ahead
+    finally:
+        if worker is not None:
+            worker.close()
 
     outcome = dict(wall_seconds=time.perf_counter() - started, abort_reason=abort_reason)
     return [

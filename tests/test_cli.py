@@ -633,11 +633,11 @@ class TestSweepWorkers:
         here = []
         real_train_stack = cli.train_stack
 
-        def recording_train_stack(dataset, train_configs):
+        def recording_train_stack(dataset, train_configs, spare_core=None):
             here.append([(c.loss.cls_loss_kind, c.seed) for c in train_configs])
-            return real_train_stack(dataset, train_configs)
+            return real_train_stack(dataset, train_configs, spare_core)
 
-        def refuse_train(dataset, train_config):
+        def refuse_train(dataset, train_config, spare_core=None):
             raise AssertionError("a run of a stack that trained was trained alone")
 
         def refuse_pickle(self, protocol):
@@ -657,6 +657,44 @@ class TestSweepWorkers:
         # each variant's seeds stack; this process trained full's stack and
         # the one worker bce's: no worker is forked for the empty third share
         assert here == [[("db", 1), ("db", 2)]]
+
+    def test_record_workers_only_where_the_shares_leave_a_core(
+        self, monkeypatch, tmp_path, config_path, dataset_path, capsys
+    ):
+        """On two cores, a sweep of two shares forks its one pool worker and
+        no record worker, in either share; a sweep of one share trains in
+        this process with a record worker."""
+        import concurrent.futures
+        import importlib
+
+        train_mod = importlib.import_module("tailprompt.train")
+        pools, started = [], []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        class RefusedWorker:
+            def __init__(self, *args):
+                raise AssertionError("a record worker was started")
+
+        class RecordingWorker(train_mod._RecordWorker):
+            def __init__(self, *args):
+                started.append(os.getpid())
+                super().__init__(*args)
+
+        argv = ["--config", config_path, "--data", dataset_path, "--seeds", "1"]
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        with monkeypatch.context() as m:
+            m.setattr(train_mod, "_RecordWorker", RefusedWorker)
+            two = [*argv, "--variant", "full", "--variant", "bce"]
+            assert self._sweep(m, capsys, tmp_path / "two", 2, two)[0] == EXIT_OK
+        assert pools == [1]
+        monkeypatch.setattr(train_mod, "_RecordWorker", RecordingWorker)
+        one = [*argv, "--variant", "full"]
+        assert self._sweep(monkeypatch, capsys, tmp_path / "one", 2, one)[0] == EXIT_OK
+        assert pools == [1] and started == [os.getpid()]
 
     def test_shares_chunk_groups_onto_the_least_loaded_share(self):
         from tailprompt.cli import _shares
@@ -812,8 +850,8 @@ class TestSweepWorkers:
         stacks = []
         real_train_stack = cli.train_stack
 
-        def recording_train_stack(dataset, train_configs):
-            records = real_train_stack(dataset, train_configs)
+        def recording_train_stack(dataset, train_configs, spare_core=None):
+            records = real_train_stack(dataset, train_configs, spare_core)
             stacks.append([record.failed for record in records])
             return records
 
@@ -841,9 +879,9 @@ class TestSweepWorkers:
         real_train_stack = cli.train_stack
         assert len(cli._stacked_records(dataset, configs)) == 2
 
-        def warning_train_stack(dataset, train_configs):
+        def warning_train_stack(dataset, train_configs, spare_core=None):
             warnings.warn("overflow encountered in a stacked step", RuntimeWarning)
-            return real_train_stack(dataset, train_configs)
+            return real_train_stack(dataset, train_configs, spare_core)
 
         monkeypatch.setattr(cli, "train_stack", warning_train_stack)
         assert cli._stacked_records(dataset, configs) is None
@@ -868,16 +906,16 @@ class TestSweepWorkers:
 
         real_train, real_train_stack = cli.train, cli.train_stack
 
-        def train_or_fail(dataset, train_config):
+        def train_or_fail(dataset, train_config, spare_core=None):
             if train_config.seed == 2:
                 raise NumericsError(f"seed {train_config.seed} broke")
-            return real_train(dataset, train_config)
+            return real_train(dataset, train_config, spare_core)
 
-        def train_stack_or_fail(dataset, train_configs):
+        def train_stack_or_fail(dataset, train_configs, spare_core=None):
             # a stack holding seed 2 meets its error, and its runs train alone
             if any(c.seed == 2 for c in train_configs):
                 raise NumericsError("a stacked run broke")
-            return real_train_stack(dataset, train_configs)
+            return real_train_stack(dataset, train_configs, spare_core)
 
         monkeypatch.setattr(cli, "train", train_or_fail)
         monkeypatch.setattr(cli, "train_stack", train_stack_or_fail)

@@ -127,6 +127,29 @@ class TestEcho:
         doc = json.loads(path.read_text())
         assert doc["loss"]["cls_loss_weight"] == 0.75
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"train": {"tau": 1e400}}', "'tau' in section 'train'"),
+            ('{"train": {"tau": 1' + "0" * 400 + "}}", "'tau' in section 'train'"),
+            ('{"loss": {"eta": -1e400}}', "'eta' in section 'loss'"),
+            ('{"prompt": {"init_std": 2e308}}', "'init_std' in section 'prompt'"),
+        ],
+        ids=["inf", "huge-int", "minus-inf", "prompt"],
+    )
+    def test_float_field_beyond_a_double_refused(self, tmp_path, text, key):
+        """json.loads reads 1e400 as inf and a 401-digit integer as an int
+        that no double holds: each is refused by name, before it can be
+        echoed as Infinity or overflow in training."""
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"key {key} must be a finite number"):
+            load_config(path)
+
+    def test_large_finite_float_field_kept(self):
+        config = parse_config({"train": {"tau": 10**300, "lr0": 1e308}})
+        assert (config.train.tau, config.train.lr0) == (10**300, 1e308)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -4,6 +4,10 @@ import hashlib
 import importlib
 import inspect
 import json
+import multiprocessing
+import os
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -656,6 +660,171 @@ class TestTrainStack:
         assert train_mod.stack_key(_config(baseline="linear_probe")) is None
         with pytest.raises(ConfigError, match="stack_key"):
             train_mod.train_stack(_dataset(), [_config(baseline="linear_probe")] * 2)
+
+
+def _bits(value):
+    """value with every float as its bit pattern and every array as its
+    dtype, shape and bytes, recursing into dataclasses, tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(item) for item in value)
+    return value
+
+
+class _Interrupt(BaseException):
+    """An exception that is not an Exception, as KeyboardInterrupt is not."""
+
+
+def _record_bits(record: RunRecord):
+    """_bits of all a RunRecord holds but its wall_seconds and the cache of
+    its ClassStats."""
+    fields = (record.initial, record.history, record.abort_reason, record.prompts, record.encoder)
+    stats = (record.stats.counts, record.stats.group, record.stats.num_samples)
+    return _bits((*fields, *stats, record.probe_weights, record.probe_bias))
+
+
+class TestRecordWorker:
+    """On two usable cores train_stack scores every epoch record but the
+    last in a forked worker while it takes the next epoch's steps; on one it
+    scores them inline. Both give bit-identical records, and neither leaves
+    a child process behind, whether it returns or raises."""
+
+    @staticmethod
+    def _assert_no_child():
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def _records(self, monkeypatch, ds, configs, cores, setup=None):
+        """train_stack's records at the given core count (after setup(), if
+        given), each warning issued as (category, message), and whether
+        each record sent to a worker was kept (False: it and the next epoch
+        ran again here)."""
+        kept = []
+        real_overlap = train_mod._overlap
+
+        def overlap(*args):
+            measured, ahead = real_overlap(*args)
+            kept.append(measured is not None)
+            return measured, ahead
+
+        with monkeypatch.context() as m:
+            m.setattr(train_mod, "usable_cores", lambda: cores)
+            m.setattr(train_mod, "_overlap", overlap)
+            if setup is not None:
+                setup(m)
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    records = train_mod.train_stack(ds, configs)
+            finally:
+                self._assert_no_child()
+        return records, [(w.category, str(w.message)) for w in caught], kept
+
+    def _assert_same(self, monkeypatch, ds, configs, setup=None):
+        """The records at 2 and 1 cores, bit for bit but wall_seconds, and
+        their warnings, in order; the records and the warnings, and whether
+        each record sent to the worker was kept."""
+        (worked, warned, kept), (inline, issued, none) = [
+            self._records(monkeypatch, ds, configs, cores, setup) for cores in (2, 1)
+        ]
+        assert none == []
+        assert warned == issued
+        assert len(worked) == len(inline) == len(configs)
+        for a, b in zip(worked, inline):
+            assert _record_bits(a) == _record_bits(b)
+        return inline, issued, kept
+
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_lone_run(self, monkeypatch, baseline):
+        config = _config(epochs=3, baseline=baseline)
+        (record,), issued, kept = self._assert_same(monkeypatch, _dataset(), [config])
+        assert not record.failed and issued == []
+        assert kept == [True] * 3  # epochs 0, 1 and 2; epoch 3's is the last
+
+    @pytest.mark.parametrize("mode", [MODE_CLASS_SPECIFIC, MODE_SHARED])
+    def test_stack_of_four(self, monkeypatch, mode):
+        prompt = PromptSpec(mode=mode, num_context_tokens=3)
+        configs = [
+            _config(lr0=2.0, seed=seed, loss=loss, prompt=prompt)
+            for seed, loss in zip((1, 2, 2, 3), _ablations())
+        ]
+        records, issued, kept = self._assert_same(monkeypatch, _dataset(), configs)
+        assert not any(record.failed for record in records) and kept == [True] * 3
+
+    def test_one_epoch(self, monkeypatch):
+        (record,), issued, kept = self._assert_same(monkeypatch, _dataset(), [_config(epochs=1)])
+        assert record.epochs_completed == 1 and kept == [True]
+
+    def test_records_every_other_epoch(self, monkeypatch):
+        config = _config(epochs=5, eval_every=2)
+        (record,), issued, kept = self._assert_same(monkeypatch, _dataset(), [config])
+        assert [r.epoch for r in record.history if r.eval is not None] == [2, 4, 5]
+        assert kept == [True] * 3  # epochs 0, 2 and 4
+
+    def test_abort_on_a_record_that_is_not_the_last(self, monkeypatch):
+        """One step an epoch overflows the contexts, and epoch 1's record,
+        not the last of two epochs, is the first to read them: the worker
+        fails to score it, and the record and epoch 2 run again here."""
+        config = _config(epochs=2, lr0=1e308, batch_size=64)
+        (record,), issued, kept = self._assert_same(monkeypatch, _dataset(), [config])
+        assert record.abort_reason == "abort run: non-finite scores in the epoch record"
+        assert record.epochs_completed == 0 and kept == [True, False]
+        assert issued and {category for category, _ in issued} == {RuntimeWarning}
+
+    def test_abort_in_a_step_that_warns(self, monkeypatch):
+        """Epoch 1's first step overflows the contexts and its second step's
+        loss is not finite, with warnings on the way: that epoch, taken
+        while the worker scored epoch 0, runs again here."""
+        config = _config(epochs=3, lr0=1e308)
+        (record,), issued, kept = self._assert_same(monkeypatch, _dataset(), [config])
+        assert record.abort_reason == "abort run: non-finite loss at epoch 1"
+        assert record.epochs_completed == 0 and kept == [False]
+        assert issued and {category for category, _ in issued} == {RuntimeWarning}
+
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_abort_in_a_step_is_kept(self, monkeypatch, baseline):
+        """The loss of epoch 3's second step is NaN, with no warning, while
+        the worker scores epoch 2: the record and the abort are kept."""
+
+        def setup(m):
+            calls = {"n": 0}
+
+            def corrupt(report, need_grad):
+                calls["n"] += need_grad
+                if calls["n"] == 10 and need_grad:
+                    return LossReport(np.nan, report.cls_part, report.cse_part, report.gradient)
+                return report
+
+            _patch_head_loss(m, baseline, corrupt)
+
+        config = _config(epochs=4, eval_every=2, baseline=baseline)
+        (record,), issued, kept = self._assert_same(monkeypatch, _dataset(), [config], setup)
+        assert record.abort_reason == "abort run: non-finite loss at epoch 3"
+        assert record.final_eval is record.history[1].eval is not None
+        assert kept == [True, True] and issued == []
+
+    @pytest.mark.parametrize("error", [KeyError, _Interrupt])
+    def test_an_error_leaves_no_child(self, monkeypatch, error):
+        """A step that raises: an Exception is raised again when the epoch
+        runs again here, after the worker has ended; any other exception
+        leaves train_stack at once, while the worker may still be scoring
+        epoch 0."""
+
+        def setup(m):
+            def broken(*args, **kwargs):
+                raise error("broken step")
+
+            m.setattr(train_mod, "objective_core", broken)
+
+        for cores in (2, 1):
+            with pytest.raises(error, match="broken step"):
+                self._records(monkeypatch, _dataset(), [_config()], cores, setup)
 
 
 class TestLinearProbe:

@@ -5,9 +5,10 @@ Usage: python3 tools/compare_outputs.py [BASE]   (BASE defaults to HEAD)
 BASE's src/ is extracted with `git archive`. One fixed command list runs
 against both trees, each with PYTHONPATH set to that tree's src/ and one BLAS
 thread: synth, train (with its pre-training gradcheck), train with
---skip-gradcheck, --ablation, --loss and --seed, eval of the trained
-prompts, synth of a second split with --seed 8 and eval of the trained
-prompts on that split, which they did not train on, the 120-case
+--skip-gradcheck, --ablation, --loss and --seed, two trains of the paths
+a record worker takes (see below), eval of the trained prompts, synth of a
+second split with --seed 8 and eval of the trained prompts on that split,
+which they did not train on, the 120-case
 gradcheck, a sweep of every variant over seeds 1 and 2, and eval of two
 checkpoints that sweep writes: the linear probe's, and that of no-reweight
 seed 2, which trains in a stack and is written from its slice of the
@@ -31,11 +32,21 @@ bce, coop and linear-probe with the config {"train": {"lr0": 1e308}},
 written as abort.json: every run aborts at epoch 1 with a non-finite loss,
 so the abort messages, the partial run directories and the NumPy warnings
 on the way are compared, and full and plain-cse, which a sweep trains as
-one stack, fall back to training alone. Every output file is then compared
-byte for byte, except run.json, which is compared without its wall_seconds;
-for a differing .npz archive, the members that differ are named. Exit
-codes, stdout and stderr are compared with the output root, the train
-wall time and each warning's path:line: location masked; a warning's
+one stack, fall back to training alone. The two trains of the record
+worker's paths run with --skip-gradcheck on the first split. With
+cadence.json ({"train": {"epochs": 5, "eval_every": 2}}), the records of
+epochs 0, 2 and 4 are scored by the worker, and that of epoch 2 is kept only
+once epoch 3, which has none, has run. With abort-record.json ({"train":
+{"lr0": 1e308, "batch_size": 2000, "epochs": 3}}), each epoch is one step,
+which overflows the contexts, and epoch 1's record, which is not the last,
+aborts the run: the worker fails to score it, and the record and epoch 2
+run again in the training process, whose messages and warnings are
+compared. Run it under taskset -c 0 as well, where every record runs
+inline. Every output file is then compared byte for byte, except run.json,
+which is compared without its wall_seconds; for a differing .npz archive,
+the members that differ are named. Exit codes, stdout and stderr are
+compared with the output root, the train wall time and each warning's
+path:line: location masked; a warning's
 category, message and source line are kept. Every .json file the working
 tree writes is also parsed by a strict reader, which refuses NaN, Infinity
 and -Infinity (RFC 8259 allows none of them), and each file it refuses is
@@ -89,6 +100,30 @@ COMMANDS = (
         "bce",
         "--seed",
         "9",
+    ),
+    # epoch records at 0, 2, 4 and 5: the record of epoch 2 is kept only
+    # after epoch 3, which has none
+    (
+        "train",
+        "--config",
+        "cadence.json",
+        "--data",
+        "data.npz",
+        "--out",
+        "train-cadence",
+        "--skip-gradcheck",
+    ),
+    # one step an epoch overflows the contexts: epoch 1's record, which is
+    # not the last, is the first to read them and aborts the run
+    (
+        "train",
+        "--config",
+        "abort-record.json",
+        "--data",
+        "data.npz",
+        "--out",
+        "train-abort-record",
+        "--skip-gradcheck",
     ),
     ("eval", "--data", "data.npz", "--ckpt", "train/prompts.ckpt.json", "--out", "eval.json"),
     # the trained prompts scored on a split they did not train on
@@ -203,6 +238,8 @@ CONFIGS = {
     "lambda0.json": '{"loss": {"cls_loss_weight": 0.0}}\n',
     "lambda1.json": '{"loss": {"cls_loss_weight": 1.0}}\n',
     "abort.json": '{"train": {"lr0": 1e308}}\n',
+    "cadence.json": '{"train": {"epochs": 5, "eval_every": 2}}\n',
+    "abort-record.json": '{"train": {"lr0": 1e308, "batch_size": 2000, "epochs": 3}}\n',
 }
 
 _WALL = re.compile(r"epochs in \d+\.\d+s")
