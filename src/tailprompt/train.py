@@ -15,11 +15,12 @@ seed and the two ablation switches of the embedding loss, train in lockstep
 run keeps the bits it gets when trained alone. train() is the one-run case of
 that loop.
 
-When a core is free, a forked record worker scores each epoch record but the
-last while this process takes the next epoch's steps (_RecordWorker). The
-speculative epoch is kept only when nothing would tell it apart from the
-inline order; otherwise it is rewound and replayed inline, so the worker
-changes no output byte, exit code, message or warning.
+When a core is free and this process runs one thread, a forked record worker
+scores each epoch record but the last while this process takes the next
+epoch's steps (_RecordWorker). The speculative epoch is kept only when
+nothing would tell it apart from the inline order; otherwise it is rewound
+and replayed inline, so the worker changes no output byte, exit code,
+message or warning.
 """
 
 from __future__ import annotations
@@ -479,6 +480,31 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _threads() -> int | None:
+    """The number of threads this process runs, or None where the system
+    does not say."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+
+
+def _may_fork_worker() -> bool:
+    """Whether a record worker may be forked here: this process runs one
+    thread, and no function an epoch record calls has been wrapped.
+
+    A second thread is most often a BLAS library's, which runs its products
+    on every core: a worker would then take the parent's cores rather than
+    a free one, and a child forked from a threaded process may deadlock
+    (Python 3.12 warns of it). Where the thread count cannot be read, no
+    worker is forked. A wrapper of a record function (functools.wraps marks
+    it __wrapped__), such as a tracer's or a profiler's, must see the calls
+    a record makes, which a worker would make out of its sight.
+    """
+    record_functions = (encode_all, evaluate, mean_positive_delta)
+    return _threads() == 1 and not any(hasattr(fn, "__wrapped__") for fn in record_functions)
+
+
 @contextlib.contextmanager
 def _warnings_raised():
     """Raise each warning that would be issued in the block, as its
@@ -627,13 +653,14 @@ def train_stack(
     is the stack's.
 
     spare_core says whether a core is free for a record worker; None counts
-    this process's usable cores, two or more. With one, each epoch record
-    but the last is scored in the worker while the next epoch's steps run
-    here. That epoch is kept when the record came back, and neither raised
-    nor would have warned, save the epoch's abort on a non-finite loss.
-    Otherwise the parameters and shuffles are restored from a snapshot, the
-    worker is ended, and the record and the epoch run again here, as they
-    would have without it.
+    this process's usable cores, two or more. With a spare core, in a
+    process that runs one thread and whose record functions are not wrapped
+    (_may_fork_worker), each epoch record but the last is scored in a
+    forked worker while the next epoch's steps run here. That epoch is kept
+    when the record came back, and neither raised nor would have warned,
+    save the epoch's abort on a non-finite loss. Otherwise the parameters
+    and shuffles are restored from a snapshot, the worker is ended, and the
+    record and the epoch run again here, as they would have without it.
     """
     started = time.perf_counter()
     config = configs[0]
@@ -664,7 +691,7 @@ def train_stack(
     if spare_core is None:
         spare_core = usable_cores() > 1
     worker = None
-    if spare_core:
+    if spare_core and _may_fork_worker():
         with contextlib.suppress(OSError):  # no process to be had: every record runs here
             worker = _RecordWorker(trainer, dataset)
     histories: list[list[EpochRecord]] = [[] for _ in configs]

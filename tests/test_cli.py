@@ -658,12 +658,15 @@ class TestSweepWorkers:
         # the one worker bce's: no worker is forked for the empty third share
         assert here == [[("db", 1), ("db", 2)]]
 
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_record_workers_only_where_the_shares_leave_a_core(
         self, monkeypatch, tmp_path, config_path, dataset_path, capsys
     ):
         """On two cores, a sweep of two shares forks its one pool worker and
         no record worker, in either share; a sweep of one share trains in
-        this process with a record worker."""
+        this process with a record worker. The process is taken to run one
+        thread, as it does with one BLAS thread (it may run more here, hence
+        the ignored warning of Python 3.12 on forking it)."""
         import concurrent.futures
         import importlib
 
@@ -685,6 +688,7 @@ class TestSweepWorkers:
                 super().__init__(*args)
 
         argv = ["--config", config_path, "--data", dataset_path, "--seeds", "1"]
+        monkeypatch.setattr(train_mod, "_threads", lambda: 1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         with monkeypatch.context() as m:
             m.setattr(train_mod, "_RecordWorker", RefusedWorker)

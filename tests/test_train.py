@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import importlib
 import inspect
@@ -680,6 +681,18 @@ class _Interrupt(BaseException):
     """An exception that is not an Exception, as KeyboardInterrupt is not."""
 
 
+# the DeprecationWarning Python 3.12 and later issue on forking a process
+# that runs more than one thread
+_FORK_WARNING = r"This process .* is multi-threaded"
+
+
+class _RefusedWorker:
+    """A _RecordWorker double that fails the test when one is started."""
+
+    def __init__(self, *args):
+        raise AssertionError("a record worker was started")
+
+
 def _record_bits(record: RunRecord):
     """_bits of all a RunRecord holds but its wall_seconds and the cache of
     its ClassStats."""
@@ -692,7 +705,11 @@ class TestRecordWorker:
     """On two usable cores train_stack scores every epoch record but the
     last in a forked worker while it takes the next epoch's steps; on one it
     scores them inline. Both give bit-identical records, and neither leaves
-    a child process behind, whether it returns or raises."""
+    a child process behind, whether it returns or raises.
+
+    The process is taken to run one thread, as it does with one BLAS thread;
+    it may run more here, so Python 3.12's warning on forking a threaded
+    process is ignored."""
 
     @staticmethod
     def _assert_no_child():
@@ -715,12 +732,14 @@ class TestRecordWorker:
 
         with monkeypatch.context() as m:
             m.setattr(train_mod, "usable_cores", lambda: cores)
+            m.setattr(train_mod, "_threads", lambda: 1)
             m.setattr(train_mod, "_overlap", overlap)
             if setup is not None:
                 setup(m)
             try:
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
+                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
                     records = train_mod.train_stack(ds, configs)
             finally:
                 self._assert_no_child()
@@ -808,6 +827,41 @@ class TestRecordWorker:
         assert record.abort_reason == "abort run: non-finite loss at epoch 3"
         assert record.final_eval is record.history[1].eval is not None
         assert kept == [True, True] and issued == []
+
+    @pytest.mark.parametrize("threads", [2, None])
+    def test_no_worker_in_a_threaded_process(self, monkeypatch, threads):
+        """A process that runs a second thread (a BLAS library's, say), or
+        whose thread count cannot be read, forks no worker: every record
+        runs here."""
+
+        def setup(m):
+            m.setattr(train_mod, "_threads", lambda: threads)
+            m.setattr(train_mod, "_RecordWorker", _RefusedWorker)
+
+        (record,), issued, kept = self._records(monkeypatch, _dataset(), [_config()], 2, setup)
+        assert kept == [] and not record.failed
+
+    @pytest.mark.parametrize("name", ["encode_all", "evaluate", "mean_positive_delta"])
+    def test_no_worker_while_a_record_function_is_wrapped(self, monkeypatch, name):
+        """A wrapper of a function the records call, as a tracer or a
+        profiler installs, sees every record: they all run here."""
+        calls = []
+
+        def setup(m):
+            wrapped = getattr(train_mod, name)
+
+            @functools.wraps(wrapped)
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return wrapped(*args, **kwargs)
+
+            m.setattr(train_mod, name, wrapper)
+            m.setattr(train_mod, "_RecordWorker", _RefusedWorker)
+
+        (record,), issued, kept = self._records(monkeypatch, _dataset(), [_config()], 2, setup)
+        assert kept == [] and not record.failed
+        if name != "encode_all":  # which the steps call too
+            assert len(calls) == 1 + record.epochs_completed
 
     @pytest.mark.parametrize("error", [KeyError, _Interrupt])
     def test_an_error_leaves_no_child(self, monkeypatch, error):
