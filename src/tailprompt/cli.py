@@ -27,6 +27,7 @@ from .config import (
     with_synth,
     with_train,
 )
+from . import gradcheck
 from .data_model import class_counts, group_classes, load_dataset, save_dataset
 from .encoders import MODE_SHARED
 from .errors import ConfigError, NumericsError, read_json
@@ -36,6 +37,9 @@ from .metrics import MAP_KEYS
 from .seeding import DOMAIN_TRAIN, substream
 from .synth import generate
 from .train import (
+    _Child,
+    _may_fork,
+    _or_none,
     build_training_state,
     checkpoint_from_dict,
     refuse_nonempty_dir,
@@ -165,8 +169,9 @@ def _coordinate_name(flat_index: int, contexts_shape) -> str:
     return f" (class {c}, token {t}, dim {k})"
 
 
-def _pretrain_gradcheck(dataset, config: RunConfigFile) -> int:
-    """Certify the gradient on a sampled batch of the exact training state.
+def _gradcheck_verdict(dataset, config: RunConfigFile) -> tuple[bool, str]:
+    """Certify the gradient on a sampled batch of the exact training state:
+    (passed, the line to print, on stdout if it passed, else on stderr).
 
     check_training_state finite-differences the pooled coordinates, one per
     class (one in shared mode) and token dimension, and compares each of the
@@ -182,34 +187,61 @@ def _pretrain_gradcheck(dataset, config: RunConfigFile) -> int:
         dataset.batch(indices), prompts, encoder, stats, tc.loss, tau=tc.tau
     )
     if not report.passed:
-        print(
+        return False, (
             "gradcheck failed before training: "
             f"max rel error {report.max_rel_error:.3e} at coordinate {report.worst_index}"
-            f"{_coordinate_name(report.worst_index, prompts.contexts.shape)}",
-            file=sys.stderr,
+            f"{_coordinate_name(report.worst_index, prompts.contexts.shape)}"
         )
-        return EXIT_GRADCHECK
     pooled_coords = prompts.contexts.size // prompts.num_context_tokens
-    print(
+    return True, (
         f"gradcheck passed on a {size}-sample batch "
         f"(max rel error {report.max_rel_error:.3e}, "
         f"{pooled_coords} pooled coordinates finite-differenced, "
         f"{report.num_skipped_kinks} kink coordinates skipped)"
     )
-    return EXIT_OK
+
+
+def _gate_while_training(dataset, config: RunConfigFile):
+    """(the gate's verdict, the run's record), each None where it must run
+    here, serially: the gate in a forked child while the run trains here.
+
+    Only with a spare core and where a child may be forked (train._may_fork,
+    asked of the functions the gate calls too); otherwise both are None.
+    Either is None when it raised or would have warned (train._or_none).
+    """
+    gate_functions = (gradcheck.total_loss, gradcheck.check_total_loss, gradcheck.hinge_kink_mask)
+    if _usable_cores() < 2 or not _may_fork(*gate_functions):
+        return None, None
+    try:
+        child = _Child(lambda requests: [_or_none(_gradcheck_verdict, dataset, config)])
+    except OSError:  # no process to be had: the gate runs here
+        return None, None
+    try:
+        record = _or_none(train, dataset, config.train)
+        return child.receive(), record
+    finally:
+        child.close()
 
 
 def cmd_train(args) -> int:
+    """Train one run and write its run directory, after the pre-training
+    gradcheck of a prompt run unless --skip-gradcheck; every output byte is
+    the serial run's, wherever _gate_while_training ran the two."""
     config = _apply_train_flags(args, _load_or_default_config(args.config))
     refuse_nonempty_dir(args.out, args.force)
     dataset = _resolve_dataset(args, config)
 
+    record = None
     if not args.skip_gradcheck and config.train.baseline == "none":
-        status = _pretrain_gradcheck(dataset, config)
-        if status != EXIT_OK:
-            return status
+        verdict, record = _gate_while_training(dataset, config)
+        passed, line = verdict or _gradcheck_verdict(dataset, config)
+        if not passed:
+            print(line, file=sys.stderr)
+            return EXIT_GRADCHECK
+        print(line)
 
-    record = train(dataset, config.train)
+    if record is None:
+        record = train(dataset, config.train)
     write_run_dir(args.out, record, config_to_dict(config), force=args.force)
     if record.failed:
         print(f"run aborted: {record.abort_reason}", file=sys.stderr)

@@ -489,20 +489,21 @@ def _threads() -> int | None:
         return None
 
 
-def _may_fork_worker() -> bool:
-    """Whether a record worker may be forked here: this process runs one
-    thread, and no function an epoch record calls has been wrapped.
+def _may_fork(*functions) -> bool:
+    """Whether a child may be forked here: this process runs one thread, and
+    none of functions, nor of the functions an epoch record calls, has been
+    wrapped.
 
     A second thread is most often a BLAS library's, which runs its products
-    on every core: a worker would then take the parent's cores rather than
-    a free one, and a child forked from a threaded process may deadlock
+    on every core: a child would then take the parent's cores rather than a
+    free one, and a child forked from a threaded process may deadlock
     (Python 3.12 warns of it). Where the thread count cannot be read, no
-    worker is forked. A wrapper of a record function (functools.wraps marks
-    it __wrapped__), such as a tracer's or a profiler's, must see the calls
-    a record makes, which a worker would make out of its sight.
+    child is forked. A wrapper (functools.wraps marks it __wrapped__), such
+    as a tracer's or a profiler's, must see the calls a child would make
+    out of its sight.
     """
-    record_functions = (encode_all, evaluate, mean_positive_delta)
-    return _threads() == 1 and not any(hasattr(fn, "__wrapped__") for fn in record_functions)
+    functions += (encode_all, evaluate, mean_positive_delta)
+    return _threads() == 1 and not any(hasattr(fn, "__wrapped__") for fn in functions)
 
 
 @contextlib.contextmanager
@@ -524,43 +525,45 @@ def _warnings_raised():
         filters.remove(entry)
 
 
+def _or_none(fn, *args):
+    """fn(*args), or None when it raised an Exception or would have warned,
+    for the caller to run fn again where that shows."""
+    try:
+        with _warnings_raised():
+            return fn(*args)
+    except Exception:
+        return None
+
+
 def _record(trainer, dataset: MultiLabelDataset, with_loss: bool) -> list[tuple]:
     """Each run's (losses or None, mean positive delta, EvalResult) for an
     epoch record of dataset; the losses are asked for at epoch 0."""
     return [head.measure(dataset, with_loss) for head in trainer.heads]
 
 
-def _serve_records(trainer, dataset: MultiLabelDataset, requests, replies) -> None:
-    """The record worker's loop: read a with-loss flag byte and the raw
-    bytes of trainer's parameter arrays, reply with the pickled _record, or
-    None when scoring raised or would have warned; stop at end of input."""
+def _serve_records(trainer, dataset: MultiLabelDataset, requests):
+    """The record worker's replies: read a with-loss flag byte and the raw
+    bytes of trainer's parameter arrays, yield _record, or None when scoring
+    raised or would have warned; stop at end of input."""
     while flag := requests.read(1):
         for params in trainer.parameters:
             view = memoryview(params).cast("B")
             if requests.readinto(view) != len(view):
                 return
-        try:
-            with _warnings_raised():
-                measured = _record(trainer, dataset, flag == b"\1")
-        except Exception:  # any failure is replayed by the trainer, where it shows
-            measured = None
-        pickle.dump(measured, replies)
-        replies.flush()
+        yield _or_none(_record, trainer, dataset, flag == b"\1")
 
 
-class _RecordWorker:
-    """A forked process that scores a trainer's epoch records while this
-    process trains on.
+class _Child:
+    """A forked process that pickles each reply of serve(requests) down a
+    pipe to this process, where requests is a binary file on a pipe from
+    this process, and exits.
 
-    It is forked once the trainer is built, so it inherits the dataset and
-    the frozen state by copy-on-write; spawn would re-import the package and
-    pickle the dataset (41 MB at 10k x 200 x 256), which costs more than the
-    record it hides. Each record sends it only the trainer's parameter
-    arrays, raw, down a pipe; it replies with the pickled _record, or None.
+    It inherits this process's memory by copy-on-write: spawn would
+    re-import the package and pickle the dataset (41 MB at 10k x 200 x
+    256), which costs more than the work a child hides.
     """
 
-    def __init__(self, trainer, dataset: MultiLabelDataset):
-        self.parameters = trainer.parameters
+    def __init__(self, serve):
         request_r, request_w = os.pipe()
         reply_r, reply_w = os.pipe()
         try:
@@ -574,13 +577,44 @@ class _RecordWorker:
                 os.close(request_w)
                 os.close(reply_r)
                 with os.fdopen(request_r, "rb") as requests, os.fdopen(reply_w, "wb") as replies:
-                    _serve_records(trainer, dataset, requests, replies)
+                    for reply in serve(requests):
+                        pickle.dump(reply, replies)
+                        replies.flush()
             finally:
                 os._exit(0)  # no exit handler, buffer flush or test teardown of the parent's
         os.close(request_r)
         os.close(reply_w)
         self.requests = request_w
         self.replies = os.fdopen(reply_r, "rb")
+
+    def receive(self):
+        """The next object the child pickled, or None when the child sent
+        None or is gone."""
+        try:
+            return pickle.load(self.replies)
+        except (EOFError, pickle.UnpicklingError):
+            return None
+
+    def close(self) -> None:
+        """End the child and reap it, whatever it is doing."""
+        os.close(self.requests)
+        self.replies.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+class _RecordWorker(_Child):
+    """A child that scores a trainer's epoch records while this process
+    trains on.
+
+    It is forked once the trainer is built, so it inherits the dataset and
+    the frozen state. Each record sends it only the trainer's parameter
+    arrays, raw, down a pipe; it replies with the pickled _record, or None.
+    """
+
+    def __init__(self, trainer, dataset: MultiLabelDataset):
+        self.parameters = trainer.parameters
+        super().__init__(functools.partial(_serve_records, trainer, dataset))
 
     def send(self, with_loss: bool) -> None:
         """Start scoring an epoch record of the current parameters."""
@@ -592,21 +626,6 @@ class _RecordWorker:
                     view = view[os.write(self.requests, view) :]
         except BrokenPipeError:  # the worker is gone; receive says so
             pass
-
-    def receive(self) -> list[tuple] | None:
-        """The record sent last, or None when the worker failed to score it
-        or is gone."""
-        try:
-            return pickle.load(self.replies)
-        except (EOFError, pickle.UnpicklingError):
-            return None
-
-    def close(self) -> None:
-        """End the worker and reap it, whatever it is doing."""
-        os.close(self.requests)
-        self.replies.close()
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
 
 
 def _overlap(worker: _RecordWorker, trainer, generators: list, ahead, with_loss: bool):
@@ -655,7 +674,7 @@ def train_stack(
     spare_core says whether a core is free for a record worker; None counts
     this process's usable cores, two or more. With a spare core, in a
     process that runs one thread and whose record functions are not wrapped
-    (_may_fork_worker), each epoch record but the last is scored in a
+    (_may_fork), each epoch record but the last is scored in a
     forked worker while the next epoch's steps run here. That epoch is kept
     when the record came back, and neither raised nor would have warned,
     save the epoch's abort on a non-finite loss. Otherwise the parameters
@@ -691,7 +710,7 @@ def train_stack(
     if spare_core is None:
         spare_core = usable_cores() > 1
     worker = None
-    if spare_core and _may_fork_worker():
+    if spare_core and _may_fork():
         with contextlib.suppress(OSError):  # no process to be had: every record runs here
             worker = _RecordWorker(trainer, dataset)
     histories: list[list[EpochRecord]] = [[] for _ in configs]

@@ -1,7 +1,11 @@
 import argparse
 import dataclasses
+import functools
+import importlib
 import json
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,6 +17,7 @@ import pytest
 import tailprompt
 from tailprompt.cli import EXIT_CONFIG, EXIT_GRADCHECK, EXIT_NUMERICS, EXIT_OK, build_parser, main
 from tailprompt.data_model import MultiLabelDataset, save_dataset
+from tailprompt.errors import NumericsError
 from tailprompt.metrics import MAP_KEYS
 
 SMALL_CONFIG = {
@@ -394,6 +399,21 @@ def _corrupt_analytic_gradient(monkeypatch, flat_index, min_tokens=1):
     monkeypatch.setattr(gradcheck, "total_loss", wrong)
 
 
+def _corrupt_pooled_gradient(monkeypatch):
+    """Make the gradient w.r.t. class 2's pooled vector wrong at dim 5 in
+    every layout, so that only the finite difference catches it."""
+    import tailprompt.losses as losses
+
+    real = losses.encode_backward
+
+    def wrong(encoder, prompts, encoding, grad_embeddings):
+        grad = real(encoder, prompts, encoding, grad_embeddings)
+        grad[2, :, 5] += 1.0 / (prompts.num_context_tokens + 1)
+        return grad
+
+    monkeypatch.setattr(losses, "encode_backward", wrong)
+
+
 class TestGradcheckFailureNamesTheCoordinate:
     def test_pretrain_gradcheck(self, monkeypatch, tmp_path, config_path, dataset_path, capsys):
         # contexts are (4 classes, 4 tokens, 16 dims): 181 = 2*64 + 3*16 + 5.
@@ -410,19 +430,9 @@ class TestGradcheckFailureNamesTheCoordinate:
     def test_pretrain_gradcheck_pooled(
         self, monkeypatch, tmp_path, config_path, dataset_path, capsys
     ):
-        # The gradient w.r.t. class 2's pooled vector is wrong at dim 5 in every
-        # layout, so each token still equals s times the pooled gradient and
-        # only the finite difference can catch it; it is named at token 0.
-        import tailprompt.losses as losses
-
-        real = losses.encode_backward
-
-        def wrong(encoder, prompts, encoding, grad_embeddings):
-            grad = real(encoder, prompts, encoding, grad_embeddings)
-            grad[2, :, 5] += 1.0 / (prompts.num_context_tokens + 1)
-            return grad
-
-        monkeypatch.setattr(losses, "encode_backward", wrong)
+        # Each token still equals s times the pooled gradient, so only the
+        # finite difference can catch the error; it is named at token 0.
+        _corrupt_pooled_gradient(monkeypatch)
         out = tmp_path / "run"
         code = main(["train", "--config", config_path, "--data", dataset_path, "--out", str(out)])
         assert code == EXIT_GRADCHECK
@@ -442,6 +452,204 @@ class TestGradcheckFailureNamesTheCoordinate:
             name = f"(class {5 // (m * dt)}, token {5 // dt % m}, dim {5 % dt})"
             assert f"FAIL {case.description}: " in err
             assert f"at coordinate 5 {name}" in err
+
+
+def _gate_raises(monkeypatch):
+    import tailprompt.cli as cli
+
+    def raising(*args, **kwargs):
+        raise NumericsError("the gate's loss is not finite")
+
+    monkeypatch.setattr(cli, "check_training_state", raising)
+
+
+def _gate_warns(monkeypatch):
+    import tailprompt.cli as cli
+
+    real = cli.check_training_state
+
+    def warning(*args, **kwargs):
+        warnings.warn("the gate warns", RuntimeWarning)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_training_state", warning)
+
+
+_FORK_WARNING = r"This process .* is multi-threaded"
+_WALL = re.compile(r"epochs in \d+\.\d+s")
+
+
+class TestGateWhileTraining:
+    """On two usable cores, train runs its pre-training gradcheck in a forked
+    child while this process trains; on one, it runs the two in turn. Both
+    give the same exit code, stdout, stderr, warnings and run directory, and
+    neither leaves a child process behind.
+
+    The process is taken to run one thread, as it does with one BLAS thread;
+    it may run more here, so Python 3.12's warning on forking it is ignored."""
+
+    @staticmethod
+    def _assert_no_child():
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def _train(self, monkeypatch, capsys, out, argv, cores, setup=None):
+        """What one train at the given core count gave, after setup(), if
+        given: (exit code, stdout and stderr with the wall time masked, each
+        warning as (category, message), the run directory's files with
+        run.json's wall_seconds dropped, or None), and how many gate
+        children it started and how many times it trained."""
+        import tailprompt.cli as cli
+
+        train_mod = importlib.import_module("tailprompt.train")
+        children, trains = [], []
+        real_train = cli.train
+
+        class RecordingChild(cli._Child):
+            def __init__(self, serve):
+                children.append(serve)
+                super().__init__(serve)
+
+        def counting_train(*args, **kwargs):
+            trains.append(args)
+            return real_train(*args, **kwargs)
+
+        capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_usable_cores", lambda: cores)
+            m.setattr(train_mod, "usable_cores", lambda: cores)
+            m.setattr(train_mod, "_threads", lambda: 1)
+            m.setattr(cli, "_Child", RecordingChild)
+            m.setattr(cli, "train", counting_train)
+            if setup is not None:
+                setup(m)
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                    code = main(["train", *argv, "--out", str(out)])
+            finally:
+                self._assert_no_child()
+        captured = capsys.readouterr()
+        files = None
+        if out.exists():
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            run = json.loads(files.pop("run.json"))
+            assert run.pop("wall_seconds") >= 0
+            files["run.json"] = run
+        out_text, err_text = (
+            _WALL.sub("epochs in <wall>s", text).replace(str(out), "<out>") for text in captured
+        )
+        warned = [(w.category, str(w.message)) for w in caught]
+        outputs = (code, out_text, err_text, warned, files)
+        return outputs, len(children), len(trains)
+
+    def _assert_same(self, monkeypatch, capsys, tmp_path, argv, setup=None):
+        """The outputs at 2 and 1 cores, which must be equal, and, at each,
+        the gate children started and the trainings run."""
+        (forked, *at_two), (serial, *at_one) = [
+            self._train(monkeypatch, capsys, tmp_path / f"run-{cores}", argv, cores, setup)
+            for cores in (2, 1)
+        ]
+        assert forked == serial
+        assert at_one[0] == 0
+        return serial, at_two, at_one
+
+    def test_passing_gate(self, monkeypatch, capsys, tmp_path, config_path, dataset_path):
+        argv = ["--config", config_path, "--data", dataset_path]
+        (code, out, err, warned, files), at_two, at_one = self._assert_same(
+            monkeypatch, capsys, tmp_path, argv
+        )
+        assert code == EXIT_OK and err == "" and warned == []
+        assert out.splitlines()[0].startswith("gradcheck passed on a 8-sample batch")
+        assert "finished 2 epochs" in out
+        assert sorted(files) == ["config.json", "metrics.csv", "prompts.ckpt.json", "run.json"]
+        assert at_two == [1, 1] and at_one == [0, 1]
+
+    @pytest.mark.parametrize(
+        "setup, message",
+        [
+            (
+                functools.partial(_corrupt_analytic_gradient, flat_index=181, min_tokens=2),
+                "at coordinate 181 (class 2, token 3, dim 5)",
+            ),
+            (_corrupt_pooled_gradient, "at coordinate 133 (class 2, token 0, dim 5)"),
+        ],
+        ids=["tokens", "pooled"],
+    )
+    @pytest.mark.parametrize("lr0", [0.05, 1e308], ids=["trains", "diverges"])
+    def test_failing_gate(self, monkeypatch, capsys, tmp_path, dataset_path, setup, message, lr0):
+        # the run trained meanwhile, which at lr0 1e308 diverges with
+        # warnings, is dropped, and nothing of it shows
+        config = tmp_path / "gated.json"
+        train = {**SMALL_CONFIG["train"], "lr0": lr0}
+        config.write_text(json.dumps({**SMALL_CONFIG, "train": train}))
+        argv = ["--config", str(config), "--data", dataset_path]
+        (code, out, err, warned, files), at_two, at_one = self._assert_same(
+            monkeypatch, capsys, tmp_path, argv, setup
+        )
+        assert code == EXIT_GRADCHECK and out == "" and warned == [] and files is None
+        assert err.startswith("gradcheck failed before training: ") and err.count("\n") == 1
+        assert err.endswith(f"{message}\n")
+        assert at_two == [1, 1] and at_one == [0, 0]
+
+    def test_diverging_run_trains_again(self, monkeypatch, capsys, tmp_path, dataset_path):
+        # the gate passes at the starting state; the run trained meanwhile
+        # warns, so it trains again here, where its warnings are issued
+        config = tmp_path / "huge-lr.json"
+        train = {**SMALL_CONFIG["train"], "lr0": 1e308}
+        config.write_text(json.dumps({**SMALL_CONFIG, "train": train}))
+        argv = ["--config", str(config), "--data", dataset_path]
+        (code, out, err, warned, files), at_two, at_one = self._assert_same(
+            monkeypatch, capsys, tmp_path, argv
+        )
+        assert code == EXIT_NUMERICS and out.startswith("gradcheck passed")
+        assert err.startswith("run aborted: abort run: non-finite")
+        assert warned and all(category is RuntimeWarning for category, _ in warned)
+        assert files["run.json"]["failed"]
+        assert at_two == [1, 2] and at_one == [0, 1]
+
+    @pytest.mark.parametrize("setup", [_gate_raises, _gate_warns], ids=["raises", "warns"])
+    def test_gate_that_raises_or_warns_runs_again(
+        self, monkeypatch, capsys, tmp_path, config_path, dataset_path, setup
+    ):
+        argv = ["--config", config_path, "--data", dataset_path]
+        (code, out, err, warned, files), at_two, at_one = self._assert_same(
+            monkeypatch, capsys, tmp_path, argv, setup
+        )
+        if setup is _gate_raises:
+            assert code == EXIT_NUMERICS and out == "" and files is None
+            assert err == "numerical failure: the gate's loss is not finite\n"
+            assert warned == [] and at_two == [1, 1] and at_one == [0, 0]
+        else:
+            assert code == EXIT_OK and out.startswith("gradcheck passed") and err == ""
+            assert warned == [(RuntimeWarning, "the gate warns")]
+            assert at_two == [1, 1] and at_one == [0, 1]
+
+    def test_wrapped_gate_function_forks_no_child(
+        self, monkeypatch, capsys, tmp_path, config_path, dataset_path
+    ):
+        # a tracer's wrapper must see every loss the gate evaluates
+        import tailprompt.gradcheck as gradcheck
+
+        value_calls = []
+
+        def setup(m):
+            real = gradcheck.total_loss
+
+            @functools.wraps(real)
+            def counting(*args, need_grad=True, **kwargs):
+                value_calls.append(not need_grad)
+                return real(*args, need_grad=need_grad, **kwargs)
+
+            m.setattr(gradcheck, "total_loss", counting)
+
+        argv = ["--config", config_path, "--data", dataset_path]
+        (code, *_), at_two, at_one = self._assert_same(monkeypatch, capsys, tmp_path, argv, setup)
+        assert code == EXIT_OK and at_two == [0, 1] and at_one == [0, 1]
+        # 2 value-only losses per pooled coordinate (4 classes x 16 dims), at each core count
+        assert value_calls.count(True) == 2 * 2 * 64
 
 
 class TestSweep:

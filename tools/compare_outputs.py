@@ -6,7 +6,8 @@ BASE's src/ is extracted with `git archive`. One fixed command list runs
 against both trees, each with PYTHONPATH set to that tree's src/ and one BLAS
 thread: synth, train (with its pre-training gradcheck), train with
 --skip-gradcheck, --ablation, --loss and --seed, two trains of the paths
-a record worker takes (see below), eval of the trained prompts, synth of a
+a record worker takes and a gated train of abort.json (see below), eval of
+the trained prompts, synth of a
 second split with --seed 8 and eval of the trained prompts on that split,
 which they did not train on, the 120-case
 gradcheck, a sweep of every variant over seeds 1 and 2, and eval of two
@@ -41,10 +42,15 @@ once epoch 3, which has none, has run. With abort-record.json ({"train":
 which overflows the contexts, and epoch 1's record, which is not the last,
 aborts the run: the worker fails to score it, and the record and epoch 2
 run again in the training process, whose messages and warnings are
-compared. Run it under taskset -c 0 as well, where every record runs
-inline. Every output file is then compared byte for byte, except run.json,
-which is compared without its wall_seconds; for a differing .npz archive,
-the members that differ are named. Exit codes, stdout and stderr are
+compared. The gated train of abort.json, on the first split, runs its
+pre-training gradcheck in a forked child while it trains: the gate passes at
+the starting state, but the run warns on its way to the abort, so it is
+dropped and trained again once the gate line is printed, and its messages
+and warnings are compared. Run the tool under taskset -c 0 as well, where
+every record and the gate run inline. Every output file is then compared
+byte for byte, except run.json, which is compared without its
+wall_seconds; for a differing .npz archive, the members that differ are
+named. Exit codes, stdout and stderr are
 compared with the output root, the train wall time and each warning's
 path:line: location masked; a warning's
 category, message and source line are kept. Every .json file the working
@@ -125,6 +131,9 @@ COMMANDS = (
         "train-abort-record",
         "--skip-gradcheck",
     ),
+    # gated: the gate passes at the starting state, while the run trained
+    # meanwhile warns and trains again after it
+    ("train", "--config", "abort.json", "--data", "data.npz", "--out", "train-abort"),
     ("eval", "--data", "data.npz", "--ckpt", "train/prompts.ckpt.json", "--out", "eval.json"),
     # the trained prompts scored on a split they did not train on
     ("synth", "--out", "other.npz", "--seed", "8"),
