@@ -9,6 +9,7 @@ entropy, so reruns with the same flags reproduce output files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -201,16 +202,20 @@ def _gradcheck_verdict(dataset, config: RunConfigFile) -> tuple[bool, str]:
     )
 
 
+def _may_fork_gradcheck() -> bool:
+    """train._may_fork, asked of the functions a gradient check calls too."""
+    return _may_fork(gradcheck.total_loss, gradcheck.check_total_loss, gradcheck.hinge_kink_mask)
+
+
 def _gate_while_training(dataset, config: RunConfigFile):
     """(the gate's verdict, the run's record), each None where it must run
     here, serially: the gate in a forked child while the run trains here.
 
-    Only with a spare core and where a child may be forked (train._may_fork,
-    asked of the functions the gate calls too); otherwise both are None.
+    Only with a spare core and where a child may be forked
+    (_may_fork_gradcheck); otherwise both are None.
     Either is None when it raised or would have warned (train._or_none).
     """
-    gate_functions = (gradcheck.total_loss, gradcheck.check_total_loss, gradcheck.hinge_kink_mask)
-    if _usable_cores() < 2 or not _may_fork(*gate_functions):
+    if _usable_cores() < 2 or not _may_fork_gradcheck():
         return None, None
     try:
         child = _Child(lambda requests: [_or_none(_gradcheck_verdict, dataset, config)])
@@ -269,8 +274,30 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _checked_cases(num_cases: int, base_seed: int) -> list:
+    """run_sweep's (case, report) pairs, the cases checked in interleaved
+    shares, one per usable core (_run_shares), given two or more cases and
+    cores and _may_fork_gradcheck. Otherwise, or when any check raised or
+    would have warned (train._or_none), run_sweep runs here, as it does alone.
+    """
+    workers = min(num_cases, _usable_cores())
+    if workers < 2 or not _may_fork_gradcheck():
+        return run_sweep(num_cases, base_seed)
+    cases = gradcheck.sweep_cases(num_cases, base_seed)
+
+    def check(share) -> list:  # each chunk is one (index, case) job
+        jobs = [(i, c.batch, c.prompts, c.encoder, c.stats, c.config, c.tau) for [(i, c)] in share]
+        return [(i, _or_none(gradcheck.check_total_loss, *args)) for i, *args in jobs]
+
+    shares = _shares(list(enumerate(cases)), workers, key=lambda job: None)
+    reports = dict(pair for pairs in _run_shares(shares, check) for pair in pairs)
+    if any(report is None for report in reports.values()):
+        return run_sweep(num_cases, base_seed)
+    return [(case, reports[i]) for i, case in enumerate(cases)]
+
+
 def cmd_gradcheck(args) -> int:
-    results = run_sweep(num_cases=args.cases, base_seed=args.seed)
+    results = _checked_cases(args.cases, args.seed)
     failures = [(case, report) for case, report in results if not report.passed]
     worst = max(report.max_rel_error for _, report in results)
     skipped = sum(report.num_skipped_kinks for _, report in results)
@@ -385,42 +412,39 @@ def _run_share(dataset, share, force: bool, spare_core: bool) -> dict:
     return outcomes
 
 
-_inherited_dataset = None  # set in each forked sweep worker by its pool's initializer
+def _serve_share(run, share, requests):
+    """A share's one reply: run(share), or the Exception run raised."""
+    try:
+        yield run(share)
+    except Exception as err:
+        yield err
 
 
-def _inherit_dataset(dataset) -> None:
-    global _inherited_dataset
-    _inherited_dataset = dataset
+def _run_shares(shares: list, run) -> list:
+    """[run(share) for share in shares]: share 0 runs here while each other
+    share runs in a forked child (train._Child), which inherits what run
+    reads, such as a sweep's dataset (about 200 MB at 50k x 200 x 256).
 
-
-def _run_inherited_share(share, force: bool, spare_core: bool) -> dict:
-    return _run_share(_inherited_dataset, share, force, spare_core)
-
-
-def _run_shares(dataset, shares: list[list], force: bool, spare_core: bool) -> list[dict]:
-    """Each share's outcomes: share 0 runs in this process, every other share
-    in one of len(shares) - 1 forked workers. spare_core says whether each
-    share may fork a record worker as well.
-
-    Fork start hands the workers the dataset by inheritance, not by pickling
-    (about 200 MB at 50k x 200 x 256). The pool is imported only when it is
-    used, because the import costs RSS.
+    A child pickles back run's value, never an Exception, or the Exception
+    run raised, which is raised here, as Future.result() raises it. A share
+    whose child cannot be forked (OSError), or sends nothing back, runs here.
     """
-    if len(shares) == 1:
-        return [_run_share(dataset, shares[0], force, spare_core)]
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    with ProcessPoolExecutor(
-        max_workers=len(shares) - 1,
-        mp_context=get_context("fork"),
-        initializer=_inherit_dataset,
-        initargs=(dataset,),
-    ) as pool:
-        futures = [
-            pool.submit(_run_inherited_share, share, force, spare_core) for share in shares[1:]
-        ]
-        return [_run_share(dataset, shares[0], force, spare_core), *(f.result() for f in futures)]
+    children = []
+    try:
+        for share in shares[1:]:
+            try:
+                children.append(_Child(functools.partial(_serve_share, run, share)))
+            except OSError:  # no process to be had: the share runs here
+                children.append(None)
+        values = [run(shares[0])]
+        for share, reply in zip(shares[1:], [child and child.receive() for child in children]):
+            if isinstance(reply, Exception):
+                raise reply
+            values.append(run(share) if reply is None else reply)
+        return values
+    finally:
+        for child in filter(None, children):
+            child.close()
 
 
 def cmd_sweep(args) -> int:
@@ -428,11 +452,12 @@ def cmd_sweep(args) -> int:
 
     Runs whose configs share a train.stack_key train as one stack, and the
     runs are split by a fixed rule (_shares) into at most min(runs, usable
-    cores) shares, one process each. Only when the shares leave a core free
-    may each share fork a record worker (train.train_stack). Each run is
-    seeded on its own and keeps its bits in a stack, so every output byte is
-    the same as in a serial sweep. The per-run lines are printed in order
-    once all runs have finished, each run's warnings just before its line.
+    cores) shares, one process each (_run_shares). Only when the shares
+    leave a core free may each share fork a record worker (train.train_stack).
+    Each run is seeded on its own and keeps its bits in a stack, so every
+    output byte is the same as in a serial sweep. The per-run lines are
+    printed in order once all runs have finished, each run's warnings just
+    before its line.
     """
     config = _load_or_default_config(args.config)
     variants = args.variant or []
@@ -460,9 +485,8 @@ def cmd_sweep(args) -> int:
 
     cores = _usable_cores()
     shares = _shares(jobs, min(len(jobs), cores), key=lambda job: stack_key(job[2].train))
-    done = {}
-    for share_outcomes in _run_shares(dataset, shares, args.force, len(shares) < cores):
-        done.update(share_outcomes)
+    run = functools.partial(_run_share, dataset, force=args.force, spare_core=len(shares) < cores)
+    done = dict(pair for outcomes in _run_shares(shares, run) for pair in outcomes.items())
     # A share trains no job after its first error, so the outcomes are read
     # lazily, in job order: a missing one lies after an error that has
     # already been raised.

@@ -578,7 +578,7 @@ class _Child:
                 os.close(reply_r)
                 with os.fdopen(request_r, "rb") as requests, os.fdopen(reply_w, "wb") as replies:
                     for reply in serve(requests):
-                        pickle.dump(reply, replies)
+                        replies.write(pickle.dumps(reply))  # all of it, or nothing
                         replies.flush()
             finally:
                 os._exit(0)  # no exit handler, buffer flush or test teardown of the parent's
@@ -589,10 +589,10 @@ class _Child:
 
     def receive(self):
         """The next object the child pickled, or None when the child sent
-        None or is gone."""
+        None, is gone, or sent what cannot be unpickled here."""
         try:
             return pickle.load(self.replies)
-        except (EOFError, pickle.UnpicklingError):
+        except Exception:
             return None
 
     def close(self) -> None:

@@ -479,6 +479,28 @@ _FORK_WARNING = r"This process .* is multi-threaded"
 _WALL = re.compile(r"epochs in \d+\.\d+s")
 
 
+def _assert_no_child():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch) -> list:
+    """Patch cli._Child to list the serve function of each child it forks
+    from this process; the list."""
+    import tailprompt.cli as cli
+
+    forks = []
+
+    class RecordingChild(cli._Child):
+        def __init__(self, serve):
+            forks.append(serve)
+            super().__init__(serve)
+
+    monkeypatch.setattr(cli, "_Child", RecordingChild)
+    return forks
+
+
 class TestGateWhileTraining:
     """On two usable cores, train runs its pre-training gradcheck in a forked
     child while this process trains; on one, it runs the two in turn. Both
@@ -487,12 +509,6 @@ class TestGateWhileTraining:
 
     The process is taken to run one thread, as it does with one BLAS thread;
     it may run more here, so Python 3.12's warning on forking it is ignored."""
-
-    @staticmethod
-    def _assert_no_child():
-        assert multiprocessing.active_children() == []
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def _train(self, monkeypatch, capsys, out, argv, cores, setup=None):
         """What one train at the given core count gave, after setup(), if
@@ -503,13 +519,8 @@ class TestGateWhileTraining:
         import tailprompt.cli as cli
 
         train_mod = importlib.import_module("tailprompt.train")
-        children, trains = [], []
+        trains = []
         real_train = cli.train
-
-        class RecordingChild(cli._Child):
-            def __init__(self, serve):
-                children.append(serve)
-                super().__init__(serve)
 
         def counting_train(*args, **kwargs):
             trains.append(args)
@@ -520,7 +531,7 @@ class TestGateWhileTraining:
             m.setattr(cli, "_usable_cores", lambda: cores)
             m.setattr(train_mod, "usable_cores", lambda: cores)
             m.setattr(train_mod, "_threads", lambda: 1)
-            m.setattr(cli, "_Child", RecordingChild)
+            children = _count_forks(m)
             m.setattr(cli, "train", counting_train)
             if setup is not None:
                 setup(m)
@@ -530,7 +541,7 @@ class TestGateWhileTraining:
                     warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
                     code = main(["train", *argv, "--out", str(out)])
             finally:
-                self._assert_no_child()
+                _assert_no_child()
         captured = capsys.readouterr()
         files = None
         if out.exists():
@@ -650,6 +661,179 @@ class TestGateWhileTraining:
         assert code == EXIT_OK and at_two == [0, 1] and at_one == [0, 1]
         # 2 value-only losses per pooled coordinate (4 classes x 16 dims), at each core count
         assert value_calls.count(True) == 2 * 2 * 64
+
+
+def _patch_case_check(m, cases, outcome):
+    """Patch gradcheck.check_total_loss to return outcome(index, report) for
+    the sweep case of each index in cases, where report is the real one;
+    cases are told apart by their tau."""
+    import tailprompt.gradcheck as gradcheck
+
+    real = gradcheck.check_total_loss
+    index = {case.tau: i for i, case in enumerate(gradcheck.sweep_cases(max(cases) + 1))}
+
+    def patched(batch, prompts, encoder, stats, config, tau=1.0, **kwargs):
+        report = real(batch, prompts, encoder, stats, config, tau, **kwargs)
+        return outcome(index[tau], report) if index.get(tau) in cases else report
+
+    m.setattr(gradcheck, "check_total_loss", patched)
+
+
+class TestGradcheckShares:
+    """On two usable cores, gradcheck checks its cases in two interleaved
+    shares, the second in a forked child; on one, it checks them in turn.
+    Both give the same exit code, stdout, stderr and warnings, and neither
+    leaves a child process behind. The process is taken to run one thread,
+    as it does with one BLAS thread; Python 3.12's warning on forking it is
+    ignored."""
+
+    def _gradcheck(self, monkeypatch, capsys, argv, cores, setup=None):
+        """(exit code, stdout, stderr, each warning as (category, message))
+        of one gradcheck at the given core count, after setup(m), if given,
+        and the share sizes, children forked and checks run here."""
+        import tailprompt.cli as cli
+        import tailprompt.gradcheck as gradcheck
+
+        train_mod = importlib.import_module("tailprompt.train")
+        sizes, checks = [], []
+        real_run_shares = cli._run_shares
+
+        def recording_run_shares(shares, run):
+            sizes.extend(len(share) for share in shares)
+            return real_run_shares(shares, run)
+
+        capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_usable_cores", lambda: cores)
+            m.setattr(train_mod, "_threads", lambda: 1)
+            m.setattr(cli, "_run_shares", recording_run_shares)
+            forks = _count_forks(m)
+            real_check = gradcheck.check_total_loss
+
+            def counting_check(*args, **kwargs):
+                checks.append(os.getpid())
+                return real_check(*args, **kwargs)
+
+            m.setattr(gradcheck, "check_total_loss", counting_check)
+            if setup is not None:
+                setup(m)
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                    code = main(["gradcheck", *argv])
+            finally:
+                _assert_no_child()
+        out, err = capsys.readouterr()
+        warned = [(w.category, str(w.message)) for w in caught]
+        return (code, out, err, warned), sizes, len(forks), len(checks)
+
+    def _assert_same(self, monkeypatch, capsys, argv, setup=None):
+        """The outputs at 2 and 1 cores, which must be equal, and, at each,
+        the share sizes, children forked and checks run here."""
+        (forked, *at_two), (serial, *at_one) = [
+            self._gradcheck(monkeypatch, capsys, argv, cores, setup) for cores in (2, 1)
+        ]
+        assert forked == serial
+        assert at_one[:2] == [[], 0]
+        return serial, at_two, at_one
+
+    def test_seven_cases_in_shares_of_four_and_three(self, monkeypatch, capsys):
+        (code, out, err, warned), at_two, at_one = self._assert_same(
+            monkeypatch, capsys, ["--cases", "7"]
+        )
+        assert code == EXIT_OK and err == "" and warned == []
+        assert out.startswith("gradcheck: 7/7 cases passed, worst rel error ")
+        # cases 0, 2, 4 and 6 are checked here, 1, 3 and 5 in the child
+        assert at_two == [[4, 3], 1, 4] and at_one == [[], 0, 7]
+
+    def test_one_case_forks_no_child(self, monkeypatch, capsys):
+        (code, out, *_), at_two, at_one = self._assert_same(monkeypatch, capsys, ["--cases", "1"])
+        assert code == EXIT_OK and out.startswith("gradcheck: 1/1 cases passed")
+        assert at_two == at_one == [[], 0, 1]
+
+    def test_failing_cases_in_both_shares_in_case_order(self, monkeypatch, capsys):
+        from tailprompt.gradcheck import sweep_cases
+
+        def fail(i, report):
+            return dataclasses.replace(report, max_rel_error=0.5, worst_index=i, passed=False)
+
+        def setup(m):
+            _patch_case_check(m, {3, 4}, fail)
+
+        (code, out, err, warned), at_two, at_one = self._assert_same(
+            monkeypatch, capsys, ["--cases", "7"], setup
+        )
+        assert code == EXIT_GRADCHECK and warned == []
+        assert out.startswith("gradcheck: 5/7 cases passed, worst rel error 5.000e-01")
+        cases = sweep_cases(7)
+        assert [line.split(": max rel error")[0] for line in err.splitlines()] == [
+            f"FAIL {cases[i].description}" for i in (3, 4)
+        ]
+        assert "max rel error 5.000e-01 at coordinate 3 " in err.splitlines()[0]
+        assert at_two == [[4, 3], 1, 4] and at_one == [[], 0, 7]
+
+    def test_a_child_case_that_raises_runs_the_sweep_again_here(self, monkeypatch, capsys):
+        def raising(i, report):
+            raise NumericsError(f"case {i} is not finite")
+
+        def setup(m):
+            _patch_case_check(m, {1}, raising)
+
+        (code, out, err, warned), at_two, at_one = self._assert_same(
+            monkeypatch, capsys, ["--cases", "7"], setup
+        )
+        assert code == EXIT_NUMERICS and out == "" and warned == []
+        assert err == "numerical failure: case 1 is not finite\n"
+        # share 0's four cases, then cases 0 and 1 of the serial sweep
+        assert at_two == [[4, 3], 1, 4 + 2] and at_one == [[], 0, 2]
+
+    def test_a_child_case_that_warns_runs_the_sweep_again_here(self, monkeypatch, capsys):
+        def warning(i, report):
+            warnings.warn(f"case {i} warns", RuntimeWarning)
+            return report
+
+        def setup(m):
+            _patch_case_check(m, {5}, warning)
+
+        (code, out, err, warned), at_two, at_one = self._assert_same(
+            monkeypatch, capsys, ["--cases", "7"], setup
+        )
+        assert code == EXIT_OK and out.startswith("gradcheck: 7/7 cases passed") and err == ""
+        assert warned == [(RuntimeWarning, "case 5 warns")]
+        assert at_two == [[4, 3], 1, 4 + 7] and at_one == [[], 0, 7]
+
+    def test_wrapped_check_forks_no_child(self, monkeypatch, capsys):
+        # a tracer's wrapper must see every case the sweep checks
+        import tailprompt.gradcheck as gradcheck
+
+        seen = []
+
+        def setup(m):
+            real = gradcheck.check_total_loss
+
+            @functools.wraps(real)
+            def wrapper(*args, **kwargs):
+                seen.append(os.getpid())
+                return real(*args, **kwargs)
+
+            m.setattr(gradcheck, "check_total_loss", wrapper)
+
+        (code, *_), at_two, at_one = self._assert_same(
+            monkeypatch, capsys, ["--cases", "7"], setup
+        )
+        assert code == EXIT_OK and at_two == at_one == [[], 0, 7]
+        assert seen == [os.getpid()] * 14
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--cases", "0"], "num_cases must be >= 1"), (["--seed", "-5"], "base_seed must be >= 0")],
+        ids=["cases", "seed"],
+    )
+    def test_config_errors_come_before_any_fork(self, monkeypatch, capsys, argv, message):
+        (code, out, err, warned), at_two, at_one = self._assert_same(monkeypatch, capsys, argv)
+        assert code == EXIT_CONFIG and out == "" and err == f"error: {message}\n"
+        assert at_two == at_one == [[], 0, 0]
 
 
 class TestSweep:
@@ -816,8 +1000,6 @@ class TestSweepWorkers:
     def test_outputs_do_not_depend_on_the_worker_count(
         self, monkeypatch, tmp_path, config_path, dataset_path, capsys
     ):
-        import concurrent.futures
-
         from tailprompt import cli
 
         argv = ["--config", config_path, "--data", dataset_path, "--seeds", "1,2"]
@@ -828,15 +1010,7 @@ class TestSweepWorkers:
 
         with monkeypatch.context() as m:
             m.setattr(os, "fork", refuse)
-            m.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
             serial = self._sweep(m, capsys, tmp_path / "one", 1, argv)
-
-        pools = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers, **kwargs)
 
         here = []
         real_train_stack = cli.train_stack
@@ -851,7 +1025,7 @@ class TestSweepWorkers:
         def refuse_pickle(self, protocol):
             raise AssertionError("the dataset was pickled")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        forks = _count_forks(monkeypatch)
         monkeypatch.setattr(cli, "train_stack", recording_train_stack)
         monkeypatch.setattr(cli, "train", refuse_train)
         monkeypatch.setattr(MultiLabelDataset, "__reduce_ex__", refuse_pickle)
@@ -861,30 +1035,22 @@ class TestSweepWorkers:
         assert parallel == serial
         assert _sweep_outputs(tmp_path / "three") == _sweep_outputs(tmp_path / "one")
         assert len(_sweep_outputs(tmp_path / "one")) == 1 + 4 * 4
-        assert pools == [1]
+        assert len(forks) == 1
         # each variant's seeds stack; this process trained full's stack and
-        # the one worker bce's: no worker is forked for the empty third share
+        # the one child bce's: no child is forked for the empty third share
         assert here == [[("db", 1), ("db", 2)]]
 
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_record_workers_only_where_the_shares_leave_a_core(
         self, monkeypatch, tmp_path, config_path, dataset_path, capsys
     ):
-        """On two cores, a sweep of two shares forks its one pool worker and
+        """On two cores, a sweep of two shares forks its one share child and
         no record worker, in either share; a sweep of one share trains in
         this process with a record worker. The process is taken to run one
         thread, as it does with one BLAS thread (it may run more here, hence
         the ignored warning of Python 3.12 on forking it)."""
-        import concurrent.futures
-        import importlib
-
         train_mod = importlib.import_module("tailprompt.train")
-        pools, started = [], []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        started = []
 
         class RefusedWorker:
             def __init__(self, *args):
@@ -897,16 +1063,16 @@ class TestSweepWorkers:
 
         argv = ["--config", config_path, "--data", dataset_path, "--seeds", "1"]
         monkeypatch.setattr(train_mod, "_threads", lambda: 1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        forks = _count_forks(monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(train_mod, "_RecordWorker", RefusedWorker)
             two = [*argv, "--variant", "full", "--variant", "bce"]
             assert self._sweep(m, capsys, tmp_path / "two", 2, two)[0] == EXIT_OK
-        assert pools == [1]
+        assert len(forks) == 1
         monkeypatch.setattr(train_mod, "_RecordWorker", RecordingWorker)
         one = [*argv, "--variant", "full"]
         assert self._sweep(monkeypatch, capsys, tmp_path / "one", 2, one)[0] == EXIT_OK
-        assert pools == [1] and started == [os.getpid()]
+        assert len(forks) == 1 and started == [os.getpid()]
 
     def test_shares_chunk_groups_onto_the_least_loaded_share(self):
         from tailprompt.cli import _shares
@@ -1142,6 +1308,60 @@ class TestSweepWorkers:
         assert out.startswith("full seed=1: map_total=") and out.count("\n") == 1
         assert err == "numerical failure: seed 2 broke\n"
         assert not (tmp_path / "w2" / "sweep.csv").exists()
+
+    def test_a_share_that_cannot_fork_runs_here(
+        self, monkeypatch, tmp_path, config_path, dataset_path, capsys
+    ):
+        argv = ["--config", config_path, "--data", dataset_path, "--seeds", "1"]
+        argv += ["--variant", "full", "--variant", "bce"]
+        serial = self._sweep(monkeypatch, capsys, tmp_path / "one", 1, argv)
+        refused = []
+
+        def no_process(*args):
+            refused.append(args)
+            raise OSError("no process to be had")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        parallel = self._sweep(monkeypatch, capsys, tmp_path / "two", 2, argv)
+        assert refused == [()]
+        assert serial[0] == EXIT_OK and parallel == serial
+        assert _sweep_outputs(tmp_path / "two") == _sweep_outputs(tmp_path / "one")
+
+    def test_other_error_in_a_child_share_reraises_here(
+        self, monkeypatch, tmp_path, config_path, dataset_path, capsys
+    ):
+        # at two cores, seeds 1 and 2 stack in share 0, trained here, and
+        # seed 3 trains alone in share 1, in the child. An error that a
+        # sweep does not report as an outcome comes back and is raised here.
+        from tailprompt import cli
+
+        real_train, real_train_stack = cli.train, cli.train_stack
+
+        def train_or_fail(dataset, train_config, spare_core=None):
+            if train_config.seed == 3:
+                raise LookupError(f"seed 3 broke in process {os.getpid()}")
+            return real_train(dataset, train_config, spare_core)
+
+        def train_stack_or_fail(dataset, train_configs, spare_core=None):
+            # a stack holding seed 3 meets an error, and its runs train alone
+            if any(c.seed == 3 for c in train_configs):
+                raise NumericsError("a stacked run broke")
+            return real_train_stack(dataset, train_configs, spare_core)
+
+        monkeypatch.setattr(cli, "train", train_or_fail)
+        monkeypatch.setattr(cli, "train_stack", train_stack_or_fail)
+        forks = _count_forks(monkeypatch)
+        argv = ["--config", config_path, "--data", dataset_path, "--variant", "full"]
+        argv += ["--seeds", "1,2,3"]
+        raised = []
+        for w in (1, 2):
+            with pytest.raises(LookupError, match="seed 3 broke in process") as info:
+                self._sweep(monkeypatch, capsys, tmp_path / f"w{w}", w, argv)
+            raised.append(int(str(info.value).rsplit(" ", 1)[1]))
+            assert capsys.readouterr() == ("", "")
+        assert len(forks) == 1
+        assert raised[0] == os.getpid() != raised[1]
+        _assert_no_child()
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -10,7 +10,8 @@ a record worker takes and a gated train of abort.json (see below), eval of
 the trained prompts, synth of a
 second split with --seed 8 and eval of the trained prompts on that split,
 which they did not train on, the 120-case
-gradcheck, a sweep of every variant over seeds 1 and 2, and eval of two
+gradcheck and a 7-case one (on two or more cores, both check their cases
+in interleaved shares, one in a forked child), a sweep of every variant over seeds 1 and 2, and eval of two
 checkpoints that sweep writes: the linear probe's, and that of no-reweight
 seed 2, which trains in a stack and is written from its slice of the
 stack's contexts. Then three more on a 3000 x 60 x 32 split, large enough
@@ -47,7 +48,7 @@ pre-training gradcheck in a forked child while it trains: the gate passes at
 the starting state, but the run warns on its way to the abort, so it is
 dropped and trained again once the gate line is printed, and its messages
 and warnings are compared. Run the tool under taskset -c 0 as well, where
-every record and the gate run inline. Every output file is then compared
+every record, the gate and every gradcheck case run inline. Every output file is then compared
 byte for byte, except run.json, which is compared without its
 wall_seconds; for a differing .npz archive, the members that differ are
 named. Exit codes, stdout and stderr are
@@ -147,6 +148,8 @@ COMMANDS = (
         "eval-other.json",
     ),
     ("gradcheck",),
+    # shares of 4 and 3 cases where two cores are free
+    ("gradcheck", "--cases", "7"),
     ("sweep", "--data", "data.npz", "--out", "sweep", "--seeds", "1,2")
     + tuple(arg for name in VARIANTS for arg in ("--variant", name)),
     (
